@@ -126,12 +126,11 @@ class Subscription:
 class Broker:
     """In-memory latest-state store with per-thing serialized writes."""
 
-    def __init__(self, time_fn: Callable[[], float] = lambda: 0.0, journal: bool = False):
+    def __init__(self, time_fn: Callable[[], float] = lambda: 0.0):
         self._things: dict[str, ThingState] = {}
         self._registry_lock = threading.Lock()
         self._subscriptions: list[Subscription] = []
         self._time_fn = time_fn
-        self.journal: list[ChangeEvent] | None = [] if journal else None
 
     # ── things ────────────────────────────────────────────────────────
 
@@ -177,8 +176,6 @@ class Broker:
             thing.last_modified = self._time_fn()
             event = ChangeEvent(thing_id, feature, prop, old, value,
                                 thing.revision, thing.last_modified)
-            if self.journal is not None:
-                self.journal.append(event)
             # deliver under the thing lock so per-thing revision order is
             # preserved in every subscriber queue
             with self._registry_lock:

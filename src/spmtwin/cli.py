@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``validate`` checks a scenario file, ``run`` executes it on the
-accelerated clock and writes artifacts, ``inject`` posts an operator command
-to a live run's management API, ``export`` regenerates CSVs from a run
-directory marker.
+accelerated clock and writes artifacts (``--no-pace`` runs it as fast as the
+host allows), ``inject`` posts an operator command to a live run's
+management API.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 runtime abort.
 """
@@ -56,13 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inject.add_argument("--target", required=True,
                           help="broker:THING/feature/prop or modbus:HOST/coil/ADDR")
     p_inject.add_argument("--value", required=True)
-
-    p_export = sub.add_parser(
-        "export", help="re-run a scenario unpaced and export its artifacts")
-    p_export.add_argument("scenario")
-    p_export.add_argument("--out", required=True)
-    p_export.add_argument("--duration", type=float, default=None)
-    p_export.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -75,11 +68,11 @@ def _parse_value(raw: str):
 
 def _load(path: str, args) -> "object":
     scenario = load_scenario(path)
-    if getattr(args, "duration", None) is not None:
+    if args.duration is not None:
         scenario.duration_s = args.duration
-    if getattr(args, "scale", None) is not None:
+    if args.scale is not None:
         scenario.clock_scale = args.scale
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         scenario.seed = args.seed
     return scenario
 
@@ -126,20 +119,10 @@ def cmd_inject(args) -> int:
     return EXIT_OK
 
 
-def cmd_export(args) -> int:
-    scenario = _load(args.scenario, args)
-    runner = Runner(scenario, pace=False)
-    artifacts = runner.run(out_dir=args.out)
-    for path in artifacts.export(args.out):
-        print(path)
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING)
     args = build_parser().parse_args(argv)
-    handlers = {"validate": cmd_validate, "run": cmd_run,
-                "inject": cmd_inject, "export": cmd_export}
+    handlers = {"validate": cmd_validate, "run": cmd_run, "inject": cmd_inject}
     try:
         return handlers[args.command](args)
     except ScenarioError as exc:

@@ -29,7 +29,6 @@ class EmsConfig:
     discharge_floor: float = 10.0     # percent
     turbine_threshold_kw: float = 65.0
     timer_period_s: float = 60.0
-    setpoint_kw: float = 0.0
 
     def __post_init__(self):
         if not 0 <= self.discharge_floor < self.charge_ceiling <= 100:

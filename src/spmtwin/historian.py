@@ -2,8 +2,8 @@
 
 Polls Modbus registers and broker properties into named time series, exposes
 the datapoint API the EMS consumes (getAll / latest), and issues operator or
-EMS commands back to the field. Transport is injected so the same historian
-runs over the in-process fabric or real sockets.
+EMS commands back to the field. The read and write functions are injected;
+the runner binds them to the fabric.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class BrokerSource:
 class ModbusSource:
     host: str
     unit: int
-    table: str      # "input" | "holding" | "coil" | "discrete"
+    table: str      # "input" | "holding" | "coil"
     address: int
 
 
@@ -56,7 +56,6 @@ class Datapoint:
     name: str
     source: BrokerSource | ModbusSource | None   # None: derived
     poll_period_s: float = 10.0
-    scale: float = 1.0
     derive: Callable[["Historian"], float] | None = None
     series: list[tuple[float, float]] = field(default_factory=list)
     error_count: int = 0
@@ -128,7 +127,7 @@ class Historian:
                                         dp.source.table, dp.source.address)
             else:
                 raise HistorianError(f"{dp.xid}: no source configured")
-            value = float(raw) * dp.scale
+            value = float(raw)
         except Exception as exc:  # gap, never an invented sample
             dp.error_count += 1
             log.warning("poll gap for %s: %s", dp.xid, exc)
@@ -269,7 +268,7 @@ class _HistorianHandler(BaseHTTPRequestHandler):
             self._respond(400, {"error": "body must be {target, value}"})
             return
         try:
-            ack = self.server.submit_command(target, value)
+            ack = self.server.command_hook(target, value)
         except CommandFailure as exc:
             self._respond(502, {"error": str(exc)})
             return
@@ -280,17 +279,14 @@ class HistorianHttpServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, historian: Historian, host: str = "127.0.0.1", port: int = 0,
-                 command_hook: Callable[[str, object], dict] | None = None):
+    def __init__(self, historian: Historian,
+                 command_hook: Callable[[str, object], dict],
+                 host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _HistorianHandler)
         self.historian = historian
-        # the runner may route commands through its scheduler for determinism
-        self._command_hook = command_hook
-
-    def submit_command(self, target: str, value) -> dict:
-        if self._command_hook is not None:
-            return self._command_hook(target, value)
-        return self.historian.issue_command(target, value)
+        # commands run on the simulation thread, through the runner's
+        # scheduler and the fabric, never from this server's threads
+        self.command_hook = command_hook
 
     @property
     def port(self) -> int:

@@ -1,14 +1,13 @@
-"""Modbus/TCP codec, register-file executor, and TCP server/client.
+"""Modbus/TCP codec and register-file executor.
 
 Supports function codes 0x01 (read coils), 0x03 (read holding registers),
 0x04 (read input registers), 0x05 (write single coil) and 0x06 (write single
-register). Framing is MBAP over TCP, big-endian throughout.
+register). Framing is MBAP, big-endian throughout; frames travel as bytes
+over the in-process fabric.
 """
 
 from __future__ import annotations
 
-import socket
-import socketserver
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -219,100 +218,11 @@ def execute(rf: RegisterFile, pdu: Pdu) -> Pdu:
 def serve_frame_bytes(rf: RegisterFile, data: bytes) -> bytes:
     """Decode a request frame, execute it, and encode the response.
 
-    Shared by the TCP server and the in-process fabric endpoint so both paths
-    exercise the real wire format.
+    Every cabinet's fabric endpoint serves requests through this, so the
+    in-process path exercises the real wire format.
     """
     frame, _ = decode_frame(data)
     response = execute(rf, frame.pdu)
     return encode_frame(
         MbapFrame(frame.transaction_id, frame.unit_id, response)
     )
-
-
-# ── TCP server / client ────────────────────────────────────────────────────
-
-
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self):
-        buf = b""
-        while True:
-            try:
-                chunk = self.request.recv(4096)
-            except OSError:
-                return
-            if not chunk:
-                return
-            buf += chunk
-            while True:
-                try:
-                    frame, consumed = decode_frame(buf)
-                except NeedMoreBytes:
-                    break
-                buf = buf[consumed:]
-                response = execute(self.server.register_file, frame.pdu)
-                out = encode_frame(
-                    MbapFrame(frame.transaction_id, frame.unit_id, response)
-                )
-                try:
-                    self.request.sendall(out)
-                except OSError:
-                    return
-
-
-class ModbusTcpServer(socketserver.ThreadingTCPServer):
-    """One server per device; requests on a connection are answered in order."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, register_file: RegisterFile, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _Handler)
-        self.register_file = register_file
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def start(self) -> None:
-        threading.Thread(target=self.serve_forever, daemon=True).start()
-
-
-class ModbusTcpClient:
-    def __init__(self, host: str, port: int, unit_id: int = 1, timeout: float = 5.0):
-        self.unit_id = unit_id
-        self._txn = 0
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._buf = b""
-
-    def close(self) -> None:
-        self._sock.close()
-
-    def request(self, pdu: Pdu) -> Pdu:
-        self._txn = (self._txn + 1) & 0xFFFF
-        self._sock.sendall(encode_frame(MbapFrame(self._txn, self.unit_id, pdu)))
-        while True:
-            try:
-                frame, consumed = decode_frame(self._buf)
-            except NeedMoreBytes:
-                chunk = self._sock.recv(4096)
-                if not chunk:
-                    raise ConnectionError("modbus server closed the connection")
-                self._buf += chunk
-                continue
-            self._buf = self._buf[consumed:]
-            return frame.pdu
-
-    def read_input_registers(self, address: int, count: int) -> list[int]:
-        return parse_read_registers_response(
-            self.request(read_request(READ_INPUT, address, count))
-        )
-
-    def read_coils(self, address: int, count: int) -> list[bool]:
-        return parse_read_coils_response(
-            self.request(read_request(READ_COILS, address, count)), count
-        )
-
-    def write_single_coil(self, address: int, on: bool) -> None:
-        resp = self.request(write_coil_request(address, on))
-        if resp.is_exception():
-            raise ModbusExceptionResponse(resp.function_code & 0x7F, resp.payload[0])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,6 @@ class FirewallRule:
 class Node:
     id: str
     segment: str
-    addresses: dict = field(default_factory=dict)
 
 
 def load_policy(path: str) -> list[FirewallRule]:
@@ -106,9 +105,7 @@ class Fabric:
     """In-process message fabric with policy enforcement at delivery time.
 
     Services register per-node handlers; :meth:`deliver` routes a payload to
-    the destination node's handler iff the policy permits. TCP-based services
-    call :meth:`check_connect` before opening a socket, sharing the same
-    checkpoint.
+    the destination node's handler iff the policy permits.
     """
 
     def __init__(self, policy: list[FirewallRule] | None = None):
@@ -123,11 +120,11 @@ class Fabric:
 
     # ── topology ──────────────────────────────────────────────────────
 
-    def attach(self, node_id: str, segment: str, addresses: dict | None = None) -> Node:
+    def attach(self, node_id: str, segment: str) -> Node:
         if segment not in SEGMENTS:
             raise FabricError(f"unknown segment {segment!r}")
         with self._lock:
-            node = Node(node_id, segment, addresses or {})
+            node = Node(node_id, segment)
             self._nodes[node_id] = node
             # moving a node invalidates its connection state
             self._established = {

@@ -25,7 +25,6 @@ class TurnoutModel:
     sigma_w: float = 5.0
     # anchors: sorted (hour_of_week, persons); hour 0 = Monday 00:00
     schedule: list[tuple[float, float]] = field(default_factory=list)
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.cluster_size < 1:

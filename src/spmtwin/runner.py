@@ -36,6 +36,7 @@ from .historian import (
     CommandFailure,
     Datapoint,
     Historian,
+    HistorianError,
     HistorianHttpServer,
     ModbusSource,
     export_datapoints_csv,
@@ -113,6 +114,7 @@ class RunArtifacts:
     seed: int
     duration_s: float
     historian: Historian
+    tick_hours: float                 # the EMS timer period one record covers
     ems_ticks: list[EmsTickRecord] = field(default_factory=list)
     blocked_count: int = 0
     blocked_log: list = field(default_factory=list)
@@ -130,8 +132,7 @@ class RunArtifacts:
                 "grid_import_kwh": 0.0, "dissipated_kwh": 0.0,
                 "consumption_kwh": 0.0,
             })
-            # one record covers one timer period
-            hours = self._tick_hours
+            hours = self.tick_hours
             agg["solar_kwh"] += rec.solar_kw * hours
             agg["storage_charge_kwh"] += rec.charge_kw * hours
             agg["storage_discharge_kwh"] += rec.discharge_kw * hours
@@ -140,8 +141,6 @@ class RunArtifacts:
             agg["dissipated_kwh"] += rec.dissipated_kw * hours
             agg["consumption_kwh"] += rec.consumption_kw * hours
         return [{"day": d, **v} for d, v in sorted(days.items())]
-
-    _tick_hours: float = 60.0 / 3600.0
 
     def export(self, out_dir: str) -> list[str]:
         """Write datapoints.csv, summary.csv, and ems_ticks.csv."""
@@ -180,14 +179,14 @@ class Runner:
     def __init__(self, scenario: Scenario, pace: bool = True):
         self.scenario = scenario
         self.pace = pace
-        self.clock = SimClock(scale=scenario.clock_scale,
-                              tick=scenario.clock_tick, sim_epoch=0.0)
+        self.clock = SimClock(scale=scenario.clock_scale)
         self.rng = np.random.default_rng(scenario.seed)
         self.fabric = netfabric.Fabric(scenario.policy)
         self._heap: list = []
         self._seq = 0
         self._inject_lock = threading.Lock()
         self._injected: list = []
+        self._closed = False          # set once the run ends; guarded by _inject_lock
         self._servers: list = []
         self._build()
 
@@ -311,7 +310,6 @@ class Runner:
             mu_w=s.turnout.mu_w,
             sigma_w=s.turnout.sigma_w,
             schedule=occupancy.load_schedule_csv(s.path(s.turnout.schedule_csv)),
-            rng_seed=s.seed,
         )
         self.turnout_model = model
         self.population = occupancy.ClientPopulation(
@@ -333,15 +331,14 @@ class Runner:
             discharge_floor=s.ems.discharge_floor,
             turbine_threshold_kw=s.ems.turbine_threshold_kw,
             timer_period_s=s.ems.timer_period_s,
-            setpoint_kw=s.ems.setpoint_kw,
         )
         self._last_commands: dict[str, object] = {}
         self._scan_scheduled: dict[str, float] = {}
         self._last_controller_advance: dict[str, float] = {}
 
         self.artifacts = RunArtifacts(
-            seed=s.seed, duration_s=s.duration_s, historian=self.historian)
-        self.artifacts._tick_hours = s.ems.timer_period_s / 3600.0
+            seed=s.seed, duration_s=s.duration_s, historian=self.historian,
+            tick_hours=s.ems.timer_period_s / 3600.0)
 
     def _register_datapoints(self) -> None:
         s = self.scenario
@@ -575,7 +572,7 @@ class Runner:
             level = self._ems_latest("DP_storage_level", t)
             turbine_kw = self._ems_latest("DP_turbine_power", t)
             rpm = self._ems_latest("DP_turbine_rpm", t)
-        except Exception as exc:
+        except (ems_mod.StaleMeasurements, HistorianError, netfabric.Blocked) as exc:
             self.artifacts.skipped_ems_ticks += 1
             log.warning("EMS tick skipped at t=%s: %s", t, exc)
             return
@@ -629,10 +626,12 @@ class Runner:
 
     def inject(self, target: str, value, timeout: float = 30.0) -> dict:
         """Queue an operator command; it executes at the next event boundary,
-        routed management -> historian."""
+        routed management -> historian. Fails at once after the run ends."""
         done = threading.Event()
         box: dict = {}
         with self._inject_lock:
+            if self._closed:
+                raise CommandFailure(f"run has ended; {target!r} not delivered")
             self._injected.append((target, value, done, box))
         if not done.wait(timeout):
             raise CommandFailure(f"injection of {target!r} timed out")
@@ -656,6 +655,15 @@ class Runner:
             finally:
                 done.set()
 
+    def _close_injections(self) -> None:
+        """Refuse further injections and fail any still queued."""
+        with self._inject_lock:
+            self._closed = True
+            pending, self._injected = self._injected, []
+        for target, _value, done, box in pending:
+            box["error"] = f"run has ended; {target!r} not delivered"
+            done.set()
+
     # ── run loop ──────────────────────────────────────────────────────
 
     def _start_servers(self) -> None:
@@ -671,23 +679,9 @@ class Runner:
         self.broker_http.start()
         self.historian_http.start()
         self._servers = [self.broker_http, self.historian_http]
-        if s.transport == "tcp":
-            self.modbus_servers = {}
-            for cab in s.cabinets:
-                try:
-                    server = modbus.ModbusTcpServer(
-                        self.cabinets[cab.building].register_file,
-                        port=cab.modbus_port)
-                except OSError as exc:
-                    raise StartupError(
-                        f"cannot bind modbus port for {cab.building}: {exc}"
-                    ) from exc
-                server.start()
-                self._servers.append(server)
-                self.modbus_servers[cab.building] = server
 
     def _stop_servers(self) -> None:
-        # ordered shutdown: devices -> historian -> broker
+        # ordered shutdown: historian -> broker
         for server in reversed(self._servers):
             try:
                 server.shutdown()
@@ -725,7 +719,7 @@ class Runner:
                 self._drain_injections()
                 t, phase, _seq, fn = heapq.heappop(self._heap)
                 if self.pace:
-                    lag = (t / s.clock_scale) - (time.monotonic() - wall_start)
+                    lag = (t / self.clock.scale) - (time.monotonic() - wall_start)
                     if lag > 0:
                         time.sleep(lag)
                 self.clock.advance_to(t)
@@ -738,6 +732,7 @@ class Runner:
             self._drain_injections()
             self.artifacts.completed = True
         finally:
+            self._close_injections()
             self._stop_servers()
         self._finalize(out_dir)
         return self.artifacts

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from datetime import datetime
 
 from . import netfabric
@@ -86,7 +86,6 @@ class CabinetSpec:
     node: str
     base_load_w: float
     max_consumption_w: float
-    modbus_port: int = 0
     unit_id: int = 1
     plc_scan_period_s: float = 0.1
     sample_period_s: float = 10.0
@@ -105,7 +104,6 @@ class EmsSpec:
     discharge_floor: float = 10.0
     turbine_threshold_kw: float = 65.0
     timer_period_s: float = 60.0
-    setpoint_kw: float = 0.0
 
 
 @dataclass
@@ -125,8 +123,6 @@ class Scenario:
     duration_s: float
     seed: int
     clock_scale: float
-    clock_tick: float
-    transport: str                    # "inproc" | "tcp"
     nodes: list[NodeSpec]
     policy: list[netfabric.FirewallRule]
     broker_node: str
@@ -156,6 +152,18 @@ def _req(obj: dict, key: str, where: str):
         return obj[key]
     except (KeyError, TypeError):
         raise ScenarioError(f"{where}: missing required key {key!r}") from None
+
+
+def _section(cls, raw, where: str, ignored: tuple[str, ...] = ()):
+    """Build the dataclass ``cls`` from the JSON object ``raw``, naming any
+    key it does not declare; keys in ``ignored`` are accepted and dropped."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(raw) - known - set(ignored))
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {unknown}")
+    return cls(**{k: v for k, v in raw.items() if k in known})
 
 
 def _parse_thing(raw: dict) -> ThingSpec:
@@ -207,6 +215,10 @@ def load_scenario(path: str) -> Scenario:
         ) from None
 
     base_dir = os.path.dirname(os.path.abspath(path))
+    transport = raw.get("transport", "inproc")
+    if transport != "inproc":
+        raise ScenarioError(
+            f"unknown transport {transport!r}: only 'inproc' is supported")
     clock = raw.get("clock", {})
     network = _req(raw, "network", "scenario")
 
@@ -231,8 +243,6 @@ def load_scenario(path: str) -> Scenario:
         duration_s=float(raw.get("duration_s", 604800)),
         seed=int(raw.get("seed", 0)),
         clock_scale=float(clock.get("scale", 1000.0)),
-        clock_tick=float(clock.get("tick", 0.1)),
-        transport=raw.get("transport", "inproc"),
         nodes=[NodeSpec(_req(n, "id", "node"), _req(n, "segment", "node"))
                for n in network.get("nodes", [])],
         policy=policy,
@@ -258,15 +268,16 @@ def load_scenario(path: str) -> Scenario:
                 node=_req(c, "node", "cabinet"),
                 base_load_w=float(_req(c, "base_load_w", "cabinet")),
                 max_consumption_w=float(_req(c, "max_consumption_w", "cabinet")),
-                modbus_port=int(c.get("modbus_port", 0)),
                 unit_id=int(c.get("unit_id", 1)),
                 plc_scan_period_s=float(c.get("plc_scan_period_s", 0.1)),
                 sample_period_s=float(c.get("sample_period_s", 10.0)),
             )
             for c in raw.get("devices", {}).get("cabinets", [])
         ],
-        ems=EmsSpec(**raw.get("ems", {})),
-        turnout=TurnoutSpec(**raw.get("turnout", {})),
+        # setpoint_kw is an EMS key of older scenario files; no dispatch
+        # rule reads it
+        ems=_section(EmsSpec, raw.get("ems", {}), "ems", ignored=("setpoint_kw",)),
+        turnout=_section(TurnoutSpec, raw.get("turnout", {}), "turnout"),
         base_dir=base_dir,
     )
     validate_scenario(scenario)
@@ -274,8 +285,6 @@ def load_scenario(path: str) -> Scenario:
 
 
 def validate_scenario(s: Scenario) -> None:
-    if s.transport not in ("inproc", "tcp"):
-        raise ScenarioError(f"unknown transport {s.transport!r}")
     if s.duration_s < 0:
         raise ScenarioError("duration_s must be >= 0")
 

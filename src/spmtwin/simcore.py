@@ -8,8 +8,7 @@ for closed-form pipelines such as the solar surface model.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Callable, Sequence
 
@@ -28,28 +27,16 @@ class SimClock:
     """Simulated time source.
 
     All module logic reads time from here, never from the wall clock.
-    ``scale`` maps real elapsed seconds to simulated seconds; advances are
-    floored to multiples of ``tick``.
+    ``scale`` is the ratio of simulated to real elapsed seconds that paced
+    runs keep.
     """
 
     scale: float = 1000.0
-    tick: float = 0.1
     sim_epoch: float = 0.0
 
     def __post_init__(self):
         if self.scale < 1:
             raise ConfigurationError("clock scale must be >= 1")
-        if self.tick <= 0:
-            raise ConfigurationError("clock tick must be > 0")
-
-    def advance(self, real_elapsed: float) -> float:
-        """Advance by ``real_elapsed`` wall seconds; returns the new sim epoch."""
-        if real_elapsed < 0:
-            raise ValueError("real_elapsed must be >= 0")
-        raw = real_elapsed * self.scale
-        increment = math.floor(raw / self.tick + 1e-9) * self.tick
-        self.sim_epoch += increment
-        return self.sim_epoch
 
     def advance_to(self, sim_time: float) -> float:
         """Jump directly to ``sim_time`` (used by the event-driven runner)."""
@@ -217,14 +204,6 @@ class LinearStateSpace:
         return [float(v) for v in sol]
 
 
-def lss_step(sys: LinearStateSpace, u: Sequence[float], dt: float) -> list[float]:
-    return sys.step(u, dt)
-
-
-def lss_steady_state(sys: LinearStateSpace, u: Sequence[float]) -> list[float]:
-    return sys.steady_state(u)
-
-
 # ── Callback registry ──────────────────────────────────────────────────────
 
 
@@ -259,10 +238,6 @@ def builtin_registry() -> CallbackRegistry:
     # configuration files may bind the historical alias for the same pipeline
     reg.register("getSolarSurfaceInterpolant", solar_surface)
     return reg
-
-
-def eval_callback(reg: CallbackRegistry, name: str, args: Sequence) -> float:
-    return reg.eval(name, args)
 
 
 # ── Radiance ingestion ─────────────────────────────────────────────────────

@@ -16,8 +16,6 @@ from spmtwin.modbus import (
     WRITE_COIL,
     WRITE_REGISTER,
     MbapFrame,
-    ModbusTcpClient,
-    ModbusTcpServer,
     NeedMoreBytes,
     Pdu,
     RegisterFile,
@@ -156,45 +154,6 @@ class TestExecute:
         frame, _ = decode_frame(raw)
         assert frame.transaction_id == 7
         assert parse_read_registers_response(frame.pdu) == [1500]
-
-
-class TestTcpTransport:
-    def test_client_server_round_trip(self):
-        server = ModbusTcpServer(cabinet_rf())
-        server.start()
-        try:
-            client = ModbusTcpClient("127.0.0.1", server.port)
-            assert client.read_input_registers(100, 2) == [1500, 10000]
-            client.write_single_coil(100, True)
-            assert client.read_coils(100, 1) == [True]
-            client.close()
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def test_sequential_requests_on_one_connection(self):
-        server = ModbusTcpServer(cabinet_rf())
-        server.start()
-        try:
-            client = ModbusTcpClient("127.0.0.1", server.port)
-            for _ in range(50):
-                assert client.read_input_registers(100, 1) == [1500]
-            client.close()
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def test_exception_raised_on_bad_read(self):
-        server = ModbusTcpServer(cabinet_rf())
-        server.start()
-        try:
-            client = ModbusTcpClient("127.0.0.1", server.port)
-            with pytest.raises(modbus.ModbusExceptionResponse):
-                client.read_input_registers(500, 1)
-            client.close()
-        finally:
-            server.shutdown()
-            server.server_close()
 
 
 class TestRegisterFile:

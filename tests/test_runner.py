@@ -5,9 +5,11 @@ import time
 
 import pytest
 
+from spmtwin import netfabric
 from spmtwin.cli import EXIT_INVALID, EXIT_OK, main
 from spmtwin.devices import TRIP_COIL
-from spmtwin.runner import Runner, run_scenario
+from spmtwin.historian import CommandFailure
+from spmtwin.runner import RunAbort, Runner, run_scenario
 from spmtwin.scenario import load_scenario
 
 
@@ -86,6 +88,29 @@ class TestShortRuns:
                           clock={"scale": 77777, "tick": 0.1})
         c = run_scenario(load_scenario(path), pace=True)
         assert a.historian.log == c.historian.log
+
+    @pytest.mark.parametrize("error, aborts", [
+        (netfabric.FabricError("node vanished"), True),
+        (netfabric.Blocked("ems", "scada"), False),
+    ], ids=["fabric-error-aborts", "blocked-skips"])
+    def test_ems_read_errors(self, tmp_path, scenario_dir, error, aborts):
+        path = customized(tmp_path, scenario_dir, duration_s=120)
+        runner = Runner(load_scenario(path), pace=False)
+        deliver = runner.fabric.deliver
+        ems_node = runner.scenario.ems.node
+
+        def failing(src, dst, service, payload):
+            if src == ems_node:
+                raise error
+            return deliver(src, dst, service, payload)
+
+        runner.fabric.deliver = failing
+        if aborts:
+            with pytest.raises(RunAbort, match="node vanished"):
+                runner.run()
+            assert runner.artifacts.skipped_ems_ticks == 0
+        else:
+            assert runner.run().skipped_ems_ticks == 2  # ticks at 60 s, 120 s
 
     def test_seed_changes_the_draws(self, tmp_path, scenario_dir):
         # daytime window so client loads are actually drawn
@@ -171,6 +196,16 @@ class TestInjectionAndServers:
         assert done.is_set()
         assert "blocked" in box["error"]
         assert runner.fabric.blocked_count >= 1
+
+    def test_inject_after_run_fails_fast(self, tmp_path, scenario_dir):
+        path = customized(tmp_path, scenario_dir, duration_s=60)
+        runner = Runner(load_scenario(path), pace=False)
+        runner.run()
+        start = time.monotonic()
+        with pytest.raises(CommandFailure, match="run has ended"):
+            runner.inject("modbus:cab-a/coil/100", False, timeout=5.0)
+        assert time.monotonic() - start < 0.5
+        assert runner._injected == []
 
     def test_historian_http_is_live_during_run(self, tmp_path, scenario_dir):
         import urllib.request

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spmtwin.cli import EXIT_INVALID, main
 from spmtwin.scenario import (
     ScenarioError,
     SystemThingSpec,
@@ -47,7 +48,11 @@ class TestLoading:
         scenario = load_scenario(minimal(tmp_path))
         assert scenario.start_time.isoformat() == "2016-06-06T00:00:00"
         assert scenario.duration_s == 604800
-        assert scenario.transport == "inproc"
+
+    def test_legacy_setpoint_kw_accepted(self, tmp_path):
+        scenario = load_scenario(minimal(
+            tmp_path, lambda r: r.update(ems={"setpoint_kw": 5.0})))
+        assert scenario.ems.timer_period_s == 60.0
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="not found"):
@@ -84,6 +89,19 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="transport"):
             load_scenario(minimal(
                 tmp_path, lambda r: r.update(transport="carrier-pigeon")))
+
+    @pytest.mark.parametrize("section, key", [
+        ({"ems": {"setpoint": 5}}, "setpoint"),
+        ({"turnout": {"clusters": 4}}, "clusters"),
+        ({"ems": 5}, "ems"),
+        ({"transport": "tcp"}, "transport"),
+    ], ids=["ems-key", "turnout-key", "ems-not-object", "tcp-transport"])
+    def test_input_error_exits_2(self, tmp_path, capsys, section, key):
+        path = minimal(tmp_path, lambda r: r.update(section))
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(path)
+        assert main(["validate", path]) == EXIT_INVALID
+        assert key in capsys.readouterr().err
 
     def test_unknown_segment(self, tmp_path):
         def mutate(raw):

@@ -42,17 +42,6 @@ def euler_reference(A, B, x0, u, horizon, h=0.001):
 
 
 class TestSimClock:
-    def test_advance_scales_and_floors_to_tick(self):
-        clock = SimClock(scale=1000.0, tick=0.1)
-        clock.advance(0.00025)  # 0.25 sim-s floors to 0.2
-        assert clock.now() == pytest.approx(0.2)
-
-    def test_advance_accumulates(self):
-        clock = SimClock(scale=10.0, tick=0.1)
-        for _ in range(10):
-            clock.advance(0.01)
-        assert clock.now() == pytest.approx(1.0)
-
     def test_advance_to_is_monotonic(self):
         clock = SimClock()
         clock.advance_to(5.0)
@@ -63,8 +52,6 @@ class TestSimClock:
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             SimClock(scale=0.5)
-        with pytest.raises(ConfigurationError):
-            SimClock(tick=0.0)
 
 
 # ── interpolation ────────────────────────────────────────────────────
