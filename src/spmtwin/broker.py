@@ -253,6 +253,9 @@ def _check_scalar(thing_id: str, feature: str, prop: str, value) -> None:
 
 class _BrokerHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # buffer each response into one write: headers and body sent in two
+    # small writes stall ~40 ms on keep-alive (Nagle vs delayed ACK)
+    wbufsize = -1
 
     def log_message(self, fmt, *args):  # quiet by default
         pass

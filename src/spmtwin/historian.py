@@ -226,6 +226,9 @@ def export_datapoints_csv(historian: Historian, path: str) -> None:
 
 class _HistorianHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # buffer each response into one write: headers and body sent in two
+    # small writes stall ~40 ms on keep-alive (Nagle vs delayed ACK)
+    wbufsize = -1
 
     def log_message(self, fmt, *args):
         pass

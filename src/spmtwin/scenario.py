@@ -10,8 +10,9 @@ dangling references by name.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime
 
 from . import netfabric
@@ -75,7 +76,7 @@ ThingSpec = InterpolationThingSpec | CallbackThingSpec | SystemThingSpec
 class ControllerSpec:
     thing: str
     node: str
-    feature: str
+    feature: str = ""
     publish_period_s: float = 10.0
     command_property: str | None = None   # watched for mode/command writes
 
@@ -154,16 +155,78 @@ def _req(obj: dict, key: str, where: str):
         raise ScenarioError(f"{where}: missing required key {key!r}") from None
 
 
-def _section(cls, raw, where: str, ignored: tuple[str, ...] = ()):
-    """Build the dataclass ``cls`` from the JSON object ``raw``, naming any
-    key it does not declare; keys in ``ignored`` are accepted and dropped."""
+def _object(raw, where: str, known, ignored=()) -> dict:
+    """``raw`` as a JSON object, naming any key outside ``known``; keys in
+    ``ignored`` are accepted and dropped."""
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: expected an object")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - known - set(ignored))
+    unknown = sorted(set(raw) - set(known) - set(ignored))
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {unknown}")
-    return cls(**{k: v for k, v in raw.items() if k in known})
+    return {k: v for k, v in raw.items() if k not in ignored}
+
+
+def _typed(value, kind: str, where: str):
+    """``value`` checked against the declared type ``kind``: ``"str"``,
+    ``"int"`` or ``"float"`` (any finite JSON number, returned as float)."""
+    if kind == "str" and isinstance(value, str):
+        return value
+    if not isinstance(value, bool):
+        if kind == "int" and isinstance(value, int):
+            return value
+        if (kind == "float" and isinstance(value, (int, float))
+                and math.isfinite(value)):
+            return float(value)
+    expected = {"str": "a string", "int": "an integer",
+                "float": "a finite number"}[kind]
+    raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
+
+
+def _get(obj: dict, key: str, kind: str, where: str, default=None):
+    """The ``kind``-typed value of ``obj[key]``, or ``default`` if absent."""
+    if key not in obj:
+        return default
+    return _typed(obj[key], kind, f"{where}.{key}")
+
+
+def _section(cls, raw, where: str, ignored: tuple[str, ...] = ()):
+    """Build the dataclass ``cls`` from the JSON object ``raw``, naming any
+    key it does not declare, misses or holds with the wrong type; keys in
+    ``ignored`` are accepted and dropped."""
+    decl = {f.name: f for f in fields(cls)}
+    raw = _object(raw, where, decl, ignored)
+    args = {}
+    for name, f in decl.items():
+        if name not in raw:
+            if f.default is MISSING:
+                raise ScenarioError(f"{where}: missing required key {name!r}")
+            continue
+        # annotations are strings here; optional fields read "str | None"
+        kind, _, optional = f.type.partition(" | ")
+        value = raw[name]
+        args[name] = (None if value is None and optional
+                      else _typed(value, kind, f"{where}.{name}"))
+    return cls(**args)
+
+
+def _floats(raw, where: str) -> list[float]:
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{where}: expected a list")
+    return [_typed(v, "float", f"{where}[{i}]") for i, v in enumerate(raw)]
+
+
+def _matrix(raw, where: str) -> list[list[float]]:
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{where}: expected a list of rows")
+    return [_floats(row, f"{where}[{i}]") for i, row in enumerate(raw)]
+
+
+_THING_KEYS = {
+    "interpolation": ("property", "mode", "source_csv"),
+    "callback": ("property", "callbackName", "source", "args"),
+    "systemSimulator": ("system", "x0", "inputs", "time_unit_scale",
+                        "capacity_kwh", "rated_kw", "air_temp_c"),
+}
 
 
 def _parse_thing(raw: dict) -> ThingSpec:
@@ -171,6 +234,9 @@ def _parse_thing(raw: dict) -> ThingSpec:
     where = f"thing {name!r}"
     kind = _req(raw, "type", where)
     feature = _req(raw, "feature", where)
+    if kind not in _THING_KEYS:
+        raise ScenarioError(f"{where}: unknown thing type {kind!r}")
+    _object(raw, where, ("name", "type", "feature") + _THING_KEYS[kind])
     if kind == "interpolation":
         return InterpolationThingSpec(
             name=name, feature=feature,
@@ -179,28 +245,35 @@ def _parse_thing(raw: dict) -> ThingSpec:
             source_csv=_req(raw, "source_csv", where),
         )
     if kind == "callback":
-        args = raw.get("args", {})
+        args = _object(raw.get("args", {}), f"{where}.args",
+                       ("surface_m2", "efficiency"))
         return CallbackThingSpec(
             name=name, feature=feature,
             prop=_req(raw, "property", where),
             callback_name=_req(raw, "callbackName", where),
-            surface_m2=float(_req(args, "surface_m2", where)),
-            efficiency=float(_req(args, "efficiency", where)),
+            surface_m2=_typed(_req(args, "surface_m2", where), "float",
+                              f"{where}.args.surface_m2"),
+            efficiency=_typed(_req(args, "efficiency", where), "float",
+                              f"{where}.args.efficiency"),
             source_thing=_req(raw, "source", where),
         )
-    if kind == "systemSimulator":
-        system = _req(raw, "system", where)
-        return SystemThingSpec(
-            name=name, feature=feature,
-            A=_req(system, "A", where), B=_req(system, "B", where),
-            x0=list(_req(raw, "x0", where)),
-            inputs=list(raw.get("inputs", [])),
-            time_unit_scale=float(raw.get("time_unit_scale", 1.0)),
-            capacity_kwh=raw.get("capacity_kwh"),
-            rated_kw=raw.get("rated_kw"),
-            air_temp_c=raw.get("air_temp_c"),
-        )
-    raise ScenarioError(f"{where}: unknown thing type {kind!r}")
+    system = _object(_req(raw, "system", where), f"{where}.system", ("A", "B"))
+    return SystemThingSpec(
+        name=name, feature=feature,
+        A=_matrix(_req(system, "A", where), f"{where}: A"),
+        B=_matrix(_req(system, "B", where), f"{where}: B"),
+        x0=_floats(_req(raw, "x0", where), f"{where}: x0"),
+        inputs=list(raw.get("inputs", [])),
+        time_unit_scale=_get(raw, "time_unit_scale", "float", where, 1.0),
+        capacity_kwh=_get(raw, "capacity_kwh", "float", where),
+        rated_kw=_get(raw, "rated_kw", "float", where),
+        air_temp_c=_get(raw, "air_temp_c", "float", where),
+    )
+
+
+_TOP_LEVEL_KEYS = ("name", "start_time", "duration_s", "seed", "transport",
+                   "clock", "network", "broker", "historian", "ems", "turnout",
+                   "things", "devices")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -215,12 +288,15 @@ def load_scenario(path: str) -> Scenario:
         ) from None
 
     base_dir = os.path.dirname(os.path.abspath(path))
+    raw = _object(raw, "scenario", _TOP_LEVEL_KEYS)
     transport = raw.get("transport", "inproc")
     if transport != "inproc":
         raise ScenarioError(
             f"unknown transport {transport!r}: only 'inproc' is supported")
-    clock = raw.get("clock", {})
-    network = _req(raw, "network", "scenario")
+    # clock.tick is a key of older scenario files; pacing has no tick
+    clock = _object(raw.get("clock", {}), "clock", ("scale",), ignored=("tick",))
+    network = _object(_req(raw, "network", "scenario"), "network",
+                      ("policy", "policy_file", "nodes"))
 
     policy_raw = network.get("policy")
     if policy_raw is None and "policy_file" in network:
@@ -234,46 +310,35 @@ def load_scenario(path: str) -> Scenario:
     else:
         policy = netfabric.parse_policy(policy_raw or [])
 
-    broker = raw.get("broker", {})
-    historian = raw.get("historian", {})
+    broker = _object(raw.get("broker", {}), "broker", ("node", "http_port"))
+    historian = _object(raw.get("historian", {}), "historian",
+                        ("node", "http_port", "poll_period_s"))
+    devices = _object(raw.get("devices", {}), "devices",
+                      ("controllers", "cabinets"))
+    start_time = _get(raw, "start_time", "str", "scenario", "2016-06-06T00:00:00")
+    try:
+        start = datetime.fromisoformat(start_time)
+    except ValueError:
+        raise ScenarioError(
+            f"scenario.start_time: not an ISO date-time: {start_time!r}") from None
     scenario = Scenario(
-        name=raw.get("name", os.path.basename(path)),
-        start_time=datetime.fromisoformat(
-            raw.get("start_time", "2016-06-06T00:00:00")),
-        duration_s=float(raw.get("duration_s", 604800)),
-        seed=int(raw.get("seed", 0)),
-        clock_scale=float(clock.get("scale", 1000.0)),
-        nodes=[NodeSpec(_req(n, "id", "node"), _req(n, "segment", "node"))
-               for n in network.get("nodes", [])],
+        name=_get(raw, "name", "str", "scenario", os.path.basename(path)),
+        start_time=start,
+        duration_s=_get(raw, "duration_s", "float", "scenario", 604800.0),
+        seed=_get(raw, "seed", "int", "scenario", 0),
+        clock_scale=_get(clock, "scale", "float", "clock", 1000.0),
+        nodes=[_section(NodeSpec, n, "node") for n in network.get("nodes", [])],
         policy=policy,
-        broker_node=broker.get("node", "broker"),
-        broker_http_port=int(broker.get("http_port", 0)),
-        historian_node=historian.get("node", "scada"),
-        historian_http_port=int(historian.get("http_port", 0)),
-        poll_period_s=float(historian.get("poll_period_s", 10.0)),
+        broker_node=_get(broker, "node", "str", "broker", "broker"),
+        broker_http_port=_get(broker, "http_port", "int", "broker", 0),
+        historian_node=_get(historian, "node", "str", "historian", "scada"),
+        historian_http_port=_get(historian, "http_port", "int", "historian", 0),
+        poll_period_s=_get(historian, "poll_period_s", "float", "historian", 10.0),
         things=[_parse_thing(t) for t in raw.get("things", [])],
-        controllers=[
-            ControllerSpec(
-                thing=_req(c, "thing", "controller"),
-                node=_req(c, "node", "controller"),
-                feature=c.get("feature", ""),
-                publish_period_s=float(c.get("publish_period_s", 10.0)),
-                command_property=c.get("command_property"),
-            )
-            for c in raw.get("devices", {}).get("controllers", [])
-        ],
-        cabinets=[
-            CabinetSpec(
-                building=_req(c, "building", "cabinet"),
-                node=_req(c, "node", "cabinet"),
-                base_load_w=float(_req(c, "base_load_w", "cabinet")),
-                max_consumption_w=float(_req(c, "max_consumption_w", "cabinet")),
-                unit_id=int(c.get("unit_id", 1)),
-                plc_scan_period_s=float(c.get("plc_scan_period_s", 0.1)),
-                sample_period_s=float(c.get("sample_period_s", 10.0)),
-            )
-            for c in raw.get("devices", {}).get("cabinets", [])
-        ],
+        controllers=[_section(ControllerSpec, c, "controller")
+                     for c in devices.get("controllers", [])],
+        cabinets=[_section(CabinetSpec, c, "cabinet")
+                  for c in devices.get("cabinets", [])],
         # setpoint_kw is an EMS key of older scenario files; no dispatch
         # rule reads it
         ems=_section(EmsSpec, raw.get("ems", {}), "ems", ignored=("setpoint_kw",)),

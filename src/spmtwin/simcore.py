@@ -1,8 +1,9 @@
 """Simulation clock and the physical-layer model primitives.
 
 Three modelling methods are provided: interpolation over finite datasets,
-linear state-space stepping (fixed-step RK4), and a named callback registry
-for closed-form pipelines such as the solar surface model.
+linear state-space stepping (a cached closed-form propagator equal to
+fixed-step RK4 with sub-step ``dt``), and a named callback registry for
+closed-form pipelines such as the solar surface model.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,13 +114,20 @@ def _bisect(xs: Sequence[float], x: float) -> int:
 
 # ── Linear state-space ─────────────────────────────────────────────────────
 
+# step horizons cached per system; a run steps each system with one horizon,
+# its controller's publish period
+_PROPAGATOR_CACHE_SIZE = 4
+
 
 @dataclass
 class LinearStateSpace:
     """x' = A x + B u with constant matrices, advanced by fixed-step RK4.
 
-    ``dt`` is the integrator sub-step in simulated seconds; ``step`` covers
-    arbitrary horizons by chaining sub-steps (plus one partial remainder).
+    ``dt`` is the RK4 sub-step in simulated seconds. ``step`` covers any
+    horizon with the sub-steps of size ``dt`` plus one partial remainder,
+    applied as one affine propagator that composes them; it is built on the
+    first step of each horizon and cached, so ``A``, ``B`` and ``dt`` are
+    fixed once the system has stepped.
     """
 
     A: Sequence[Sequence[float]]
@@ -143,6 +152,7 @@ class LinearStateSpace:
         self.B = [list(map(float, row)) for row in self.B]
         self.x = list(map(float, self.x))
         self._n, self._m = n, m
+        self._propagators: dict[float, list[list[float]]] = {}
 
     @property
     def n(self) -> int:
@@ -152,42 +162,50 @@ class LinearStateSpace:
     def m(self) -> int:
         return self._m
 
-    def _deriv(self, x: list[float], u: Sequence[float]) -> list[float]:
-        A, B = self.A, self.B
-        n, m = self._n, self._m
-        return [
-            sum(A[i][j] * x[j] for j in range(n))
-            + sum(B[i][k] * u[k] for k in range(m))
-            for i in range(n)
-        ]
+    def _propagator(self, dt: float) -> list[list[float]]:
+        """Rows ``[Φ | Γ]`` of the map ``x⁺ = Φ x + Γ u`` that the RK4
+        sub-steps covering ``dt`` compose to, for ``u`` held constant.
 
-    def _rk4(self, x: list[float], u: Sequence[float], h: float) -> list[float]:
-        n = self._n
-        k1 = self._deriv(x, u)
-        k2 = self._deriv([x[i] + 0.5 * h * k1[i] for i in range(n)], u)
-        k3 = self._deriv([x[i] + 0.5 * h * k2[i] for i in range(n)], u)
-        k4 = self._deriv([x[i] + h * k3[i] for i in range(n)], u)
-        return [
-            x[i] + h * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) / 6.0
-            for i in range(n)
-        ]
+        With ``u`` constant, ``z = (x, u)`` obeys ``z' = Z z`` with
+        ``Z = [[A, B], [0, 0]]``, and one RK4 sub-step of size ``h`` is
+        exactly ``z⁺ = Σ_{k=0..4} (hZ)^k/k! z``. The sub-steps are those of a
+        fixed-step integrator: ``self.dt`` each plus one partial remainder,
+        a remainder of 1e-12 s or less dropped.
+        """
+        rows = self._propagators.get(dt)
+        if rows is not None:
+            return rows
+        n, m = self._n, self._m
+        Z = np.zeros((n + m, n + m))
+        Z[:n, :n], Z[:n, n:] = self.A, self.B
+        prop = np.eye(n + m)
+        remaining = dt
+        while remaining > 1e-12:
+            h = min(self.dt, remaining)
+            term = sub = np.eye(n + m)
+            for k in range(1, 5):
+                term = term @ Z * (h / k)
+                sub = sub + term
+            prop = sub @ prop
+            remaining -= h
+        rows = prop[:n].tolist()
+        if len(self._propagators) >= _PROPAGATOR_CACHE_SIZE:
+            del self._propagators[next(iter(self._propagators))]
+        self._propagators[dt] = rows
+        return rows
 
     def step(self, u: Sequence[float], dt: float) -> list[float]:
-        """Advance the state by ``dt`` simulated seconds under input ``u``."""
+        """Advance the state by ``dt`` simulated seconds under input ``u``,
+        held constant over the step; returns a copy of the new state."""
         if len(u) != self._m:
             raise ConfigurationError(
                 f"input length {len(u)} does not match B columns {self._m}"
             )
         if dt <= 0:
             raise ConfigurationError("step dt must be > 0")
-        x = self.x
-        remaining = dt
-        while remaining > 1e-12:
-            h = min(self.dt, remaining)
-            x = self._rk4(x, u, h)
-            remaining -= h
-        self.x = x
-        return list(x)
+        xu = [*self.x, *u]
+        self.x = [sum(map(mul, row, xu)) for row in self._propagator(dt)]
+        return list(self.x)
 
     def steady_state(self, u: Sequence[float]) -> list[float]:
         """Solve A x* + B u = 0; raises for singular A."""

@@ -1,4 +1,7 @@
+import http.client
 import os
+import statistics
+import time
 
 import pytest
 
@@ -13,3 +16,27 @@ def scenario_path() -> str:
 @pytest.fixture(scope="session")
 def scenario_dir() -> str:
     return os.path.abspath(SCENARIO_DIR)
+
+
+@pytest.fixture
+def keepalive_median_ms():
+    """Median wall time in ms of ``count`` identical requests sent over one
+    persistent HTTP/1.1 connection to ``port``."""
+
+    def measure(port, method, path, body=None, count=20):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        times = []
+        try:
+            for _ in range(count):
+                start = time.perf_counter()
+                conn.request(method, path, body=body,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                resp.read()
+                times.append((time.perf_counter() - start) * 1e3)
+                assert resp.status < 300, (method, path, resp.status)
+        finally:
+            conn.close()
+        return statistics.median(times)
+
+    return measure

@@ -202,6 +202,17 @@ class TestHttpServer:
             server.shutdown()
             server.server_close()
 
+    def test_keepalive_responses_do_not_stall(self, keepalive_median_ms):
+        server = BrokerHttpServer(make_broker())
+        server.start()
+        path = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
+        try:
+            assert keepalive_median_ms(server.port, "GET", path) < 10
+            assert keepalive_median_ms(server.port, "PUT", path, "33.0") < 10
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_http_404(self):
         broker = make_broker()
         server = BrokerHttpServer(broker)

@@ -246,6 +246,17 @@ class TestHttpApi:
             server.shutdown()
             server.server_close()
 
+    def test_keepalive_responses_do_not_stall(self, keepalive_median_ms):
+        hist, _, server = self.make_server(hook=lambda target, value: {"ok": True})
+        try:
+            hist.poll_host("broker", 10.0)
+            body = json.dumps({"target": "modbus:cab-a/coil/100", "value": False})
+            assert keepalive_median_ms(server.port, "GET", "/datapoint/getAll") < 10
+            assert keepalive_median_ms(server.port, "POST", "/command", body) < 10
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_command_failure_maps_to_502(self):
         def hook(target, value):
             raise CommandFailure("blocked")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -9,6 +10,11 @@ from spmtwin.scenario import (
     load_scenario,
     validate_scenario,
 )
+
+
+SYSTEM = {"name": "FDT:sys", "type": "systemSimulator", "feature": "f",
+          "system": {"A": [[0.0, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]]},
+          "x0": [0.0, 0.0]}
 
 
 def minimal(tmp_path, mutate=None) -> str:
@@ -95,10 +101,45 @@ class TestValidation:
         ({"turnout": {"clusters": 4}}, "clusters"),
         ({"ems": 5}, "ems"),
         ({"transport": "tcp"}, "transport"),
-    ], ids=["ems-key", "turnout-key", "ems-not-object", "tcp-transport"])
+        ({"ems": {"charge_ceiling": "90"}}, "charge_ceiling"),
+        ({"turnout": {"cluster_size": "10"}}, "cluster_size"),
+        ({"historian": {"poll_period": 5}}, "poll_period"),
+        ({"durationS": 60}, "durationS"),
+        ({"clock": {"scale": 1000, "speed": 2}}, "speed"),
+        ({"broker": {"port": 8080}}, "port"),
+    ], ids=["ems-key", "turnout-key", "ems-not-object", "tcp-transport",
+            "ems-value-type", "turnout-value-type", "historian-key",
+            "top-level-key", "clock-key", "broker-key"])
     def test_input_error_exits_2(self, tmp_path, capsys, section, key):
         path = minimal(tmp_path, lambda r: r.update(section))
         with pytest.raises(ScenarioError, match=key):
+            load_scenario(path)
+        assert main(["validate", path]) == EXIT_INVALID
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, key", [
+        (lambda r: r["network"].update(subnets=[]), "subnets"),
+        (lambda r: r["devices"].update(controllers=[
+            {"thing": "FDT:x", "node": "ems", "period": 10}]), "period"),
+        (lambda r: r["devices"].update(cabinets=[
+            {"building": "a", "node": "ems", "base_load_w": 1,
+             "max_consumption_w": 2, "unitid": 3}]), "unitid"),
+        (lambda r: r["things"].append(dict(SYSTEM, system={
+            "A": [["fast", 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]]})),
+         "A[0][0]"),
+        (lambda r: r["things"].append(dict(SYSTEM, system={
+            "A": [[0.0, 0.0], [0.0, -1.0]], "B": [[1.0], [None]]})),
+         "B[1][0]"),
+        (lambda r: r["things"].append(dict(SYSTEM, x0=[0.0, "1"])), "x0[1]"),
+        (lambda r: r["things"].append(dict(SYSTEM, x0=[0.0, float("nan")])),
+         "x0[1]"),
+        (lambda r: r["things"].append(dict(SYSTEM, time_unit_scale="60")),
+         "time_unit_scale"),
+    ], ids=["network-key", "controller-key", "cabinet-key", "A-entry",
+            "B-entry", "x0-entry", "x0-nan", "time-unit-scale"])
+    def test_nested_input_error_exits_2(self, tmp_path, capsys, mutate, key):
+        path = minimal(tmp_path, mutate)
+        with pytest.raises(ScenarioError, match=re.escape(key)):
             load_scenario(path)
         assert main(["validate", path]) == EXIT_INVALID
         assert key in capsys.readouterr().err

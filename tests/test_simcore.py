@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -36,6 +37,35 @@ def euler_reference(A, B, x0, u, horizon, h=0.001):
     for _ in range(steps):
         x = x + h * (A @ x + B @ u)
     return x
+
+
+def rk4_reference(A, B, x0, u, dt, h):
+    """The fixed-step RK4 sub-step loop that ``LinearStateSpace.step``
+    composes into one propagator, kept as an independent oracle."""
+    n, m = len(A), len(u)
+
+    def deriv(x):
+        return [sum(A[i][j] * x[j] for j in range(n))
+                + sum(B[i][k] * u[k] for k in range(m)) for i in range(n)]
+
+    x = [float(v) for v in x0]
+    remaining = dt
+    while remaining > 1e-12:
+        s = min(h, remaining)
+        k1 = deriv(x)
+        k2 = deriv([x[i] + 0.5 * s * k1[i] for i in range(n)])
+        k3 = deriv([x[i] + 0.5 * s * k2[i] for i in range(n)])
+        k4 = deriv([x[i] + s * k3[i] for i in range(n)])
+        x = [x[i] + s * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) / 6.0
+             for i in range(n)]
+        remaining -= s
+    return x
+
+
+def assert_matches_rk4(got, want):
+    # relative, with a 1-unit floor for states crossing zero (rpm, deg C, %)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (got, want)
 
 
 # ── clock ────────────────────────────────────────────────────────────
@@ -165,6 +195,62 @@ class TestLinearStateSpace:
         sys = LinearStateSpace(A=[[1.0]], B=[[1.0]], x=[0.0])
         with pytest.raises(ConfigurationError):
             sys.step((1.0, 2.0), 1.0)
+
+    @pytest.mark.parametrize("A, B, inputs", [
+        (TURBINE_A, TURBINE_B, [(0.0, 0.0, 15.0), (1.0, 1.0, 15.0),
+                                (1.0, 1.0, 32.0)]),
+        (STORAGE_A, STORAGE_B, [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]),
+    ], ids=["turbine", "storage"])
+    def test_closed_form_matches_rk4_loop_under_switching(self, A, B, inputs):
+        rng = random.Random(7)
+        sys = LinearStateSpace(A=A, B=B, x=[50.0] * len(A), dt=1.0)
+        want = list(sys.x)
+        for _ in range(1000):
+            u = rng.choice(inputs)
+            got = sys.step(u, 10.0)
+            want = rk4_reference(A, B, want, u, 10.0, 1.0)
+            assert_matches_rk4(got, want)
+
+    @pytest.mark.parametrize("sub, dt", [(1.0, 7.3), (0.3, 5.0), (1.0, 0.4),
+                                         (0.1, 0.3)],
+                             ids=["7.3-by-1", "5-by-0.3", "below-sub-step",
+                                  "0.3-by-0.1"])
+    def test_closed_form_matches_rk4_loop_for_any_horizon(self, sub, dt):
+        sys = LinearStateSpace(A=TURBINE_A, B=TURBINE_B, x=[0.0, 15.0], dt=sub)
+        want = list(sys.x)
+        for u in [(1.0, 1.0, 15.0)] * 20 + [(0.0, 0.0, 15.0)] * 20:
+            sys.step(u, dt)
+            want = rk4_reference(TURBINE_A, TURBINE_B, want, u, dt, sub)
+            assert_matches_rk4(sys.x, want)
+
+    def test_written_state_is_the_next_start(self):
+        # StorageController clamps the level by writing x[0] between steps
+        sys = LinearStateSpace(A=STORAGE_A, B=STORAGE_B, x=[95.0])
+        sys.step((1.0, 0.0), 100.0)
+        sys.x[0] = 100.0
+        sys.step((0.0, 1.0), 10.0)
+        assert_matches_rk4(
+            sys.x, rk4_reference(STORAGE_A, STORAGE_B, [100.0], (0.0, 1.0),
+                                 10.0, 1.0))
+
+    def test_propagator_cached_per_horizon_and_bounded(self):
+        sys = LinearStateSpace(A=TURBINE_A, B=TURBINE_B, x=[0.0, 15.0])
+        sys.step((1.0, 1.0, 15.0), 10.0)
+        first = sys._propagator(10.0)
+        sys.step((0.0, 0.0, 15.0), 10.0)
+        assert sys._propagator(10.0) is first
+        assert list(sys._propagators) == [10.0]
+        for dt in range(1, 20):
+            sys.step((1.0, 1.0, 15.0), float(dt))
+        assert 0 < len(sys._propagators) <= 4
+
+    def test_step_returns_a_copy_of_python_floats(self):
+        sys = LinearStateSpace(A=TURBINE_A, B=TURBINE_B, x=[0, 15])
+        out = sys.step((1, 1, 15), 10.0)
+        assert out == sys.x and out is not sys.x
+        out[0] = -1.0
+        assert sys.x[0] != -1.0
+        assert all(type(v) is float for v in sys.x)
 
     @given(
         a=st.floats(min_value=-2.0, max_value=-0.01),
