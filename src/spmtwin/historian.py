@@ -1,6 +1,6 @@
 """Mini SCADA historian.
 
-Polls Modbus registers and broker properties into named time series, exposes
+Polls Modbus registers and broker properties into one sample log, exposes
 the datapoint API the EMS consumes (getAll / latest), and issues operator or
 EMS commands back to the field. The read and write functions are injected;
 the runner binds them to the fabric.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
@@ -57,15 +57,15 @@ class Datapoint:
     source: BrokerSource | ModbusSource | None   # None: derived
     poll_period_s: float = 10.0
     derive: Callable[["Historian"], float] | None = None
-    series: list[tuple[float, float]] = field(default_factory=list)
+    latest: tuple[float, float] | None = None
     error_count: int = 0
 
     def append(self, t: float, value: float) -> None:
-        if self.series and t <= self.series[-1][0]:
+        if self.latest is not None and t <= self.latest[0]:
             raise HistorianError(
                 f"{self.xid}: non-increasing sample timestamp {t}"
             )
-        self.series.append((t, value))
+        self.latest = (t, value)
 
 
 class Historian:
@@ -83,7 +83,7 @@ class Historian:
         self._points: dict[str, Datapoint] = {}
         self._order: list[str] = []
         self._lock = threading.Lock()
-        # flat append-only log of (t, xid, value) in poll order, for export
+        # the one sample store: (t, xid, value) in poll order, for export
         self.log: list[tuple[float, str, float]] = []
 
     # ── registration and queries ──────────────────────────────────────
@@ -107,10 +107,10 @@ class Historian:
             raise UnknownDatapoint(f"unknown xid {xid!r}") from None
 
     def get_latest(self, xid: str) -> tuple[float, float]:
-        dp = self.point(xid)
-        if not dp.series:
+        latest = self.point(xid).latest
+        if latest is None:
             raise NoData(f"{xid!r} has no samples yet")
-        return dp.series[-1]
+        return latest
 
     # ── polling ───────────────────────────────────────────────────────
 

@@ -12,7 +12,7 @@ import json
 import logging
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import AbstractSet, Any, Callable
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +74,7 @@ def permits(
     policy: list[FirewallRule],
     src: Node,
     dst: Node,
-    established: frozenset[tuple[str, str]] = frozenset(),
+    established: AbstractSet[tuple[str, str]] = frozenset(),
 ) -> str:
     """Verdict for a new connection src -> dst.
 
@@ -147,8 +147,7 @@ class Fabric:
     def permits(self, src_id: str, dst_id: str) -> str:
         src, dst = self.node(src_id), self.node(dst_id)
         with self._lock:
-            established = frozenset(self._established)
-        return permits(self.policy, src, dst, established)
+            return permits(self.policy, src, dst, self._established)
 
     def check_connect(self, src_id: str, dst_id: str) -> None:
         """Connection-establishment checkpoint; raises :class:`Blocked`."""

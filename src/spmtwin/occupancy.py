@@ -77,8 +77,6 @@ class ClientEntity:
     id: str
     cabinet: str            # building id
     load_w: float           # nominal consumption of the whole cluster
-    active: bool = True
-    network_node: str | None = None
 
 
 @dataclass
@@ -86,16 +84,14 @@ class SyncDiff:
     spawned: list[ClientEntity] = field(default_factory=list)
     retired: list[ClientEntity] = field(default_factory=list)
 
-    def empty(self) -> bool:
-        return not self.spawned and not self.retired
-
 
 class ClientPopulation:
     """Client entities distributed round-robin across buildings.
 
-    Retirement is last-in-first-out so a seeded run reproduces ids, loads
-    and spawn order exactly. A tripped building's clients contribute no load
-    and are unreachable until the trip is reset.
+    A client is active while it is in ``clients``. Retirement is
+    last-in-first-out so a seeded run reproduces ids, loads and spawn order
+    exactly. A tripped building's clients contribute no load until the trip
+    is reset.
     """
 
     def __init__(self, model: TurnoutModel, buildings: list[str],
@@ -108,6 +104,9 @@ class ClientPopulation:
         self.clients: list[ClientEntity] = []
         self._spawn_counter = 0
         self._tripped: set[str] = set()
+        # each building's client loads in spawn order: a LIFO retire pops
+        # the tail, so cabinet sums add in the same order as a full scan
+        self._loads_w: dict[str, list[float]] = {b: [] for b in self.buildings}
 
     def sync(self, persons: float) -> SyncDiff:
         """Match the client population to ceil(T/C) entities."""
@@ -123,13 +122,13 @@ class ClientPopulation:
                 id=f"client-{i:05d}",
                 cabinet=building,
                 load_w=self.model.cluster_size * max(0.0, p),
-                network_node=f"client-{i:05d}",
             )
             self.clients.append(client)
+            self._loads_w[building].append(client.load_w)
             diff.spawned.append(client)
         while len(self.clients) > target:
             client = self.clients.pop()
-            client.active = False
+            self._loads_w[client.cabinet].pop()
             diff.retired.append(client)
         return diff
 
@@ -139,18 +138,15 @@ class ClientPopulation:
         else:
             self._tripped.discard(building)
 
-    def is_tripped(self, building: str) -> bool:
-        return building in self._tripped
-
     def building_loads_w(self, building: str) -> list[float]:
+        """The loads of ``building``'s clients in spawn order (the
+        population's own list: read it, do not change it)."""
         if building in self._tripped:
             return []
-        return [c.load_w for c in self.clients if c.active and c.cabinet == building]
+        return self._loads_w[building]
 
     def active_count(self) -> int:
-        return sum(
-            1 for c in self.clients if c.active and c.cabinet not in self._tripped
-        )
+        return sum(1 for c in self.clients if c.cabinet not in self._tripped)
 
 
 def load_schedule_csv(path: str) -> list[tuple[float, float]]:

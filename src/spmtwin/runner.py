@@ -117,7 +117,6 @@ class RunArtifacts:
     tick_hours: float                 # the EMS timer period one record covers
     ems_ticks: list[EmsTickRecord] = field(default_factory=list)
     blocked_count: int = 0
-    blocked_log: list = field(default_factory=list)
     skipped_ems_ticks: int = 0
     publish_errors: int = 0
     completed: bool = False
@@ -304,13 +303,8 @@ class Runner:
                         self._dispatch_command(n, ev))
 
         # occupancy
-        model = occupancy.TurnoutModel(
-            cluster_size=s.turnout.cluster_size,
-            base_load_kw=s.turnout.base_load_kw,
-            mu_w=s.turnout.mu_w,
-            sigma_w=s.turnout.sigma_w,
-            schedule=occupancy.load_schedule_csv(s.path(s.turnout.schedule_csv)),
-        )
+        model = s.turnout.model(
+            occupancy.load_schedule_csv(s.path(s.turnout.schedule_csv)))
         self.turnout_model = model
         self.population = occupancy.ClientPopulation(
             model, [c.building for c in s.cabinets] or ["campus"], self.rng)
@@ -326,12 +320,7 @@ class Runner:
             s.historian_node, "api", self._serve_historian_api)
         self._register_datapoints()
 
-        self.ems_cfg = ems_mod.EmsConfig(
-            charge_ceiling=s.ems.charge_ceiling,
-            discharge_floor=s.ems.discharge_floor,
-            turbine_threshold_kw=s.ems.turbine_threshold_kw,
-            timer_period_s=s.ems.timer_period_s,
-        )
+        self.ems_cfg = s.ems.config()
         self._last_commands: dict[str, object] = {}
         self._scan_scheduled: dict[str, float] = {}
         self._last_controller_advance: dict[str, float] = {}
@@ -496,9 +485,7 @@ class Runner:
                         + s.start_time.hour + s.start_time.minute / 60.0
                         + t / 3600.0)
         persons = occupancy.turnout_at(self.turnout_model, hour_of_week)
-        diff = self.population.sync(persons)
-        for client in diff.spawned:
-            self.fabric.attach(client.network_node, "client")
+        self.population.sync(persons)
         self.broker.put_property(TURNOUT_THING, "campus", "persons",
                                  float(persons))
 
@@ -529,14 +516,8 @@ class Runner:
         self._last_controller_advance[thing] = t
         if thing in self.solar:
             self._publish(thing, spec.feature, self.solar[thing].telemetry(t))
-        elif thing in self.storage:
-            ctl = self.storage[thing]
-            if dt > 0:
-                ctl.advance(dt)
-            self._publish(thing, spec.feature,
-                          {"level": ctl.level_pct, "mode": ctl.mode})
-        elif thing in self.turbine:
-            ctl = self.turbine[thing]
+        elif thing in self.storage or thing in self.turbine:
+            ctl = self.storage.get(thing) or self.turbine[thing]
             if dt > 0:
                 ctl.advance(dt)
             self._publish(thing, spec.feature, ctl.telemetry())
@@ -739,7 +720,6 @@ class Runner:
 
     def _finalize(self, out_dir: str | None) -> None:
         self.artifacts.blocked_count = self.fabric.blocked_count
-        self.artifacts.blocked_log = list(self.fabric.blocked_log)
         if out_dir:
             self.artifacts.export(out_dir)
 

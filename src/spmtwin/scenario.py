@@ -16,7 +16,14 @@ from dataclasses import MISSING, dataclass, fields
 from datetime import datetime
 
 from . import netfabric
-from .simcore import LinearStateSpace, builtin_registry
+from .ems import EmsConfig
+from .occupancy import TurnoutModel
+from .simcore import (
+    INTERPOLATION_MODES,
+    LinearStateSpace,
+    SimClock,
+    builtin_registry,
+)
 
 
 class ScenarioError(Exception):
@@ -106,6 +113,10 @@ class EmsSpec:
     turbine_threshold_kw: float = 65.0
     timer_period_s: float = 60.0
 
+    def config(self) -> EmsConfig:
+        return EmsConfig(self.charge_ceiling, self.discharge_floor,
+                         self.turbine_threshold_kw, self.timer_period_s)
+
 
 @dataclass
 class TurnoutSpec:
@@ -115,6 +126,10 @@ class TurnoutSpec:
     sigma_w: float = 5.0
     schedule_csv: str = "schedule.csv"
     period_s: float = 60.0
+
+    def model(self, schedule: list[tuple[float, float]]) -> TurnoutModel:
+        return TurnoutModel(self.cluster_size, self.base_load_kw, self.mu_w,
+                            self.sigma_w, schedule)
 
 
 @dataclass
@@ -349,9 +364,34 @@ def load_scenario(path: str) -> Scenario:
     return scenario
 
 
+def _check(where: str, build) -> None:
+    """Run a model's own parameter checks on scenario values at load time."""
+    try:
+        build()
+    except ValueError as exc:     # simcore's ConfigurationError included
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
 def validate_scenario(s: Scenario) -> None:
     if s.duration_s < 0:
         raise ScenarioError("duration_s must be >= 0")
+    _check("clock.scale", lambda: SimClock(scale=s.clock_scale))
+    _check("ems", s.ems.config)
+    _check("turnout", lambda: s.turnout.model([]))
+    # a period of 0 reschedules its task at the same instant forever
+    periods = [("ems.timer_period_s", s.ems.timer_period_s),
+               ("turnout.period_s", s.turnout.period_s),
+               ("historian.poll_period_s", s.poll_period_s)]
+    periods += [(f"controller {c.thing!r}: publish_period_s", c.publish_period_s)
+                for c in s.controllers]
+    for cab in s.cabinets:
+        periods += [(f"cabinet {cab.building!r}: sample_period_s",
+                     cab.sample_period_s),
+                    (f"cabinet {cab.building!r}: plc_scan_period_s",
+                     cab.plc_scan_period_s)]
+    for key, period in periods:
+        if period <= 0:
+            raise ScenarioError(f"{key} must be > 0, got {period!r}")
 
     node_ids = set()
     for node in s.nodes:
@@ -389,6 +429,12 @@ def validate_scenario(s: Scenario) -> None:
                 raise ScenarioError(
                     f"thing {spec.name!r}: {len(spec.inputs)} input bindings "
                     f"for a {m}-input system"
+                )
+        elif isinstance(spec, InterpolationThingSpec):
+            if spec.mode not in INTERPOLATION_MODES:
+                raise ScenarioError(
+                    f"thing {spec.name!r}: unknown interpolation mode "
+                    f"{spec.mode!r}"
                 )
         elif isinstance(spec, CallbackThingSpec):
             if spec.callback_name not in registry:

@@ -57,6 +57,7 @@ class SimClock:
 
 LINEAR = "linear-bracketing"
 NEAREST = "nearest-record"
+INTERPOLATION_MODES = (LINEAR, NEAREST)
 
 
 @dataclass
@@ -74,7 +75,7 @@ class InterpolationTable:
     def __post_init__(self):
         if not self.points:
             raise ConfigurationError("interpolation table must have at least one point")
-        if self.mode not in (LINEAR, NEAREST):
+        if self.mode not in INTERPOLATION_MODES:
             raise ConfigurationError(f"unknown interpolation mode {self.mode!r}")
         xs = [p[0] for p in self.points]
         if any(b <= a for a, b in zip(xs, xs[1:])):

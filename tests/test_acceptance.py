@@ -181,6 +181,7 @@ def load_csv(path):
         return list(csv.DictReader(fh))
 
 
+@pytest.mark.slow
 def test_criterion_07_week_run(week_run):
     out, wall = week_run
     assert wall <= 15 * 60.0

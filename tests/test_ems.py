@@ -93,6 +93,7 @@ class TestValidation:
     running=st.booleans(),
 )
 @settings(max_examples=100000, deadline=None)
+@pytest.mark.slow
 def test_every_input_is_handled_and_consistent(solar, load, level, running):
     actions = ems_tick(CFG, measure(solar, load, level, running))
     assert actions.storage_mode in (CHARGE, DISCHARGE, IDLE)

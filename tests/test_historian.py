@@ -95,15 +95,17 @@ class TestPolling:
         assert hist.poll(hist.point("DP_solar_power"), 20.0) is None
         plant.fail_broker = False
         hist.poll(hist.point("DP_solar_power"), 30.0)
-        dp = hist.point("DP_solar_power")
-        assert [t for t, _ in dp.series] == [10.0, 30.0]
-        assert dp.error_count == 1
+        assert [t for t, xid, _ in hist.log
+                if xid == "DP_solar_power"] == [10.0, 30.0]
+        assert hist.get_latest("DP_solar_power") == (30.0, 500.0)
+        assert hist.point("DP_solar_power").error_count == 1
 
     def test_poll_host_selects_by_host(self):
         hist, _ = make()
         assert hist.poll_host("cab-a", 10.0) == 1
-        assert hist.point("DP_a_consumption").series == [(10.0, 1500.0)]
-        assert hist.point("DP_solar_power").series == []
+        assert hist.log == [(10.0, "DP_a_consumption", 1500.0)]
+        with pytest.raises(NoData):
+            hist.get_latest("DP_solar_power")
 
     def test_derived_point_uses_other_points(self):
         hist, _ = make()

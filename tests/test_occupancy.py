@@ -108,7 +108,15 @@ class TestClientPopulation:
         spawned = pop.sync(50).spawned
         retired = pop.sync(20).retired
         assert [c.id for c in retired] == [c.id for c in reversed(spawned[2:])]
-        assert all(not c.active for c in retired)
+
+    def test_building_loads_follow_spawn_and_retire(self):
+        pop = self.make()
+        for persons in (50, 20, 90, 0, 70, 30, 110):
+            pop.sync(persons)
+            for building in ("a", "b", "c"):
+                assert pop.building_loads_w(building) == [
+                    c.load_w for c in pop.clients if c.cabinet == building]
+        assert pop.building_loads_w("a")
 
     def test_seeded_ids_and_loads_reproduce(self):
         a, b = self.make(7), self.make(7)

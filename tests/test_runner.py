@@ -120,6 +120,20 @@ class TestShortRuns:
                       start_time="2016-06-06T10:00:00")
         assert a.historian.log != b.historian.log
 
+    def test_fabric_holds_only_scenario_nodes(self, tmp_path, scenario_dir):
+        # busy hours spawn and retire clients; none of them joins the fabric
+        path = customized(tmp_path, scenario_dir, duration_s=7200,
+                          start_time="2016-06-06T10:00:00")
+        runner = Runner(load_scenario(path), pace=False)
+        assert runner.run().completed
+        assert runner.population.clients
+        assert len(runner.fabric._nodes) == len(runner.scenario.nodes)
+
+
+def consumption(historian) -> list[float]:
+    """Building a's consumption samples in poll order."""
+    return [v for _, xid, v in historian.log if xid == "DP_a_consumption"]
+
 
 class TestTripProtection:
     def test_trip_end_to_end(self, tmp_path, scenario_dir):
@@ -141,11 +155,11 @@ class TestTripProtection:
         artifacts = runner.run()
         cabinet = runner.cabinets["a"]
         assert cabinet.register_file.get_coil(TRIP_COIL) is True
-        series = artifacts.historian.point("DP_a_consumption").series
-        over = [i for i, (_, v) in enumerate(series) if v > 2000]
+        values = consumption(artifacts.historian)
+        over = [i for i, v in enumerate(values) if v > 2000]
         assert len(over) == 1  # exactly the sample that tripped the PLC
         # every sample after the trip reads base load only
-        assert all(v <= 1500 for _, v in series[over[0] + 1:])
+        assert all(v <= 1500 for v in values[over[0] + 1:])
 
     def test_reset_restores_load(self, tmp_path, scenario_dir):
         def mutate(raw):
@@ -170,8 +184,7 @@ class TestTripProtection:
         assert ack["ok"]
         # after the reset the clients feed again, so the next sample exceeds
         # the max and re-trips: two over-limit samples, not one
-        series = runner.historian.point("DP_a_consumption").series
-        assert sum(1 for _, v in series if v > 2000) >= 2
+        assert sum(1 for v in consumption(runner.historian) if v > 2000) >= 2
 
 
 class TestInjectionAndServers:

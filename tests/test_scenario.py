@@ -1,5 +1,7 @@
+import contextlib
 import json
 import re
+import signal
 
 import pytest
 
@@ -15,6 +17,25 @@ from spmtwin.scenario import (
 SYSTEM = {"name": "FDT:sys", "type": "systemSimulator", "feature": "f",
           "system": {"A": [[0.0, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]]},
           "x0": [0.0, 0.0]}
+
+
+CABINET = {"building": "a", "node": "ems", "base_load_w": 1,
+           "max_consumption_w": 2}
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the block with TimeoutError instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def minimal(tmp_path, mutate=None) -> str:
@@ -33,6 +54,7 @@ def minimal(tmp_path, mutate=None) -> str:
     }
     if mutate:
         mutate(raw)
+    (tmp_path / "schedule.csv").write_text("day_of_week,hour,persons\n")
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
     return str(path)
@@ -107,11 +129,35 @@ class TestValidation:
         ({"durationS": 60}, "durationS"),
         ({"clock": {"scale": 1000, "speed": 2}}, "speed"),
         ({"broker": {"port": 8080}}, "port"),
+        ({"ems": {"timer_period_s": 0}}, "timer_period_s"),
+        ({"ems": {"charge_ceiling": 150}}, "charge_ceiling"),
+        ({"things": [{"name": "FDT:sun", "type": "interpolation",
+                      "feature": "sky", "property": "radiance",
+                      "mode": "cubic", "source_csv": "r.csv"}]}, "mode"),
+        ({"turnout": {"period_s": -60}}, "period_s"),
+        ({"turnout": {"cluster_size": 0}}, "cluster_size"),
+        ({"clock": {"scale": 0.5}}, "scale"),
+        ({"historian": {"poll_period_s": 0}}, "poll_period_s"),
+        ({"devices": {"cabinets": [dict(CABINET, plc_scan_period_s=0)]}},
+         "plc_scan_period_s"),
+        ({"devices": {"cabinets": [dict(CABINET, sample_period_s=0)]}},
+         "sample_period_s"),
+        ({"things": [SYSTEM], "devices": {"controllers": [
+            {"thing": "FDT:sys", "node": "ems", "publish_period_s": 0}]}},
+         "publish_period_s"),
     ], ids=["ems-key", "turnout-key", "ems-not-object", "tcp-transport",
             "ems-value-type", "turnout-value-type", "historian-key",
-            "top-level-key", "clock-key", "broker-key"])
+            "top-level-key", "clock-key", "broker-key", "ems-zero-timer",
+            "ems-ceiling-range", "interpolation-mode", "turnout-period",
+            "turnout-cluster-size", "clock-scale", "poll-period",
+            "plc-scan-period", "cabinet-sample-period",
+            "controller-publish-period"])
     def test_input_error_exits_2(self, tmp_path, capsys, section, key):
         path = minimal(tmp_path, lambda r: r.update(section))
+        # unchecked, a zero period reschedules its task at t = 0 forever
+        with deadline(30):
+            assert main(["run", path, "--no-pace"]) == EXIT_INVALID
+        assert key in capsys.readouterr().err
         with pytest.raises(ScenarioError, match=key):
             load_scenario(path)
         assert main(["validate", path]) == EXIT_INVALID
