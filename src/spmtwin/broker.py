@@ -17,6 +17,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 THING_ID_RE = re.compile(r"^[A-Za-z0-9_-]+:[A-Za-z0-9_-]+$")
+PROPERTY_PATH_RE = re.compile(
+    r"^/api/2/things/([^/]+)/features/([^/]+)/properties/([^/]+)$")
 
 Scalar = int | float | bool | str
 
@@ -220,9 +222,7 @@ class Broker:
         path = request.get("path", "")
         if method == "GET" and path == "/api/2/things":
             return {"status": 200, "body": self.list_things()}
-        m = re.match(
-            r"^/api/2/things/([^/]+)/features/([^/]+)/properties/([^/]+)$", path
-        )
+        m = PROPERTY_PATH_RE.match(path)
         if not m:
             return {"status": 404, "body": {"error": "unknown path"}}
         thing_id, feature, prop = m.groups()

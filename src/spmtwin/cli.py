@@ -18,7 +18,7 @@ import urllib.error
 import urllib.request
 
 from .runner import RunAbort, Runner, StartupError
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, validate_scenario
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -74,6 +74,7 @@ def _load(path: str, args) -> "object":
         scenario.clock_scale = args.scale
     if args.seed is not None:
         scenario.seed = args.seed
+    validate_scenario(scenario)   # the overrides get the file's checks too
     return scenario
 
 

@@ -82,6 +82,10 @@ class Historian:
         self._write_modbus_coil = write_modbus_coil
         self._points: dict[str, Datapoint] = {}
         self._order: list[str] = []
+        # each poller's points in registration order, so a poll walks only
+        # its own: sourced points by host, derived points in one list
+        self._by_host: dict[str, list[Datapoint]] = {}
+        self._derived: list[Datapoint] = []
         self._lock = threading.Lock()
         # the one sample store: (t, xid, value) in poll order, for export
         self.log: list[tuple[float, str, float]] = []
@@ -94,6 +98,10 @@ class Historian:
                 raise HistorianError(f"duplicate xid {dp.xid!r}")
             self._points[dp.xid] = dp
             self._order.append(dp.xid)
+            if dp.source is not None:
+                self._by_host.setdefault(dp.source.host, []).append(dp)
+            if dp.derive is not None:
+                self._derived.append(dp)
         return dp
 
     def get_all(self) -> list[dict]:
@@ -137,20 +145,21 @@ class Historian:
         return (now, value)
 
     def poll_host(self, host: str, now: float) -> int:
-        """Poll every point bound to ``host`` (one poller task per host)."""
+        """Poll every point bound to ``host`` (one poller task per host), in
+        registration order. Walks only that host's points, filed by
+        :meth:`register`, never the whole point list."""
         n = 0
-        for xid in self._order:
-            dp = self._points[xid]
-            if dp.source is not None and dp.source.host == host:
-                if self.poll(dp, now) is not None:
-                    n += 1
+        for dp in self._by_host.get(host, ()):
+            if self.poll(dp, now) is not None:
+                n += 1
         return n
 
     def poll_derived(self, now: float) -> int:
+        """Poll every derived point, in registration order, from the derived
+        list that :meth:`register` keeps."""
         n = 0
-        for xid in self._order:
-            dp = self._points[xid]
-            if dp.derive is not None and self.poll(dp, now) is not None:
+        for dp in self._derived:
+            if self.poll(dp, now) is not None:
                 n += 1
         return n
 

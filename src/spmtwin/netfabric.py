@@ -159,8 +159,18 @@ class Fabric:
             self._established.add((src_id, dst_id))
 
     def deliver(self, src_id: str, dst_id: str, service: str, payload: Any) -> Any:
-        """Route ``payload`` to the destination handler; returns its response."""
-        self.check_connect(src_id, dst_id)
+        """Route ``payload`` to the destination handler; returns its response.
+
+        First contact on a pair goes through :meth:`check_connect`. A pair
+        enters the established set only once a delivery on it was allowed,
+        and its verdict stands until :meth:`attach` moves either end, which
+        drops the pair; so an established pair is admitted without walking
+        the policy again.
+        """
+        # a set lookup is atomic, and attach rebinds _established to a new
+        # set rather than removing pairs in place, so this read takes no lock
+        if (src_id, dst_id) not in self._established:
+            self.check_connect(src_id, dst_id)
         handler = self._handlers.get(dst_id, {}).get(service)
         if handler is None:
             raise FabricError(f"node {dst_id!r} exposes no service {service!r}")

@@ -69,6 +69,9 @@ PHASE_EMS = 6
 
 TURNOUT_THING = "FDT:campus-turnout"
 
+READ_FUNCTIONS = {"input": modbus.READ_INPUT, "holding": modbus.READ_HOLDING,
+                  "coil": modbus.READ_COILS}
+
 SUMMARY_HEADER = ("day,solar_kwh,storage_charge_kwh,storage_discharge_kwh,"
                   "turbine_kwh,grid_import_kwh,dissipated_kwh,consumption_kwh")
 EMS_LOG_HEADER = ("timestamp,solar_kw,consumption_kw,storage_level_pct,"
@@ -187,6 +190,7 @@ class Runner:
         self._injected: list = []
         self._closed = False          # set once the run ends; guarded by _inject_lock
         self._servers: list = []
+        self._read_requests: dict[tuple[int, str, int], bytes] = {}
         self._build()
 
     # ── construction ──────────────────────────────────────────────────
@@ -384,8 +388,9 @@ class Runner:
     def _serve_modbus(self, cabinet: SmartCabinet, building: str,
                       data: bytes) -> bytes:
         response = modbus.serve_frame_bytes(cabinet.register_file, data)
-        frame, _ = modbus.decode_frame(data)
-        if frame.pdu.function_code in (modbus.WRITE_COIL, modbus.WRITE_REGISTER):
+        # serve_frame_bytes decoded and validated the frame: byte 7 is its
+        # function code
+        if data[7] in (modbus.WRITE_COIL, modbus.WRITE_REGISTER):
             self._schedule_plc_scan(building, self.clock.now())
         return response
 
@@ -419,10 +424,13 @@ class Runner:
             raise CommandFailure(f"broker write failed: {result}")
 
     def _read_modbus(self, host: str, unit: int, table: str, address: int) -> int:
-        fc = {"input": modbus.READ_INPUT, "holding": modbus.READ_HOLDING,
-              "coil": modbus.READ_COILS}[table]
-        request = modbus.encode_frame(modbus.MbapFrame(
-            1, unit, modbus.read_request(fc, address, 1)))
+        key = (unit, table, address)
+        request = self._read_requests.get(key)
+        if request is None:
+            # the same bytes every poll; the cabinet still decodes each one
+            request = self._read_requests[key] = modbus.encode_frame(
+                modbus.MbapFrame(1, unit, modbus.read_request(
+                    READ_FUNCTIONS[table], address, 1)))
         raw = self.fabric.deliver(
             self.scenario.historian_node, host, "modbus", request)
         frame, _ = modbus.decode_frame(raw)
@@ -621,6 +629,8 @@ class Runner:
         return box["ack"]
 
     def _drain_injections(self) -> None:
+        if not self._injected:        # the common case: nothing queued
+            return
         with self._inject_lock:
             pending, self._injected = self._injected, []
         for target, value, done, box in pending:

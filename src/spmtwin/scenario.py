@@ -372,9 +372,22 @@ def _check(where: str, build) -> None:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
+def _check_file(s: Scenario, key: str, rel: str) -> None:
+    """The run opens ``rel`` at start-up; only its existence is checked here."""
+    if not os.path.isfile(s.path(rel)):
+        raise ScenarioError(f"{key}: no such file {s.path(rel)!r}")
+
+
 def validate_scenario(s: Scenario) -> None:
-    if s.duration_s < 0:
-        raise ScenarioError("duration_s must be >= 0")
+    # the loader admits only finite numbers; CLI overrides arrive here unchecked
+    if not (math.isfinite(s.duration_s) and s.duration_s >= 0):
+        raise ScenarioError(
+            f"duration_s must be a finite number >= 0, got {s.duration_s!r}")
+    if s.seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {s.seed}")
+    if not math.isfinite(s.clock_scale):
+        raise ScenarioError(
+            f"clock.scale must be a finite number, got {s.clock_scale!r}")
     _check("clock.scale", lambda: SimClock(scale=s.clock_scale))
     _check("ems", s.ems.config)
     _check("turnout", lambda: s.turnout.model([]))
@@ -467,3 +480,10 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioError(
                 f"cabinet {cab.building!r}: dangling node reference {cab.node!r}"
             )
+
+    # last, once the structure is valid: the files the run opens at start-up
+    # (existence only; parsing them stays with the run)
+    for spec in s.things:
+        if isinstance(spec, InterpolationThingSpec):
+            _check_file(s, f"thing {spec.name!r}: source_csv", spec.source_csv)
+    _check_file(s, "turnout.schedule_csv", s.turnout.schedule_csv)

@@ -130,6 +130,37 @@ class TestPolling:
         with pytest.raises(Exception):
             dp.append(10.0, 1.0)
 
+    def test_poll_host_logs_its_points_in_registration_order(self):
+        hist, plant = make()
+        # hosts interleaved: cab-a, cab-b, cab-a, broker, cab-b
+        for i, (host, addr) in enumerate([("cab-b", 7), ("cab-a", 101),
+                                          ("cab-b", 3)]):
+            plant.registers[(host, 1, "input", addr)] = 10 * i
+            hist.register(Datapoint(xid=f"DP_{host}_{addr}", name="x",
+                                    source=ModbusSource(host, 1, "input", addr)))
+        assert hist.poll_host("cab-b", 10.0) == 2
+        assert hist.poll_host("cab-a", 10.0) == 2
+        assert hist.poll_host("nobody", 10.0) == 0
+        assert hist.log == [
+            (10.0, "DP_cab-b_7", 0.0), (10.0, "DP_cab-b_3", 20.0),
+            (10.0, "DP_a_consumption", 1500.0), (10.0, "DP_cab-a_101", 10.0),
+        ]
+
+    def test_point_registered_after_polling_is_polled_next(self):
+        hist, plant = make()
+        hist.poll_host("cab-a", 10.0)
+        hist.poll_derived(10.0)
+        plant.registers[("cab-a", 1, "input", 101)] = 7
+        hist.register(Datapoint(xid="DP_late", name="x",
+                                source=ModbusSource("cab-a", 1, "input", 101)))
+        hist.register(Datapoint(xid="DP_late_kw", name="x", source=None,
+                                derive=lambda h: h.get_latest("DP_late")[1]))
+        assert hist.poll_host("cab-a", 20.0) == 2
+        assert hist.poll_derived(20.0) == 1
+        assert hist.log[-3:] == [(20.0, "DP_a_consumption", 1500.0),
+                                 (20.0, "DP_late", 7.0),
+                                 (20.0, "DP_late_kw", 7.0)]
+
 
 class TestCommands:
     def test_broker_command(self):

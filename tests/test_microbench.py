@@ -1,0 +1,81 @@
+"""Micro-benchmarks of the per-sample poll path.
+
+Each bench times one hot primitive with a fixed, small number of rounds (no
+calibration), so the file stays fast inside the normal test run, and asserts
+the primitive's result. Compare two revisions with::
+
+    pytest tests/test_microbench.py --benchmark-only --benchmark-autosave
+    # ...change the code...
+    pytest tests/test_microbench.py --benchmark-only --benchmark-compare
+"""
+
+import itertools
+
+from spmtwin import modbus
+from spmtwin.historian import BrokerSource, Datapoint, Historian, ModbusSource
+from spmtwin.netfabric import Fabric, parse_policy
+
+ROUNDS = 20
+ITERATIONS = 50
+HOSTS = 60
+
+
+def test_poll_host_on_60_hosts(benchmark):
+    registers = {f"cab-{i:03d}": 1000 + i for i in range(HOSTS)}
+    hist = Historian(read_broker=lambda thing, feature, prop: 1.0,
+                     read_modbus=lambda host, unit, table, addr: registers[host])
+    for i in range(4):
+        hist.register(Datapoint(xid=f"DP_broker_{i}", name="x",
+                                source=BrokerSource("FDT:t", "f", f"p{i}")))
+    for host in registers:
+        hist.register(Datapoint(xid=f"DP_{host}", name="x",
+                                source=ModbusSource(host, 1, "input", 100)))
+    clock = itertools.count(1)
+    last = [0.0]
+
+    def poll():
+        last[0] = float(next(clock))
+        return hist.poll_host("cab-030", last[0])
+
+    assert benchmark.pedantic(poll, rounds=ROUNDS, iterations=ITERATIONS) == 1
+    assert len(hist.log) == last[0] >= ROUNDS * ITERATIONS
+    assert hist.get_latest("DP_cab-030") == (last[0], 1030.0)
+
+
+def test_deliver_on_established_pair(benchmark):
+    fabric = Fabric(parse_policy([
+        {"src": "control", "dst": "field", "verdict": "allow", "priority": 10},
+        {"src": "field", "dst": "internet", "verdict": "deny", "priority": 20},
+        {"src": "client", "dst": "field", "verdict": "deny", "priority": 20},
+    ]))
+    fabric.attach("scada", "control")
+    fabric.attach("cab-a", "field")
+    fabric.register_handler("cab-a", "modbus", lambda payload: payload)
+    fabric.deliver("scada", "cab-a", "modbus", b"")     # establish the pair
+
+    calls = itertools.count(1)
+    last = [0]
+
+    def deliver():
+        last[0] = next(calls)
+        return fabric.deliver("scada", "cab-a", "modbus", b"req")
+
+    assert benchmark.pedantic(deliver, rounds=ROUNDS,
+                              iterations=ITERATIONS) == b"req"
+    assert fabric.delivered_count == 1 + last[0]
+    assert last[0] >= ROUNDS * ITERATIONS
+    assert fabric.blocked_count == 0
+
+
+def test_modbus_read_round_trip(benchmark):
+    rf = modbus.RegisterFile()
+    rf.set_input(100, 1234)
+
+    def round_trip():
+        request = modbus.encode_frame(modbus.MbapFrame(
+            1, 1, modbus.read_request(modbus.READ_INPUT, 100, 1)))
+        response, _ = modbus.decode_frame(modbus.serve_frame_bytes(rf, request))
+        return modbus.parse_read_registers_response(response.pdu)
+
+    assert benchmark.pedantic(round_trip, rounds=ROUNDS,
+                              iterations=ITERATIONS) == [1234]

@@ -127,3 +127,53 @@ class TestFabric:
         fabric.check_connect("laptop", "kiosk")
         # reverse direction dmz -> client has no rule but is established
         assert fabric.permits("kiosk", "laptop") == ALLOW
+
+
+class TestEstablishedPairs:
+    """An allowed pair is admitted without the policy walk until attach."""
+
+    def make(self, policy=PLANT_POLICY) -> Fabric:
+        fabric = Fabric(policy)
+        fabric.attach("ems", "control")
+        fabric.attach("plc", "field")
+        fabric.register_handler("plc", "modbus", lambda p: b"ok:" + p)
+        fabric.register_handler("ems", "modbus", lambda p: b"ack:" + p)
+        return fabric
+
+    def test_attach_revokes_an_established_pair(self):
+        fabric = self.make()
+        assert fabric.deliver("ems", "plc", "modbus", b"r") == b"ok:r"
+        fabric.attach("plc", "internet")
+        with pytest.raises(Blocked):
+            fabric.deliver("ems", "plc", "modbus", b"r")
+        assert fabric.blocked_count == 1
+        assert fabric.blocked_log == [("ems", "plc", "control->internet")]
+        assert fabric.delivered_count == 1
+
+    def test_each_established_delivery_counts(self):
+        fabric = self.make()
+        for n in range(1, 6):
+            assert fabric.deliver("ems", "plc", "modbus", b"r") == b"ok:r"
+            assert fabric.delivered_count == n
+        assert fabric.blocked_count == 0
+
+    def test_reply_through_established_reverse_pair(self):
+        # only control -> field is allowed; field -> control has no rule
+        fabric = self.make(parse_policy([
+            {"src": "control", "dst": "field", "verdict": "allow"}]))
+        with pytest.raises(Blocked):
+            fabric.deliver("plc", "ems", "modbus", b"x")
+        fabric.deliver("ems", "plc", "modbus", b"r")
+        assert fabric.deliver("plc", "ems", "modbus", b"x") == b"ack:x"
+        assert fabric.deliver("plc", "ems", "modbus", b"y") == b"ack:y"
+        assert fabric.delivered_count == 3
+        assert fabric.blocked_count == 1
+
+    def test_denied_pair_is_checked_on_every_delivery(self):
+        fabric = self.make()
+        fabric.attach("laptop", "client")
+        for n in range(1, 4):
+            with pytest.raises(Blocked):
+                fabric.deliver("laptop", "plc", "modbus", b"r")
+            assert fabric.blocked_count == n
+        assert fabric.delivered_count == 0

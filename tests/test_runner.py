@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from spmtwin import netfabric
+from spmtwin import modbus, netfabric
 from spmtwin.cli import EXIT_INVALID, EXIT_OK, main
-from spmtwin.devices import TRIP_COIL
+from spmtwin.devices import CONSUMPTION_REGISTER, TRIP_COIL
 from spmtwin.historian import CommandFailure
 from spmtwin.runner import RunAbort, Runner, run_scenario
 from spmtwin.scenario import load_scenario
@@ -244,6 +244,36 @@ class TestInjectionAndServers:
                 "DP_campus_consumption"} <= xids
 
 
+class TestModbusPolls:
+    def test_read_request_bytes_are_cached_and_exact(self, scenario_path):
+        runner = Runner(load_scenario(scenario_path), pace=False)
+        cab = runner.scenario.cabinets[0]
+        runner.cabinets[cab.building].register_file.set_holding(7, 42)
+        sent = []
+        deliver = runner.fabric.deliver
+
+        def recording(src, dst, service, payload):
+            sent.append(payload)
+            return deliver(src, dst, service, payload)
+
+        runner.fabric.deliver = recording
+        for table, fc, addr, value in [
+                ("input", modbus.READ_INPUT, CONSUMPTION_REGISTER,
+                 int(cab.base_load_w)),
+                ("holding", modbus.READ_HOLDING, 7, 42),
+                ("coil", modbus.READ_COILS, TRIP_COIL, 0)]:
+            expected = modbus.encode_frame(modbus.MbapFrame(
+                1, cab.unit_id, modbus.read_request(fc, addr, 1)))
+            sent.clear()
+            for _ in range(2):
+                assert runner._read_modbus(
+                    cab.node, cab.unit_id, table, addr) == value
+            assert sent == [expected, expected]
+        # the cabinet still serves each request: a new value reads through
+        runner.cabinets[cab.building].register_file.set_holding(7, 43)
+        assert runner._read_modbus(cab.node, cab.unit_id, "holding", 7) == 43
+
+
 class TestCli:
     def test_validate_ok(self, scenario_path, capsys):
         assert main(["validate", scenario_path]) == EXIT_OK
@@ -254,6 +284,20 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == EXIT_INVALID
         assert "scenario error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, key", [
+        (["--duration", "60", "--scale", "0.5"], "clock.scale"),
+        (["--seed", "-1"], "seed"),
+        (["--duration", "-5"], "duration_s"),
+        (["--duration", "nan"], "duration_s"),
+        (["--duration", "60", "--scale", "nan"], "clock.scale"),
+    ], ids=["scale", "seed", "duration", "duration-nan", "scale-nan"])
+    def test_run_overrides_are_validated(self, scenario_path, capsys,
+                                         overrides, key):
+        assert main(["run", scenario_path, "--no-pace", *overrides]) \
+            == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "scenario error" in err and key in err
 
     def test_run_with_overrides_and_export(self, tmp_path, scenario_dir,
                                            scenario_path, capsys):

@@ -145,13 +145,19 @@ class TestValidation:
         ({"things": [SYSTEM], "devices": {"controllers": [
             {"thing": "FDT:sys", "node": "ems", "publish_period_s": 0}]}},
          "publish_period_s"),
+        ({"seed": -1}, "seed"),
+        ({"things": [{"name": "FDT:sun", "type": "interpolation",
+                      "feature": "sky", "property": "radiance",
+                      "source_csv": "missing.csv"}]}, "source_csv"),
+        ({"turnout": {"schedule_csv": "missing.csv"}}, "schedule_csv"),
     ], ids=["ems-key", "turnout-key", "ems-not-object", "tcp-transport",
             "ems-value-type", "turnout-value-type", "historian-key",
             "top-level-key", "clock-key", "broker-key", "ems-zero-timer",
             "ems-ceiling-range", "interpolation-mode", "turnout-period",
             "turnout-cluster-size", "clock-scale", "poll-period",
             "plc-scan-period", "cabinet-sample-period",
-            "controller-publish-period"])
+            "controller-publish-period", "negative-seed", "missing-source-csv",
+            "missing-schedule-csv"])
     def test_input_error_exits_2(self, tmp_path, capsys, section, key):
         path = minimal(tmp_path, lambda r: r.update(section))
         # unchecked, a zero period reschedules its task at t = 0 forever
