@@ -3,7 +3,10 @@
 Holds the latest reported state of every thing (thing -> features ->
 properties), serves scalar property reads/writes, and forwards change events
 to subscribers in revision order. An HTTP front end exposes the property
-paths under ``/api/2/things``.
+paths under ``/api/2/things``; it hands each request to a callable and never
+holds the broker. During a run that callable is the runner's, which delivers
+the request through the fabric as management -> broker on the simulation
+thread, so the firewall checks external traffic as it checks any other.
 """
 
 from __future__ import annotations
@@ -272,8 +275,7 @@ class _BrokerHandler(BaseHTTPRequestHandler):
             self.wfile.write(body)
 
     def do_GET(self):
-        self._respond(self.server.broker.handle_request(
-            {"method": "GET", "path": self.path}))
+        self._respond(self.server.handle({"method": "GET", "path": self.path}))
 
     def do_PUT(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -283,7 +285,7 @@ class _BrokerHandler(BaseHTTPRequestHandler):
         except json.JSONDecodeError:
             self._respond({"status": 400, "body": {"error": "invalid JSON body"}})
             return
-        self._respond(self.server.broker.handle_request(
+        self._respond(self.server.handle(
             {"method": "PUT", "path": self.path, "body": body}))
 
 
@@ -291,9 +293,11 @@ class BrokerHttpServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, broker: Broker, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, handle: Callable[[dict], dict],
+                 host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _BrokerHandler)
-        self.broker = broker
+        # {method, path, body} -> {status, body}, as Broker.handle_request
+        self.handle = handle
 
     @property
     def port(self) -> int:

@@ -71,13 +71,12 @@ class TripPlc:
     _last_coil: bool = False
 
     def scan(self, rf: RegisterFile) -> bool:
-        with rf.lock:
-            maxcons = rf.input_registers.get(MAX_CONSUMPTION_REGISTER, 0)
-            cons = rf.input_registers.get(CONSUMPTION_REGISTER, 0)
-            coil = rf.coils.get(TRIP_COIL, False)
-            if maxcons > 0:
-                coil = coil or cons > maxcons  # latch
-                rf.coils[TRIP_COIL] = coil
+        maxcons = rf.input_registers.get(MAX_CONSUMPTION_REGISTER, 0)
+        cons = rf.input_registers.get(CONSUMPTION_REGISTER, 0)
+        coil = rf.coils.get(TRIP_COIL, False)
+        if maxcons > 0:
+            coil = coil or cons > maxcons  # latch
+            rf.coils[TRIP_COIL] = coil
         if coil and not self._last_coil and self.on_trip:
             self.on_trip()
         if self._last_coil and not coil and self.on_reset:

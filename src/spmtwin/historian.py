@@ -86,27 +86,26 @@ class Historian:
         # its own: sourced points by host, derived points in one list
         self._by_host: dict[str, list[Datapoint]] = {}
         self._derived: list[Datapoint] = []
-        self._lock = threading.Lock()
         # the one sample store: (t, xid, value) in poll order, for export
         self.log: list[tuple[float, str, float]] = []
 
     # ── registration and queries ──────────────────────────────────────
 
     def register(self, dp: Datapoint) -> Datapoint:
-        with self._lock:
-            if dp.xid in self._points:
-                raise HistorianError(f"duplicate xid {dp.xid!r}")
-            self._points[dp.xid] = dp
-            self._order.append(dp.xid)
-            if dp.source is not None:
-                self._by_host.setdefault(dp.source.host, []).append(dp)
-            if dp.derive is not None:
-                self._derived.append(dp)
+        """Add a point. A run registers every point while it builds, before
+        its HTTP server starts, so the registry is fixed while it is read."""
+        if dp.xid in self._points:
+            raise HistorianError(f"duplicate xid {dp.xid!r}")
+        self._points[dp.xid] = dp
+        self._order.append(dp.xid)
+        if dp.source is not None:
+            self._by_host.setdefault(dp.source.host, []).append(dp)
+        if dp.derive is not None:
+            self._derived.append(dp)
         return dp
 
     def get_all(self) -> list[dict]:
-        with self._lock:
-            return [{"name": self._points[x].name, "xid": x} for x in self._order]
+        return [{"name": self._points[x].name, "xid": x} for x in self._order]
 
     def point(self, xid: str) -> Datapoint:
         try:

@@ -9,7 +9,6 @@ over the in-process fabric.
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass, field
 
 READ_COILS = 0x01
@@ -135,33 +134,28 @@ def parse_read_coils_response(pdu: Pdu, count: int) -> list[bool]:
 
 @dataclass
 class RegisterFile:
-    """Mapped addresses of one device; unmapped reads are illegal, never 0."""
+    """Mapped addresses of one device; unmapped reads are illegal, never 0.
+
+    Not thread-safe: during a run only the simulation thread uses it."""
 
     input_registers: dict[int, int] = field(default_factory=dict)
     holding_registers: dict[int, int] = field(default_factory=dict)
     coils: dict[int, bool] = field(default_factory=dict)
-    discrete_inputs: dict[int, bool] = field(default_factory=dict)
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def set_input(self, address: int, value: int) -> None:
-        with self.lock:
-            self.input_registers[address] = max(0, min(0xFFFF, int(value)))
+        self.input_registers[address] = max(0, min(0xFFFF, int(value)))
 
     def set_holding(self, address: int, value: int) -> None:
-        with self.lock:
-            self.holding_registers[address] = max(0, min(0xFFFF, int(value)))
+        self.holding_registers[address] = max(0, min(0xFFFF, int(value)))
 
     def set_coil(self, address: int, value: bool) -> None:
-        with self.lock:
-            self.coils[address] = bool(value)
+        self.coils[address] = bool(value)
 
     def get_coil(self, address: int) -> bool:
-        with self.lock:
-            return self.coils[address]
+        return self.coils[address]
 
     def get_input(self, address: int) -> int:
-        with self.lock:
-            return self.input_registers[address]
+        return self.input_registers[address]
 
 
 def _exception(fc: int, code: int) -> Pdu:
@@ -181,37 +175,35 @@ def execute(rf: RegisterFile, pdu: Pdu) -> Pdu:
         if count == 0 or count > MAX_READ_COUNT:
             return _exception(fc, EXC_ILLEGAL_VALUE)
         addresses = range(address, address + count)
-        with rf.lock:
-            if fc == READ_COILS:
-                if any(a not in rf.coils for a in addresses):
-                    return _exception(fc, EXC_ILLEGAL_ADDRESS)
-                bits = [rf.coils[a] for a in addresses]
-                nbytes = (count + 7) // 8
-                packed = bytearray(nbytes)
-                for i, bit in enumerate(bits):
-                    if bit:
-                        packed[i // 8] |= 1 << (i % 8)
-                return Pdu(fc, bytes([nbytes]) + bytes(packed))
-            table = rf.holding_registers if fc == READ_HOLDING else rf.input_registers
-            if any(a not in table for a in addresses):
+        if fc == READ_COILS:
+            if any(a not in rf.coils for a in addresses):
                 return _exception(fc, EXC_ILLEGAL_ADDRESS)
-            values = [table[a] for a in addresses]
+            bits = [rf.coils[a] for a in addresses]
+            nbytes = (count + 7) // 8
+            packed = bytearray(nbytes)
+            for i, bit in enumerate(bits):
+                if bit:
+                    packed[i // 8] |= 1 << (i % 8)
+            return Pdu(fc, bytes([nbytes]) + bytes(packed))
+        table = rf.holding_registers if fc == READ_HOLDING else rf.input_registers
+        if any(a not in table for a in addresses):
+            return _exception(fc, EXC_ILLEGAL_ADDRESS)
+        values = [table[a] for a in addresses]
         return Pdu(fc, bytes([2 * count]) + struct.pack(f">{count}H", *values))
 
     if len(pdu.payload) != 4:
         return _exception(fc, EXC_ILLEGAL_VALUE)
     address, value = struct.unpack(">HH", pdu.payload)
-    with rf.lock:
-        if fc == WRITE_COIL:
-            if value not in (COIL_ON, COIL_OFF):
-                return _exception(fc, EXC_ILLEGAL_VALUE)
-            if address not in rf.coils:
-                return _exception(fc, EXC_ILLEGAL_ADDRESS)
-            rf.coils[address] = value == COIL_ON
-        else:  # WRITE_REGISTER
-            if address not in rf.holding_registers:
-                return _exception(fc, EXC_ILLEGAL_ADDRESS)
-            rf.holding_registers[address] = value
+    if fc == WRITE_COIL:
+        if value not in (COIL_ON, COIL_OFF):
+            return _exception(fc, EXC_ILLEGAL_VALUE)
+        if address not in rf.coils:
+            return _exception(fc, EXC_ILLEGAL_ADDRESS)
+        rf.coils[address] = value == COIL_ON
+    else:  # WRITE_REGISTER
+        if address not in rf.holding_registers:
+            return _exception(fc, EXC_ILLEGAL_ADDRESS)
+        rf.holding_registers[address] = value
     return Pdu(fc, pdu.payload)  # echo per spec
 
 

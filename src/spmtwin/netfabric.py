@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from dataclasses import dataclass
 from typing import AbstractSet, Any, Callable
 
@@ -105,7 +104,8 @@ class Fabric:
     """In-process message fabric with policy enforcement at delivery time.
 
     Services register per-node handlers; :meth:`deliver` routes a payload to
-    the destination node's handler iff the policy permits.
+    the destination node's handler iff the policy permits. Not thread-safe:
+    during a run only the simulation thread uses it.
     """
 
     def __init__(self, policy: list[FirewallRule] | None = None):
@@ -113,7 +113,6 @@ class Fabric:
         self._nodes: dict[str, Node] = {}
         self._handlers: dict[str, dict[str, Callable[[Any], Any]]] = {}
         self._established: set[tuple[str, str]] = set()
-        self._lock = threading.Lock()
         self.delivered_count = 0
         self.blocked_count = 0
         self.blocked_log: list[tuple[str, str, str]] = []
@@ -123,13 +122,12 @@ class Fabric:
     def attach(self, node_id: str, segment: str) -> Node:
         if segment not in SEGMENTS:
             raise FabricError(f"unknown segment {segment!r}")
-        with self._lock:
-            node = Node(node_id, segment)
-            self._nodes[node_id] = node
-            # moving a node invalidates its connection state
-            self._established = {
-                pair for pair in self._established if node_id not in pair
-            }
+        node = Node(node_id, segment)
+        self._nodes[node_id] = node
+        # moving a node invalidates its connection state
+        self._established = {
+            pair for pair in self._established if node_id not in pair
+        }
         return node
 
     def node(self, node_id: str) -> Node:
@@ -146,8 +144,7 @@ class Fabric:
 
     def permits(self, src_id: str, dst_id: str) -> str:
         src, dst = self.node(src_id), self.node(dst_id)
-        with self._lock:
-            return permits(self.policy, src, dst, self._established)
+        return permits(self.policy, src, dst, self._established)
 
     def check_connect(self, src_id: str, dst_id: str) -> None:
         """Connection-establishment checkpoint; raises :class:`Blocked`."""
@@ -155,8 +152,7 @@ class Fabric:
         if verdict != ALLOW:
             self._note_blocked(src_id, dst_id)
             raise Blocked(src_id, dst_id)
-        with self._lock:
-            self._established.add((src_id, dst_id))
+        self._established.add((src_id, dst_id))
 
     def deliver(self, src_id: str, dst_id: str, service: str, payload: Any) -> Any:
         """Route ``payload`` to the destination handler; returns its response.
@@ -167,21 +163,17 @@ class Fabric:
         drops the pair; so an established pair is admitted without walking
         the policy again.
         """
-        # a set lookup is atomic, and attach rebinds _established to a new
-        # set rather than removing pairs in place, so this read takes no lock
         if (src_id, dst_id) not in self._established:
             self.check_connect(src_id, dst_id)
         handler = self._handlers.get(dst_id, {}).get(service)
         if handler is None:
             raise FabricError(f"node {dst_id!r} exposes no service {service!r}")
-        with self._lock:
-            self.delivered_count += 1
+        self.delivered_count += 1
         return handler(payload)
 
     def _note_blocked(self, src_id: str, dst_id: str) -> None:
         src, dst = self.node(src_id), self.node(dst_id)
-        with self._lock:
-            self.blocked_count += 1
-            self.blocked_log.append((src_id, dst_id, f"{src.segment}->{dst.segment}"))
+        self.blocked_count += 1
+        self.blocked_log.append((src_id, dst_id, f"{src.segment}->{dst.segment}"))
         log.warning("blocked delivery %s (%s) -> %s (%s)",
                     src_id, src.segment, dst_id, dst.segment)

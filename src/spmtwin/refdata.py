@@ -2,24 +2,18 @@
 
 The engine only ever reads local CSV files; these helpers populate them.
 ``synthesize_radiance_csv`` writes a deterministic clear-sky hourly radiance
-table for a reference year, and ``fetch_pvgis_radiance`` (optional, needs
-network access) fills the same file format from the PVGIS HTTP API.
+table for a reference year.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-import urllib.request
 from datetime import datetime, timedelta
 
 RADIANCE_HEADER = ["timestamp", "watt_per_msq"]
 
 DEFAULT_LATITUDE = 44.18
-DEFAULT_LONGITUDE = 8.18
-DEFAULT_AZIMUTH = -30.0
-DEFAULT_RISE = 15.0
 DEFAULT_YEAR = 2016
 
 
@@ -55,37 +49,6 @@ def synthesize_radiance_csv(
             y = clear_sky_radiance(latitude, doy, ts.hour + 0.5)
             writer.writerow([ts.isoformat(), f"{y:.1f}"])
             ts += timedelta(hours=1)
-            rows += 1
-    return rows
-
-
-def fetch_pvgis_radiance(
-    path: str,
-    latitude: float = DEFAULT_LATITUDE,
-    longitude: float = DEFAULT_LONGITUDE,
-    azimuth: float = DEFAULT_AZIMUTH,
-    rise: float = DEFAULT_RISE,
-    year: int = DEFAULT_YEAR,
-    timeout: float = 60.0,
-) -> int:
-    """Populate the radiance CSV from the PVGIS seriescalc API (optional)."""
-    url = (
-        "https://re.jrc.ec.europa.eu/api/seriescalc"
-        f"?lat={latitude}&lon={longitude}&angle={rise}&aspect={azimuth}"
-        f"&startyear={year}&endyear={year}&outputformat=json"
-    )
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        payload = json.load(resp)
-    hourly = payload["outputs"]["hourly"]
-    rows = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RADIANCE_HEADER)
-        for record in hourly:
-            # PVGIS time format: YYYYMMDD:HHMM
-            raw = record["time"]
-            ts = datetime.strptime(raw, "%Y%m%d:%H%M")
-            writer.writerow([ts.isoformat(), f"{float(record['G(i)']):.1f}"])
             rows += 1
     return rows
 

@@ -5,6 +5,13 @@ discrete-event scheduler: events are ordered by (sim time, phase, sequence)
 so that identical seeds and scenarios yield byte-identical artifacts, at any
 clock scale. Pacing sleeps only to honor the real-to-simulated ratio; it
 never influences results.
+
+One thread owns the plant: the thread that calls :meth:`Runner.run` is the
+only one that touches the fabric, the devices, the register files and the
+historian's registry, none of which takes a lock. The HTTP servers' threads
+only queue fabric deliveries from the management node (operator commands to
+the historian, requests to the broker) and wait; the run loop makes them
+between two events.
 """
 
 from __future__ import annotations
@@ -187,6 +194,7 @@ class Runner:
         self._heap: list = []
         self._seq = 0
         self._inject_lock = threading.Lock()
+        # queued (src, dst, service, payload, done, box) fabric deliveries
         self._injected: list = []
         self._closed = False          # set once the run ends; guarded by _inject_lock
         self._servers: list = []
@@ -199,6 +207,9 @@ class Runner:
         s = self.scenario
         for node in s.nodes:
             self.fabric.attach(node.id, node.segment)
+        # operator traffic comes from the management node, else the EMS's
+        self._mgmt_node = next(
+            (n.id for n in s.nodes if n.segment == "management"), s.ems.node)
 
         self.broker = Broker(time_fn=self.clock.now)
         self.fabric.register_handler(
@@ -613,46 +624,74 @@ class Runner:
 
     # ── injection ─────────────────────────────────────────────────────
 
-    def inject(self, target: str, value, timeout: float = 30.0) -> dict:
-        """Queue an operator command; it executes at the next event boundary,
-        routed management -> historian. Fails at once after the run ends."""
+    def _queue_delivery(self, dst: str, service: str, payload,
+                        timeout: float, what: str):
+        """Queue a management -> ``dst`` delivery for the run loop, which
+        makes it at the next event boundary; returns its reply or raises its
+        error. Raises :class:`CommandFailure` once the run has ended or after
+        ``timeout`` seconds."""
         done = threading.Event()
         box: dict = {}
         with self._inject_lock:
             if self._closed:
-                raise CommandFailure(f"run has ended; {target!r} not delivered")
-            self._injected.append((target, value, done, box))
+                raise CommandFailure(f"run has ended; {what} not delivered")
+            self._injected.append(
+                (self._mgmt_node, dst, service, payload, done, box))
         if not done.wait(timeout):
-            raise CommandFailure(f"injection of {target!r} timed out")
+            raise CommandFailure(f"{what} timed out")
+        if "ack" in box:
+            return box["ack"]
         if "error" in box:
-            raise CommandFailure(box["error"])
-        return box["ack"]
+            raise box["error"]
+        # closed by _close_injections before the loop reached it
+        raise CommandFailure(f"run has ended; {what} not delivered")
+
+    def inject(self, target: str, value, timeout: float = 30.0) -> dict:
+        """Queue an operator command; it executes at the next event boundary,
+        routed management -> historian. Fails at once after the run ends."""
+        try:
+            return self._queue_delivery(
+                self.scenario.historian_node, "api",
+                {"type": "command", "target": target, "value": value},
+                timeout, f"injection of {target!r}")
+        except CommandFailure:
+            raise
+        except Exception as exc:
+            raise CommandFailure(str(exc)) from exc
+
+    def queue_broker_request(self, request: dict,
+                             timeout: float = 30.0) -> dict:
+        """Serve one broker HTTP request as a management -> broker delivery
+        made by the run loop; the broker HTTP server calls this. A refusal
+        by the firewall is 403, a run that ended or a timeout is 503."""
+        try:
+            return self._queue_delivery(
+                self.scenario.broker_node, "http", request, timeout,
+                f"broker request {request.get('path')!r}")
+        except netfabric.Blocked as exc:
+            return {"status": 403, "body": {"error": str(exc)}}
+        except CommandFailure as exc:
+            return {"status": 503, "body": {"error": str(exc)}}
 
     def _drain_injections(self) -> None:
         if not self._injected:        # the common case: nothing queued
             return
         with self._inject_lock:
             pending, self._injected = self._injected, []
-        for target, value, done, box in pending:
+        for src, dst, service, payload, done, box in pending:
             try:
-                mgmt = next((n.id for n in self.scenario.nodes
-                             if n.segment == "management"),
-                            self.scenario.ems.node)
-                box["ack"] = self.fabric.deliver(
-                    mgmt, self.scenario.historian_node, "api",
-                    {"type": "command", "target": target, "value": value})
+                box["ack"] = self.fabric.deliver(src, dst, service, payload)
             except Exception as exc:
-                box["error"] = str(exc)
+                box["error"] = exc
             finally:
                 done.set()
 
     def _close_injections(self) -> None:
-        """Refuse further injections and fail any still queued."""
+        """Refuse further deliveries and fail any still queued."""
         with self._inject_lock:
             self._closed = True
             pending, self._injected = self._injected, []
-        for target, _value, done, box in pending:
-            box["error"] = f"run has ended; {target!r} not delivered"
+        for *_, done, _box in pending:
             done.set()
 
     # ── run loop ──────────────────────────────────────────────────────
@@ -660,7 +699,7 @@ class Runner:
     def _start_servers(self) -> None:
         s = self.scenario
         try:
-            self.broker_http = BrokerHttpServer(self.broker,
+            self.broker_http = BrokerHttpServer(self.queue_broker_request,
                                                 port=s.broker_http_port)
             self.historian_http = HistorianHttpServer(
                 self.historian, port=s.historian_http_port,

@@ -184,7 +184,7 @@ class TestRequestHandler:
 class TestHttpServer:
     def test_http_round_trip(self):
         broker = make_broker()
-        server = BrokerHttpServer(broker)
+        server = BrokerHttpServer(broker.handle_request)
         server.start()
         base = f"http://127.0.0.1:{server.port}"
         path = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
@@ -203,7 +203,7 @@ class TestHttpServer:
             server.server_close()
 
     def test_keepalive_responses_do_not_stall(self, keepalive_median_ms):
-        server = BrokerHttpServer(make_broker())
+        server = BrokerHttpServer(make_broker().handle_request)
         server.start()
         path = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
         try:
@@ -215,7 +215,7 @@ class TestHttpServer:
 
     def test_http_404(self):
         broker = make_broker()
-        server = BrokerHttpServer(broker)
+        server = BrokerHttpServer(broker.handle_request)
         server.start()
         try:
             with pytest.raises(urllib.error.HTTPError) as err:

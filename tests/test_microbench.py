@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the per-sample poll path.
+"""Micro-benchmarks of the hot primitives: the per-sample poll path, model
+stepping, broker writes and the EMS decision.
 
 Each bench times one hot primitive with a fixed, small number of rounds (no
 calibration), so the file stays fast inside the normal test run, and asserts
@@ -11,9 +12,14 @@ the primitive's result. Compare two revisions with::
 
 import itertools
 
+import pytest
+
 from spmtwin import modbus
+from spmtwin.broker import Broker
+from spmtwin.ems import IDLE, START, ActionSet, EmsConfig, Measurements, ems_tick
 from spmtwin.historian import BrokerSource, Datapoint, Historian, ModbusSource
 from spmtwin.netfabric import Fabric, parse_policy
+from spmtwin.simcore import LinearStateSpace
 
 ROUNDS = 20
 ITERATIONS = 50
@@ -79,3 +85,48 @@ def test_modbus_read_round_trip(benchmark):
 
     assert benchmark.pedantic(round_trip, rounds=ROUNDS,
                               iterations=ITERATIONS) == [1234]
+
+
+def test_turbine_step(benchmark):
+    # the plant's turbine, valves open, one 10 s controller publish per step
+    system = LinearStateSpace(A=[[-0.3076, 0.0], [0.0008, -0.2]],
+                              B=[[4750.0, 29993.0, -0.1], [1.0, 45.0, 0.2]],
+                              x=[0.0, 15.0], dt=1.0)
+    u = (1.0, 1.0, 15.0)
+    x = benchmark.pedantic(system.step, args=(u, 10.0), rounds=ROUNDS,
+                           iterations=ITERATIONS)
+    # 1,000 steps are 10,000 s: far past the 30 s settling time
+    assert x == pytest.approx(system.steady_state(u), rel=1e-9)
+
+
+@pytest.mark.parametrize("subscribers", [0, 10, 100])
+def test_put_property_with_callback_subscribers(benchmark, subscribers):
+    broker = Broker()
+    broker.create_thing("FDT:t", {"f": {"p": 0.0}})
+    received = [0]
+
+    def on_event(event):
+        received[0] += 1
+
+    for _ in range(subscribers):
+        broker.subscribe("FDT:t/f/p", callback=on_event)
+    values = itertools.count()
+
+    def put():
+        return broker.put_property("FDT:t", "f", "p", float(next(values)))
+
+    revision = benchmark.pedantic(put, rounds=ROUNDS, iterations=ITERATIONS)
+    assert revision >= ROUNDS * ITERATIONS
+    assert broker.get_property("FDT:t", "f", "p") == revision - 1
+    assert received[0] == subscribers * revision
+
+
+def test_ems_tick(benchmark):
+    # the longest path: a deficit with the storage at its floor starts the
+    # turbine
+    cfg = EmsConfig()
+    m = Measurements(solar_generation_kw=10.0, total_consumption_kw=100.0,
+                     storage_level_pct=10.0, turbine_running=False)
+    assert benchmark.pedantic(ems_tick, args=(cfg, m), rounds=ROUNDS,
+                              iterations=ITERATIONS) \
+        == ActionSet(IDLE, START, False, 25.0)

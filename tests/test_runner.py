@@ -1,3 +1,4 @@
+import http.client
 import json
 import os
 import threading
@@ -204,10 +205,13 @@ class TestInjectionAndServers:
         done = threading.Event()
         box = {}
         with runner._inject_lock:
-            runner._injected.append(("modbus:cab-a/coil/100", False, done, box))
+            runner._injected.append((
+                "ops", runner.scenario.historian_node, "api",
+                {"type": "command", "target": "modbus:cab-a/coil/100",
+                 "value": False}, done, box))
         runner._drain_injections()
         assert done.is_set()
-        assert "blocked" in box["error"]
+        assert "blocked" in str(box["error"])
         assert runner.fabric.blocked_count >= 1
 
     def test_inject_after_run_fails_fast(self, tmp_path, scenario_dir):
@@ -217,6 +221,10 @@ class TestInjectionAndServers:
         start = time.monotonic()
         with pytest.raises(CommandFailure, match="run has ended"):
             runner.inject("modbus:cab-a/coil/100", False, timeout=5.0)
+        reply = runner.queue_broker_request(
+            {"method": "GET", "path": "/api/2/things"}, timeout=5.0)
+        assert reply["status"] == 503
+        assert "run has ended" in reply["body"]["error"]
         assert time.monotonic() - start < 0.5
         assert runner._injected == []
 
@@ -242,6 +250,132 @@ class TestInjectionAndServers:
         xids = {p["xid"] for p in seen["points"]}
         assert {"DP_solar_power", "DP_storage_level",
                 "DP_campus_consumption"} <= xids
+
+
+STORE = "FDT:energy-store-1"
+
+
+def live_broker_request(runner, method, path, body=None):
+    """Run ``runner`` in a thread; once its broker HTTP server listens, send
+    it one request. Returns (status, reply body, ident of the run thread)
+    after the run has ended."""
+    thread = threading.Thread(target=runner.run)
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10
+        while not runner._servers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", runner.broker_http.port, timeout=10)
+        try:
+            conn.request(method, path, body=json.dumps(body),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            raw = resp.read()
+        finally:
+            conn.close()
+    finally:
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    return resp.status, json.loads(raw) if raw else None, thread.ident
+
+
+def paced(tmp_path, scenario_dir, mutate=None) -> Runner:
+    # 1,200 sim-s at 1:600 from midnight: ~2 wall-s, and the EMS never
+    # charges the storage (no sun)
+    path = customized(tmp_path, scenario_dir, mutate=mutate, duration_s=1200,
+                      clock={"scale": 600, "tick": 0.1})
+    return Runner(load_scenario(path), pace=True)
+
+
+def property_path(thing, feature, prop):
+    return f"/api/2/things/{thing}/features/{feature}/properties/{prop}"
+
+
+class TestBrokerHttpThroughFabric:
+    def test_put_on_denied_path_is_refused_and_counted(self, tmp_path,
+                                                       scenario_dir):
+        def mutate(raw):   # the shipped policy without management -> control
+            with open(os.path.join(scenario_dir, "policy.json")) as fh:
+                rules = json.load(fh)
+            raw["network"].pop("policy_file")
+            raw["network"]["policy"] = [
+                r for r in rules if r["src"] != "management"]
+
+        runner = paced(tmp_path, scenario_dir, mutate)
+        modes = []
+        feature = runner.scenario.thing(STORE).feature
+        runner.broker.subscribe(f"{STORE}/{feature}/mode",
+                                callback=lambda ev: modes.append(ev.new))
+        status, body, _ = live_broker_request(
+            runner, "PUT", property_path(STORE, feature, "mode"), "charge")
+        assert status == 403
+        assert "blocked" in body["error"]
+        assert runner.fabric.blocked_count == 1
+        assert runner.artifacts.blocked_count == 1
+        assert "charge" not in modes
+        assert runner.broker.get_property(STORE, feature, "mode") != "charge"
+
+    def test_put_is_one_management_to_broker_delivery(self, tmp_path,
+                                                      scenario_dir):
+        path = customized(tmp_path, scenario_dir, duration_s=1200)
+        unpaced = Runner(load_scenario(path), pace=False)
+        unpaced.run()
+        runner = paced(tmp_path, scenario_dir)
+        sent = []
+        deliver = runner.fabric.deliver
+
+        def recording(src, dst, service, payload):
+            sent.append((src, dst, service))
+            return deliver(src, dst, service, payload)
+
+        runner.fabric.deliver = recording
+        # a property nothing reads, so the run is otherwise the unpaced one
+        status, body, _ = live_broker_request(
+            runner, "PUT", property_path("FDT:campus-turnout", "campus", "note"),
+            "drill")
+        assert (status, body) == (204, None)
+        assert runner.broker.get_property(
+            "FDT:campus-turnout", "campus", "note") == "drill"
+        assert sent.count(("ops", "broker", "http")) == 1
+        assert runner.fabric.delivered_count \
+            == unpaced.fabric.delivered_count + 1
+        assert runner.fabric.blocked_count == 0
+
+    def test_command_put_runs_on_the_simulation_thread(self, tmp_path,
+                                                       scenario_dir):
+        runner = paced(tmp_path, scenario_dir)
+        calls = []
+        store = runner.storage[STORE]
+        apply_command = store.apply_command
+
+        def recording_apply(value):
+            calls.append((threading.get_ident(), value))
+            return apply_command(value)
+
+        store.apply_command = recording_apply
+        sent = []
+        deliver = runner.fabric.deliver
+
+        def recording(src, dst, service, payload):
+            sent.append((src, dst, service, payload))
+            return deliver(src, dst, service, payload)
+
+        runner.fabric.deliver = recording
+        status, _, run_thread = live_broker_request(
+            runner, "PUT",
+            property_path(STORE, runner.scenario.thing(STORE).feature, "mode"),
+            "charge")
+        assert status == 204
+        assert (run_thread, "charge") in calls
+        assert {ident for ident, _ in calls} == {run_thread}
+        # the PUT is one management -> broker delivery, and the broker's
+        # command event one broker -> controller delivery right after it
+        hops = [s[:3] for s in sent]
+        assert hops.count(("ops", "broker", "http")) == 1
+        i = hops.index(("ops", "broker", "http"))
+        assert hops[i + 1] == ("broker", "fc-storage", "command")
+        assert sent[i + 1][3].new == "charge"
 
 
 class TestModbusPolls:
