@@ -4,12 +4,18 @@ Supports function codes 0x01 (read coils), 0x03 (read holding registers),
 0x04 (read input registers), 0x05 (write single coil) and 0x06 (write single
 register). Framing is MBAP, big-endian throughout; frames travel as bytes
 over the in-process fabric.
+
+Every historian poll is a single-register read, so :func:`execute` and
+:func:`parse_read_registers_response` serve a count of 1 with one table
+lookup and one precompiled ``>H`` struct. The frames and exception
+responses are those of the general path.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 READ_COILS = 0x01
 READ_HOLDING = 0x03
@@ -27,6 +33,10 @@ COIL_ON = 0xFF00
 COIL_OFF = 0x0000
 
 MAX_READ_COUNT = 125
+
+MBAP_HEADER = struct.Struct(">HHHB")    # transaction, protocol, length, unit
+U16_PAIR = struct.Struct(">HH")
+U16 = struct.Struct(">H")
 
 
 class EncodingError(ValueError):
@@ -48,8 +58,7 @@ class ModbusExceptionResponse(Exception):
         self.exception_code = exception_code
 
 
-@dataclass(frozen=True)
-class Pdu:
+class Pdu(NamedTuple):
     function_code: int
     payload: bytes
 
@@ -57,8 +66,7 @@ class Pdu:
         return bool(self.function_code & 0x80)
 
 
-@dataclass(frozen=True)
-class MbapFrame:
+class MbapFrame(NamedTuple):
     transaction_id: int
     unit_id: int
     pdu: Pdu
@@ -79,44 +87,45 @@ def encode_frame(frame: MbapFrame) -> bytes:
     length = 1 + len(body)  # unit id + pdu
     if length > 0xFFFF:
         raise EncodingError("pdu too large for MBAP framing")
-    return struct.pack(">HHHB", frame.transaction_id, 0, length, frame.unit_id) + body
+    return MBAP_HEADER.pack(frame.transaction_id, 0, length, frame.unit_id) + body
 
 
 def decode_frame(data: bytes) -> tuple[MbapFrame, int]:
     """Decode one frame from ``data``; returns (frame, bytes consumed)."""
     if len(data) < 8:
         raise NeedMoreBytes
-    txn, proto, length, unit = struct.unpack(">HHHB", data[:7])
+    txn, proto, length, unit = MBAP_HEADER.unpack_from(data)
     if length < 2:
         raise EncodingError("MBAP length must cover unit id and function code")
     total = 6 + length
     if len(data) < total:
         raise NeedMoreBytes
-    fc = data[7]
-    payload = data[8:total]
-    return MbapFrame(txn, unit, Pdu(fc, bytes(payload)), protocol_id=proto), total
+    return MbapFrame(txn, unit, Pdu(data[7], bytes(data[8:total])), proto), total
 
 
 # ── Request builders / response parsers ────────────────────────────────────
 
 
 def read_request(function_code: int, address: int, count: int) -> Pdu:
-    return Pdu(function_code, struct.pack(">HH", address, count))
+    return Pdu(function_code, U16_PAIR.pack(address, count))
 
 
 def write_coil_request(address: int, on: bool) -> Pdu:
-    return Pdu(WRITE_COIL, struct.pack(">HH", address, COIL_ON if on else COIL_OFF))
+    return Pdu(WRITE_COIL, U16_PAIR.pack(address, COIL_ON if on else COIL_OFF))
 
 
 def write_register_request(address: int, value: int) -> Pdu:
-    return Pdu(WRITE_REGISTER, struct.pack(">HH", address, value))
+    return Pdu(WRITE_REGISTER, U16_PAIR.pack(address, value))
 
 
 def parse_read_registers_response(pdu: Pdu) -> list[int]:
     if pdu.is_exception():
         raise ModbusExceptionResponse(pdu.function_code & 0x7F, pdu.payload[0])
-    count = pdu.payload[0] // 2
-    return list(struct.unpack(f">{count}H", pdu.payload[1 : 1 + 2 * count]))
+    payload = pdu.payload
+    if payload[0] == 2:         # one register
+        return [U16.unpack_from(payload, 1)[0]]
+    count = payload[0] // 2
+    return list(struct.unpack(f">{count}H", payload[1 : 1 + 2 * count]))
 
 
 def parse_read_coils_response(pdu: Pdu, count: int) -> list[bool]:
@@ -171,11 +180,11 @@ def execute(rf: RegisterFile, pdu: Pdu) -> Pdu:
     if fc in (READ_COILS, READ_HOLDING, READ_INPUT):
         if len(pdu.payload) != 4:
             return _exception(fc, EXC_ILLEGAL_VALUE)
-        address, count = struct.unpack(">HH", pdu.payload)
+        address, count = U16_PAIR.unpack(pdu.payload)
         if count == 0 or count > MAX_READ_COUNT:
             return _exception(fc, EXC_ILLEGAL_VALUE)
-        addresses = range(address, address + count)
         if fc == READ_COILS:
+            addresses = range(address, address + count)
             if any(a not in rf.coils for a in addresses):
                 return _exception(fc, EXC_ILLEGAL_ADDRESS)
             bits = [rf.coils[a] for a in addresses]
@@ -186,6 +195,12 @@ def execute(rf: RegisterFile, pdu: Pdu) -> Pdu:
                     packed[i // 8] |= 1 << (i % 8)
             return Pdu(fc, bytes([nbytes]) + bytes(packed))
         table = rf.holding_registers if fc == READ_HOLDING else rf.input_registers
+        if count == 1:          # a poll: one lookup, no range
+            value = table.get(address)
+            if value is None:
+                return _exception(fc, EXC_ILLEGAL_ADDRESS)
+            return Pdu(fc, b"\x02" + U16.pack(value))
+        addresses = range(address, address + count)
         if any(a not in table for a in addresses):
             return _exception(fc, EXC_ILLEGAL_ADDRESS)
         values = [table[a] for a in addresses]
@@ -193,7 +208,7 @@ def execute(rf: RegisterFile, pdu: Pdu) -> Pdu:
 
     if len(pdu.payload) != 4:
         return _exception(fc, EXC_ILLEGAL_VALUE)
-    address, value = struct.unpack(">HH", pdu.payload)
+    address, value = U16_PAIR.unpack(pdu.payload)
     if fc == WRITE_COIL:
         if value not in (COIL_ON, COIL_OFF):
             return _exception(fc, EXC_ILLEGAL_VALUE)

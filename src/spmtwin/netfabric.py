@@ -2,14 +2,15 @@
 
 Segments plus prioritized firewall rules decide who may talk to whom; every
 cross-module message goes through :meth:`Fabric.deliver`, which enforces the
-policy and counts blocked traffic. Return traffic of an allowed connection is
-allowed statefully.
+policy and counts blocked traffic per segment pair. Return traffic of an
+allowed connection is allowed statefully.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import AbstractSet, Any, Callable
 
@@ -115,7 +116,9 @@ class Fabric:
         self._established: set[tuple[str, str]] = set()
         self.delivered_count = 0
         self.blocked_count = 0
-        self.blocked_log: list[tuple[str, str, str]] = []
+        # blocked deliveries per (src segment, dst segment): bounded by the
+        # segment pairs however long the run
+        self.blocked_by_segment: Counter[tuple[str, str]] = Counter()
 
     # ── topology ──────────────────────────────────────────────────────
 
@@ -174,6 +177,6 @@ class Fabric:
     def _note_blocked(self, src_id: str, dst_id: str) -> None:
         src, dst = self.node(src_id), self.node(dst_id)
         self.blocked_count += 1
-        self.blocked_log.append((src_id, dst_id, f"{src.segment}->{dst.segment}"))
+        self.blocked_by_segment[src.segment, dst.segment] += 1
         log.warning("blocked delivery %s (%s) -> %s (%s)",
                     src_id, src.segment, dst_id, dst.segment)

@@ -6,6 +6,13 @@ so that identical seeds and scenarios yield byte-identical artifacts, at any
 clock scale. Pacing sleeps only to honor the real-to-simulated ratio; it
 never influences results.
 
+Periodic tasks run as one event per ``(period, phase)`` group, which runs its
+members in registration order, and PLC scans as one event per scan instant,
+which scans buildings in the order their scans were asked for. That is the
+order one event per task gave, because tasks of one period re-arm together
+and so always ran contiguously, in registration order, at each
+``(t, phase)`` they shared.
+
 One thread owns the plant: the thread that calls :meth:`Runner.run` is the
 only one that touches the fabric, the devices, the register files and the
 historian's registry, none of which takes a lock. The HTTP servers' threads
@@ -22,6 +29,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -227,6 +235,7 @@ class Runner:
         self.storage: dict[str, StorageController] = {}
         self.turbine: dict[str, TurbineController] = {}
         specs = {t.name: t for t in s.things}
+        self._features = {name: spec.feature for name, spec in specs.items()}
         radiance_tables = {}
         for spec in s.things:
             if isinstance(spec, InterpolationThingSpec):
@@ -333,36 +342,37 @@ class Runner:
         )
         self.fabric.register_handler(
             s.historian_node, "api", self._serve_historian_api)
-        self._register_datapoints()
+        self._register_datapoints(specs)
 
         self.ems_cfg = s.ems.config()
         self._last_commands: dict[str, object] = {}
         self._scan_scheduled: dict[str, float] = {}
+        self._scans_due: dict[float, list[str]] = {}   # scan instant -> buildings
         self._last_controller_advance: dict[str, float] = {}
 
         self.artifacts = RunArtifacts(
             seed=s.seed, duration_s=s.duration_s, historian=self.historian,
             tick_hours=s.ems.timer_period_s / 3600.0)
 
-    def _register_datapoints(self) -> None:
+    def _register_datapoints(self, specs: dict) -> None:
         s = self.scenario
         poll = s.poll_period_s
         for name, ctl in self.solar.items():
-            spec = self.scenario.thing(name)
+            spec = specs[name]
             self.historian.register(Datapoint(
                 xid="DP_solar_power", name="Solar generation (W)",
                 source=BrokerSource(name, spec.feature, spec.prop,
                                     host=s.broker_node),
                 poll_period_s=poll))
         for name in self.storage:
-            spec = self.scenario.thing(name)
+            spec = specs[name]
             self.historian.register(Datapoint(
                 xid="DP_storage_level", name="Storage charge level (%)",
                 source=BrokerSource(name, spec.feature, "level",
                                     host=s.broker_node),
                 poll_period_s=poll))
         for name, ctl in self.turbine.items():
-            spec = self.scenario.thing(name)
+            spec = specs[name]
             self.historian.register(Datapoint(
                 xid="DP_turbine_rpm", name="Turbine rotor speed (rpm)",
                 source=BrokerSource(name, spec.feature, "rpm",
@@ -478,13 +488,24 @@ class Runner:
         self._seq += 1
         heapq.heappush(self._heap, (t, phase, self._seq, fn))
 
-    def _schedule_periodic(self, period: float, phase: int,
-                           fn: Callable[[float], None],
-                           first: float | None = None) -> None:
-        def wrapper(t: float, fn=fn, period=period, phase=phase):
-            fn(t)
-            self._schedule(t + period, phase, wrapper)
-        self._schedule(first if first is not None else period, phase, wrapper)
+    def _schedule_periodic(
+            self, tasks: list[tuple[float, int, Callable[[float], None]]]) -> None:
+        """Run each ``(period, phase, fn)`` task every ``period`` s from
+        ``period``: one event per ``(period, phase)`` group, which runs its
+        members in the order given."""
+        groups: dict[tuple[float, int], list] = {}
+        for period, phase, fn in tasks:
+            groups.setdefault((period, phase), []).append(fn)
+        for (period, phase), members in groups.items():
+            self._schedule_group(period, phase, members)
+
+    def _schedule_group(self, period: float, phase: int,
+                        members: list[Callable[[float], None]]) -> None:
+        def group(t: float) -> None:
+            for fn in members:
+                fn(t)
+            self._schedule(t + period, phase, group)
+        self._schedule(period, phase, group)
 
     def _schedule_plc_scan(self, building: str, now: float) -> None:
         plc = self.plcs[building]
@@ -492,9 +513,15 @@ class Runner:
         if self._scan_scheduled.get(building) == t:
             return
         self._scan_scheduled[building] = t
-        self._schedule(t, PHASE_PLC,
-                       lambda _t, b=building: self.plcs[b].scan(
-                           self.cabinets[b].register_file))
+        due = self._scans_due.get(t)
+        if due is None:
+            due = self._scans_due[t] = []
+            self._schedule(t, PHASE_PLC, self._run_scans)
+        due.append(building)
+
+    def _run_scans(self, t: float) -> None:
+        for building in self._scans_due.pop(t):
+            self.plcs[building].scan(self.cabinets[building].register_file)
 
     # ── periodic tasks ────────────────────────────────────────────────
 
@@ -529,23 +556,17 @@ class Runner:
                 self.artifacts.publish_errors += 1
 
     def _task_controller(self, thing: str, t: float) -> None:
-        spec = self.scenario.thing(thing)
+        feature = self._features[thing]
         last = self._last_controller_advance.get(thing, 0.0)
         dt = t - last
         self._last_controller_advance[thing] = t
         if thing in self.solar:
-            self._publish(thing, spec.feature, self.solar[thing].telemetry(t))
+            self._publish(thing, feature, self.solar[thing].telemetry(t))
         elif thing in self.storage or thing in self.turbine:
             ctl = self.storage.get(thing) or self.turbine[thing]
             if dt > 0:
                 ctl.advance(dt)
-            self._publish(thing, spec.feature, ctl.telemetry())
-
-    def _task_poll(self, host: str, t: float) -> None:
-        self.historian.poll_host(host, t)
-
-    def _task_poll_derived(self, t: float) -> None:
-        self.historian.poll_derived(t)
+            self._publish(thing, feature, ctl.telemetry())
 
     def _ems_latest(self, xid: str, now: float) -> float:
         reply = self.fabric.deliver(
@@ -565,7 +586,6 @@ class Runner:
         self._last_commands[target] = value
 
     def _task_ems(self, t: float) -> None:
-        s = self.scenario
         try:
             solar_kw = self._ems_latest("DP_solar_power", t) / 1000.0
             consumption_kw = self._ems_latest("DP_campus_consumption", t)
@@ -588,14 +608,13 @@ class Runner:
         actions = ems_mod.ems_tick(self.ems_cfg, m)
 
         for name in self.storage:
-            spec = s.thing(name)
-            self._ems_command(f"broker:{name}/{spec.feature}/mode",
+            self._ems_command(f"broker:{name}/{self._features[name]}/mode",
                               actions.storage_mode)
         for name in self.turbine:
-            spec = s.thing(name)
             if actions.turbine_command != ems_mod.NONE:
-                self._ems_command(f"broker:{name}/{spec.feature}/command",
-                                  actions.turbine_command)
+                self._ems_command(
+                    f"broker:{name}/{self._features[name]}/command",
+                    actions.turbine_command)
 
         self._account(t, solar_kw, consumption_kw, level, turbine_kw, actions)
 
@@ -724,25 +743,19 @@ class Runner:
         s = self.scenario
         self._start_servers()
         try:
-            self._schedule_periodic(s.turnout.period_s, PHASE_OCCUPANCY,
-                                    self._task_occupancy)
-            for cab in s.cabinets:
-                self._schedule_periodic(
-                    cab.sample_period_s, PHASE_CABINET,
-                    lambda t, b=cab.building: self._task_cabinet_sample(b, t))
-            for ctrl in s.controllers:
-                self._schedule_periodic(
-                    ctrl.publish_period_s, PHASE_CONTROLLER,
-                    lambda t, n=ctrl.thing: self._task_controller(n, t))
-            hosts = [s.broker_node] + [c.node for c in s.cabinets]
-            for host in hosts:
-                self._schedule_periodic(
-                    s.poll_period_s, PHASE_POLL,
-                    lambda t, h=host: self._task_poll(h, t))
-            self._schedule_periodic(s.poll_period_s, PHASE_DERIVED,
-                                    self._task_poll_derived)
-            self._schedule_periodic(s.ems.timer_period_s, PHASE_EMS,
-                                    self._task_ems)
+            tasks = [(s.turnout.period_s, PHASE_OCCUPANCY, self._task_occupancy)]
+            tasks += [(cab.sample_period_s, PHASE_CABINET,
+                       partial(self._task_cabinet_sample, cab.building))
+                      for cab in s.cabinets]
+            tasks += [(ctrl.publish_period_s, PHASE_CONTROLLER,
+                       partial(self._task_controller, ctrl.thing))
+                      for ctrl in s.controllers]
+            tasks += [(s.poll_period_s, PHASE_POLL,
+                       partial(self.historian.poll_host, host))
+                      for host in [s.broker_node] + [c.node for c in s.cabinets]]
+            tasks += [(s.poll_period_s, PHASE_DERIVED, self.historian.poll_derived),
+                      (s.ems.timer_period_s, PHASE_EMS, self._task_ems)]
+            self._schedule_periodic(tasks)
 
             wall_start = time.monotonic()
             while self._heap and self._heap[0][0] <= s.duration_s:

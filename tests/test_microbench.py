@@ -87,6 +87,24 @@ def test_modbus_read_round_trip(benchmark):
                               iterations=ITERATIONS) == [1234]
 
 
+def test_execute_single_input_register_read(benchmark):
+    rf = modbus.RegisterFile()
+    rf.set_input(100, 1234)
+    request = modbus.read_request(modbus.READ_INPUT, 100, 1)
+    reply = benchmark.pedantic(modbus.execute, args=(rf, request),
+                               rounds=ROUNDS, iterations=ITERATIONS)
+    assert reply == modbus.Pdu(modbus.READ_INPUT, b"\x02\x04\xd2")
+
+
+def test_decode_frame(benchmark):
+    pdu = modbus.Pdu(modbus.READ_INPUT, b"\x02\x04\xd2")
+    raw = modbus.encode_frame(modbus.MbapFrame(1, 1, pdu))
+    frame, consumed = benchmark.pedantic(modbus.decode_frame, args=(raw,),
+                                         rounds=ROUNDS, iterations=ITERATIONS)
+    assert consumed == len(raw) == 11
+    assert frame == modbus.MbapFrame(1, 1, pdu)
+
+
 def test_turbine_step(benchmark):
     # the plant's turbine, valves open, one 10 s controller publish per step
     system = LinearStateSpace(A=[[-0.3076, 0.0], [0.0008, -0.2]],

@@ -156,6 +156,67 @@ class TestExecute:
         assert parse_read_registers_response(frame.pdu) == [1500]
 
 
+def general_read(table: dict, fc: int, address: int, count: int) -> Pdu:
+    """The specification's register read for any count: the oracle of the
+    count-1 fast path."""
+    addresses = range(address, address + count)
+    if any(a not in table for a in addresses):
+        return Pdu(fc | 0x80, bytes([EXC_ILLEGAL_ADDRESS]))
+    values = [table[a] for a in addresses]
+    return Pdu(fc, bytes([2 * count]) + struct.pack(f">{count}H", *values))
+
+
+class TestSingleRegisterRead:
+    @pytest.mark.parametrize("fc", [READ_HOLDING, READ_INPUT])
+    def test_unmapped_register_is_illegal_address(self, fc):
+        rf = cabinet_rf()
+        rf.set_holding(100, 7)
+        reply = execute(rf, read_request(fc, 901, 1))
+        assert reply == Pdu(fc | 0x80, bytes([EXC_ILLEGAL_ADDRESS]))
+        with pytest.raises(modbus.ModbusExceptionResponse) as exc:
+            parse_read_registers_response(reply)
+        assert exc.value.exception_code == EXC_ILLEGAL_ADDRESS
+
+    @given(
+        txn=st.integers(min_value=0, max_value=0xFFFF),
+        fc=st.sampled_from([READ_HOLDING, READ_INPUT]),
+        address=st.integers(min_value=0, max_value=0xFFFF),
+        value=st.integers(min_value=0, max_value=0xFFFF),
+        mapped=st.booleans(),
+    )
+    @settings(max_examples=2000, deadline=None)
+    def test_response_bytes_equal_the_general_path(self, txn, fc, address,
+                                                   value, mapped):
+        rf = RegisterFile()
+        table = rf.input_registers if fc == READ_INPUT else rf.holding_registers
+        table[address ^ 1] = 0x5A5A           # a neighbour, never read
+        if mapped:
+            table[address] = value
+        request = encode_frame(MbapFrame(txn, 1, read_request(fc, address, 1)))
+        expected = general_read(table, fc, address, 1)
+        assert serve_frame_bytes(rf, request) \
+            == encode_frame(MbapFrame(txn, 1, expected))
+        if mapped:
+            assert parse_read_registers_response(expected) == [value]
+
+
+class TestFrameValues:
+    def test_compare_by_value_and_hash(self):
+        a = MbapFrame(7, 1, Pdu(READ_INPUT, b"\x00\x64\x00\x01"))
+        b = MbapFrame(7, 1, Pdu(READ_INPUT, b"\x00\x64\x00\x01"), 0)
+        assert a == b and hash(a) == hash(b)
+        assert a.protocol_id == 0
+        assert len({a, b, a._replace(transaction_id=8)}) == 2
+        assert {a.pdu: "x"}[b.pdu] == "x"
+
+    def test_reject_attribute_assignment(self):
+        frame = MbapFrame(7, 1, Pdu(READ_INPUT, b""))
+        with pytest.raises(AttributeError):
+            frame.unit_id = 2
+        with pytest.raises(AttributeError):
+            frame.pdu.function_code = READ_HOLDING
+
+
 class TestRegisterFile:
     def test_input_saturates_u16(self):
         rf = RegisterFile()

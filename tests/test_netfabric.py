@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,7 +98,7 @@ class TestFabric:
         with pytest.raises(Blocked):
             fabric.deliver("laptop", "plc", "modbus", b"req")
         assert fabric.blocked_count == 1
-        assert fabric.blocked_log == [("laptop", "plc", "client->field")]
+        assert fabric.blocked_by_segment == {("client", "field"): 1}
 
     def test_unknown_node_or_service(self):
         fabric = self.make()
@@ -147,7 +149,7 @@ class TestEstablishedPairs:
         with pytest.raises(Blocked):
             fabric.deliver("ems", "plc", "modbus", b"r")
         assert fabric.blocked_count == 1
-        assert fabric.blocked_log == [("ems", "plc", "control->internet")]
+        assert fabric.blocked_by_segment == {("control", "internet"): 1}
         assert fabric.delivered_count == 1
 
     def test_each_established_delivery_counts(self):
@@ -168,6 +170,16 @@ class TestEstablishedPairs:
         assert fabric.deliver("plc", "ems", "modbus", b"y") == b"ack:y"
         assert fabric.delivered_count == 3
         assert fabric.blocked_count == 1
+
+    def test_blocked_record_is_one_count_per_segment_pair(self, caplog):
+        caplog.set_level(logging.ERROR, logger="spmtwin.netfabric")
+        fabric = self.make()
+        fabric.attach("laptop", "client")
+        for _ in range(10_000):
+            with pytest.raises(Blocked):
+                fabric.deliver("laptop", "plc", "modbus", b"r")
+        assert fabric.blocked_by_segment == {("client", "field"): 10_000}
+        assert fabric.blocked_count == 10_000
 
     def test_denied_pair_is_checked_on_every_delivery(self):
         fabric = self.make()

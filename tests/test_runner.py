@@ -10,7 +10,7 @@ from spmtwin import modbus, netfabric
 from spmtwin.cli import EXIT_INVALID, EXIT_OK, main
 from spmtwin.devices import CONSUMPTION_REGISTER, TRIP_COIL
 from spmtwin.historian import CommandFailure
-from spmtwin.runner import RunAbort, Runner, run_scenario
+from spmtwin.runner import PHASE_PLC, RunAbort, Runner, run_scenario
 from spmtwin.scenario import load_scenario
 
 
@@ -406,6 +406,134 @@ class TestModbusPolls:
         # the cabinet still serves each request: a new value reads through
         runner.cabinets[cab.building].register_file.set_holding(7, 43)
         assert runner._read_modbus(cab.node, cab.unit_id, "holding", 7) == 43
+
+
+class PerTaskRunner(Runner):
+    """The scheduling that grouping replaced, kept as the oracle: one heap
+    event per periodic task, pushed in registration order, and one per PLC
+    scan."""
+
+    def _schedule_periodic(self, tasks):
+        for period, phase, fn in tasks:
+            self._schedule_task(period, phase, fn)
+
+    def _schedule_task(self, period, phase, fn):
+        def wrapper(t):
+            fn(t)
+            self._schedule(t + period, phase, wrapper)
+        self._schedule(period, phase, wrapper)
+
+    def _schedule_plc_scan(self, building, now):
+        plc = self.plcs[building]
+        t = (int(now / plc.scan_period_s) + 1) * plc.scan_period_s
+        if self._scan_scheduled.get(building) == t:
+            return
+        self._scan_scheduled[building] = t
+        self._schedule(t, PHASE_PLC,
+                       lambda _t, b=building: self.plcs[b].scan(
+                           self.cabinets[b].register_file))
+
+
+# per cabinet a..f: periods that share some instants and not others, and
+# limits under the busy-hour peak (~5.5 kW) on four of them, so PLCs trip
+SAMPLE_PERIODS = [2.5, 5.0, 10.0, 15.0, 5.0, 7.5]
+SCAN_PERIODS = [0.05, 0.1, 0.3, 0.1, 0.2, 0.15]
+MAX_CONSUMPTION_W = [5000, 5200, 10000, 5300, 5100, 10000]
+PUBLISH_PERIODS = [5.0, 10.0, 20.0]
+
+
+def mixed_periods(raw):
+    for cab, sample, scan, limit in zip(raw["devices"]["cabinets"],
+                                        SAMPLE_PERIODS, SCAN_PERIODS,
+                                        MAX_CONSUMPTION_W):
+        cab.update(sample_period_s=sample, plc_scan_period_s=scan,
+                   max_consumption_w=limit)
+    for ctrl, period in zip(raw["devices"]["controllers"], PUBLISH_PERIODS):
+        ctrl["publish_period_s"] = period
+
+
+def recorded_run(runner_cls, path, out_dir):
+    """Run unpaced, recording every cabinet sample and PLC scan as
+    ``(t, "sample"|"scan", building)``; returns (calls, runner)."""
+    runner = runner_cls(load_scenario(path), pace=False)
+    calls = []
+
+    def recording(kind, building, fn):
+        def record(*args):
+            calls.append((runner.clock.now(), kind, building))
+            return fn(*args)
+        return record
+
+    for b, cabinet in runner.cabinets.items():
+        cabinet.sample = recording("sample", b, cabinet.sample)
+        plc = runner.plcs[b]
+        plc.scan = recording("scan", b, plc.scan)
+    runner.run(out_dir=str(out_dir))
+    return calls, runner
+
+
+def campus(buildings):
+    """Mutate the reference plant into ``buildings`` cabinets, each on its
+    own field node, as the benchmark's campus generator does."""
+    def mutate(raw):
+        template = raw["devices"]["cabinets"][0]
+        cabinet_nodes = {c["node"] for c in raw["devices"]["cabinets"]}
+        raw["network"]["nodes"] = [
+            n for n in raw["network"]["nodes"] if n["id"] not in cabinet_nodes]
+        raw["devices"]["cabinets"] = []
+        for i in range(buildings):
+            node = f"cab-{i:03d}"
+            raw["network"]["nodes"].append({"id": node, "segment": "field"})
+            raw["devices"]["cabinets"].append(
+                dict(template, building=f"b{i:03d}", node=node))
+    return mutate
+
+
+class TestGroupedScheduling:
+    def test_mixed_periods_match_one_event_per_task(self, tmp_path,
+                                                    scenario_dir):
+        path = customized(tmp_path, scenario_dir, mutate=mixed_periods,
+                          duration_s=3600, start_time="2016-06-06T10:00:00")
+        calls, runner = recorded_run(Runner, path, tmp_path / "grouped")
+        expected, oracle = recorded_run(PerTaskRunner, path,
+                                        tmp_path / "per-task")
+        assert calls == expected
+        for name in ("datapoints.csv", "ems_ticks.csv", "summary.csv"):
+            assert (tmp_path / "grouped" / name).read_bytes() \
+                == (tmp_path / "per-task" / name).read_bytes()
+        assert runner.fabric.delivered_count == oracle.fabric.delivered_count
+        # the variant exercises what the order decides: PLCs trip, and
+        # buildings of different scan periods share a scan instant
+        assert sum(plc._last_coil for plc in runner.plcs.values()) >= 2
+        periods = dict(zip("abcdef", SCAN_PERIODS))
+        shared = {}
+        for t, kind, b in calls:
+            if kind == "scan":
+                shared.setdefault(t, set()).add(periods[b])
+        assert any(len(p) > 1 for p in shared.values())
+
+    def test_sixty_buildings_make_few_events_per_poll_period(self, tmp_path,
+                                                             scenario_dir):
+        polls = 6
+        path = customized(tmp_path, scenario_dir, mutate=campus(60),
+                          duration_s=polls * 10.0,
+                          start_time="2016-06-06T10:00:00")
+        runner = Runner(load_scenario(path), pace=False)
+        assert runner.scenario.poll_period_s == 10.0
+        events = [0]
+        advance_to = runner.clock.advance_to
+
+        def counted(t):
+            events[0] += 1
+            return advance_to(t)
+
+        runner.clock.advance_to = counted
+        artifacts = runner.run()
+        assert artifacts.completed
+        # every poll still reads all 60 cabinets and the broker's points
+        assert sum(1 for _, xid, _ in artifacts.historian.log
+                   if xid.endswith("_consumption")) == polls * 61
+        assert 0 < events[0] <= 8 * polls
 
 
 class TestCli:
