@@ -16,8 +16,9 @@ import re
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
+
+from .httpapi import JsonHandler, JsonHttpServer
 
 THING_ID_RE = re.compile(r"^[A-Za-z0-9_-]+:[A-Za-z0-9_-]+$")
 PROPERTY_PATH_RE = re.compile(
@@ -254,54 +255,29 @@ def _check_scalar(thing_id: str, feature: str, prop: str, value) -> None:
 # ── HTTP front end ─────────────────────────────────────────────────────────
 
 
-class _BrokerHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # buffer each response into one write: headers and body sent in two
-    # small writes stall ~40 ms on keep-alive (Nagle vs delayed ACK)
-    wbufsize = -1
-
-    def log_message(self, fmt, *args):  # quiet by default
-        pass
-
+class _BrokerHandler(JsonHandler):
     def _respond(self, result: dict) -> None:
-        body = b""
-        if result["body"] is not None:
-            body = json.dumps(result["body"]).encode()
-        self.send_response(result["status"])
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
+        self.send_json(result["status"], result["body"])
 
     def do_GET(self):
         self._respond(self.server.handle({"method": "GET", "path": self.path}))
 
     def do_PUT(self):
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
+        raw = self.read_body()
+        if raw is None:
+            return
         try:
             body = json.loads(raw) if raw else None
         except json.JSONDecodeError:
-            self._respond({"status": 400, "body": {"error": "invalid JSON body"}})
+            self.send_json(400, {"error": "invalid JSON body"})
             return
         self._respond(self.server.handle(
             {"method": "PUT", "path": self.path, "body": body}))
 
 
-class BrokerHttpServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
+class BrokerHttpServer(JsonHttpServer):
     def __init__(self, handle: Callable[[dict], dict],
                  host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _BrokerHandler)
         # {method, path, body} -> {status, body}, as Broker.handle_request
         self.handle = handle
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def start(self) -> None:
-        threading.Thread(target=self.serve_forever, daemon=True).start()

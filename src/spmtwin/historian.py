@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
+
+from .httpapi import JsonHandler, JsonHttpServer
 
 log = logging.getLogger(__name__)
 
@@ -232,64 +232,48 @@ def export_datapoints_csv(historian: Historian, path: str) -> None:
 # ── HTTP API ───────────────────────────────────────────────────────────────
 
 
-class _HistorianHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # buffer each response into one write: headers and body sent in two
-    # small writes stall ~40 ms on keep-alive (Nagle vs delayed ACK)
-    wbufsize = -1
-
-    def log_message(self, fmt, *args):
-        pass
-
-    def _respond(self, status: int, body) -> None:
-        raw = json.dumps(body).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
+class _HistorianHandler(JsonHandler):
     def do_GET(self):
         hist = self.server.historian
         if self.path == "/datapoint/getAll":
-            self._respond(200, hist.get_all())
+            self.send_json(200, hist.get_all())
             return
         parts = self.path.strip("/").split("/")
         if len(parts) == 3 and parts[0] == "datapoint" and parts[2] == "latest":
             try:
                 t, v = hist.get_latest(parts[1])
             except UnknownDatapoint as exc:
-                self._respond(404, {"error": str(exc)})
+                self.send_json(404, {"error": str(exc)})
             except NoData as exc:
-                self._respond(409, {"error": str(exc)})
+                self.send_json(409, {"error": str(exc)})
             else:
-                self._respond(200, {"timestamp": t, "value": v})
+                self.send_json(200, {"timestamp": t, "value": v})
             return
-        self._respond(404, {"error": "unknown path"})
+        self.send_json(404, {"error": "unknown path"})
 
     def do_POST(self):
-        if self.path != "/command":
-            self._respond(404, {"error": "unknown path"})
+        # read the body even for a 404, or keep-alive parses it as a request
+        raw = self.read_body()
+        if raw is None:
             return
-        length = int(self.headers.get("Content-Length", 0))
+        if self.path != "/command":
+            self.send_json(404, {"error": "unknown path"})
+            return
         try:
-            body = json.loads(self.rfile.read(length))
+            body = json.loads(raw)
             target, value = body["target"], body["value"]
         except (json.JSONDecodeError, KeyError, TypeError):
-            self._respond(400, {"error": "body must be {target, value}"})
+            self.send_json(400, {"error": "body must be {target, value}"})
             return
         try:
             ack = self.server.command_hook(target, value)
         except CommandFailure as exc:
-            self._respond(502, {"error": str(exc)})
+            self.send_json(502, {"error": str(exc)})
             return
-        self._respond(200, ack)
+        self.send_json(200, ack)
 
 
-class HistorianHttpServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
+class HistorianHttpServer(JsonHttpServer):
     def __init__(self, historian: Historian,
                  command_hook: Callable[[str, object], dict],
                  host: str = "127.0.0.1", port: int = 0):
@@ -298,10 +282,3 @@ class HistorianHttpServer(ThreadingHTTPServer):
         # commands run on the simulation thread, through the runner's
         # scheduler and the fabric, never from this server's threads
         self.command_hook = command_hook
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def start(self) -> None:
-        threading.Thread(target=self.serve_forever, daemon=True).start()

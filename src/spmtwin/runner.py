@@ -3,8 +3,14 @@
 Drives every module from a single simulated clock using a deterministic
 discrete-event scheduler: events are ordered by (sim time, phase, sequence)
 so that identical seeds and scenarios yield byte-identical artifacts, at any
-clock scale. Pacing sleeps only to honor the real-to-simulated ratio; it
+clock scale. Pacing only waits to honor the real-to-simulated ratio; it
 never influences results.
+
+The paced loop waits until the next event is due or a delivery is queued,
+whichever comes first, so an operator's command is made as it arrives, not
+after the next paced event. It peeks at the next event rather than popping
+it: a queued coil write schedules a PLC scan at the next scan instant, which
+can come before the event it would have popped.
 
 Periodic tasks run as one event per ``(period, phase)`` group, which runs its
 members in registration order, and PLC scans as one event per scan instant,
@@ -205,6 +211,7 @@ class Runner:
         # queued (src, dst, service, payload, done, box) fabric deliveries
         self._injected: list = []
         self._closed = False          # set once the run ends; guarded by _inject_lock
+        self._wake = threading.Event()  # set when a delivery is queued
         self._servers: list = []
         self._read_requests: dict[tuple[int, str, int], bytes] = {}
         self._build()
@@ -648,16 +655,21 @@ class Runner:
         """Queue a management -> ``dst`` delivery for the run loop, which
         makes it at the next event boundary; returns its reply or raises its
         error. Raises :class:`CommandFailure` once the run has ended or after
-        ``timeout`` seconds."""
+        ``timeout`` seconds, in which case the delivery is never made."""
         done = threading.Event()
         box: dict = {}
+        entry = (self._mgmt_node, dst, service, payload, done, box)
         with self._inject_lock:
             if self._closed:
                 raise CommandFailure(f"run has ended; {what} not delivered")
-            self._injected.append(
-                (self._mgmt_node, dst, service, payload, done, box))
+            self._injected.append(entry)
+        self._wake.set()
         if not done.wait(timeout):
-            raise CommandFailure(f"{what} timed out")
+            with self._inject_lock:
+                if entry in self._injected:
+                    self._injected.remove(entry)
+                    raise CommandFailure(f"{what} timed out")
+            done.wait()               # the loop has taken it: take its reply
         if "ack" in box:
             return box["ack"]
         if "error" in box:
@@ -760,11 +772,16 @@ class Runner:
             wall_start = time.monotonic()
             while self._heap and self._heap[0][0] <= s.duration_s:
                 self._drain_injections()
-                t, phase, _seq, fn = heapq.heappop(self._heap)
                 if self.pace:
-                    lag = (t / self.clock.scale) - (time.monotonic() - wall_start)
+                    lag = (self._heap[0][0] / self.clock.scale
+                           - (time.monotonic() - wall_start))
                     if lag > 0:
-                        time.sleep(lag)
+                        # cleared before the next drain, so a delivery
+                        # queued after that drain still wakes the next wait
+                        if self._wake.wait(lag):
+                            self._wake.clear()
+                        continue
+                t, phase, _seq, fn = heapq.heappop(self._heap)
                 self.clock.advance_to(t)
                 try:
                     fn(t)

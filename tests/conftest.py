@@ -1,4 +1,5 @@
 import http.client
+import json
 import os
 import statistics
 import time
@@ -40,3 +41,23 @@ def keepalive_median_ms():
         return statistics.median(times)
 
     return measure
+
+
+@pytest.fixture
+def bad_length_reply():
+    """Send ``method path`` to ``port`` with the header ``Content-Length:
+    length`` and no body; returns the reply's status and JSON body, which
+    must come within 2 s."""
+
+    def send(port, method, path, length):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=2)
+        try:
+            conn.putrequest(method, path)
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+
+    return send

@@ -213,6 +213,19 @@ class TestHttpServer:
             server.shutdown()
             server.server_close()
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, bad_length_reply, length):
+        server = BrokerHttpServer(make_broker().handle_request)
+        server.start()
+        path = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
+        try:
+            status, body = bad_length_reply(server.port, "PUT", path, length)
+            assert status == 400
+            assert "Content-Length" in body["error"]
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_http_404(self):
         broker = make_broker()
         server = BrokerHttpServer(broker.handle_request)

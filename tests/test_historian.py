@@ -1,3 +1,4 @@
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -242,6 +243,41 @@ class TestHttpApi:
             with self.get(server, "/datapoint/DP_solar_power/latest") as resp:
                 assert json.load(resp) == {"timestamp": 10.0, "value": 500.0}
         finally:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, bad_length_reply, length):
+        hook_calls = []
+        _, _, server = self.make_server(
+            hook=lambda target, value: hook_calls.append(target))
+        try:
+            status, body = bad_length_reply(server.port, "POST", "/command",
+                                            length)
+            assert status == 400
+            assert "Content-Length" in body["error"]
+            assert hook_calls == []
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_post_to_unknown_path_consumes_its_body(self):
+        hist, _, server = self.make_server()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=2)
+        try:
+            hist.poll_host("broker", 10.0)
+            # on one keep-alive connection, a body left unread would be
+            # parsed as the next request
+            conn.request("POST", "/nope", body=b"GET /x HTTP/1.1\r\n\r\n")
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) \
+                == (404, {"error": "unknown path"})
+            conn.request("GET", "/datapoint/DP_solar_power/latest")
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) \
+                == (200, {"timestamp": 10.0, "value": 500.0})
+        finally:
+            conn.close()
             server.shutdown()
             server.server_close()
 

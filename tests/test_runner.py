@@ -228,6 +228,69 @@ class TestInjectionAndServers:
         assert time.monotonic() - start < 0.5
         assert runner._injected == []
 
+    def test_timed_out_inject_is_never_made(self, tmp_path, scenario_dir):
+        path = customized(tmp_path, scenario_dir, duration_s=60)
+        runner = Runner(load_scenario(path), pace=False)   # not running
+        with pytest.raises(CommandFailure, match="timed out"):
+            runner.inject("modbus:cab-a/coil/101", True, timeout=0.05)
+        assert runner._injected == []
+        delivered = runner.fabric.delivered_count
+        runner._drain_injections()
+        assert runner.fabric.delivered_count == delivered
+
+    def test_timed_out_broker_request_is_never_made(self, tmp_path,
+                                                    scenario_dir):
+        path = customized(tmp_path, scenario_dir, duration_s=60)
+        runner = Runner(load_scenario(path), pace=False)
+        reply = runner.queue_broker_request(
+            {"method": "PUT",
+             "path": property_path("FDT:campus-turnout", "campus", "note"),
+             "body": "drill"}, timeout=0.05)
+        assert reply["status"] == 503
+        assert "timed out" in reply["body"]["error"]
+        assert runner._injected == []
+        delivered = runner.fabric.delivered_count
+        runner._drain_injections()
+        assert runner.fabric.delivered_count == delivered
+
+    def test_delivery_taken_before_its_timeout_returns_its_reply(
+            self, tmp_path, scenario_dir):
+        path = customized(tmp_path, scenario_dir, duration_s=60)
+        runner = Runner(load_scenario(path), pace=False)
+        timeout = 0.3
+        deliver = runner.fabric.deliver
+
+        def slow(src, dst, service, payload):
+            time.sleep(timeout + 0.2)     # the injector's timeout runs out
+            return deliver(src, dst, service, payload)
+
+        runner.fabric.deliver = slow
+        outcome = {}
+
+        def injector():
+            try:
+                outcome["reply"] = runner.inject("modbus:cab-a/coil/101", True,
+                                                 timeout=timeout)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=injector)
+        thread.start()
+        while not runner._injected:
+            time.sleep(0.001)
+        runner._drain_injections()
+        thread.join(timeout=5)
+        assert outcome == {"reply": {"ok": True,
+                                     "target": "modbus:cab-a/coil/101"}}
+
+    def test_servers_stop_quickly(self, scenario_path):
+        runner = Runner(load_scenario(scenario_path), pace=False)
+        for _ in range(3):
+            runner._start_servers()
+            start = time.monotonic()
+            runner._stop_servers()
+            assert time.monotonic() - start < 0.25
+
     def test_historian_http_is_live_during_run(self, tmp_path, scenario_dir):
         import urllib.request
 
@@ -255,29 +318,47 @@ class TestInjectionAndServers:
 STORE = "FDT:energy-store-1"
 
 
-def live_broker_request(runner, method, path, body=None):
-    """Run ``runner`` in a thread; once its broker HTTP server listens, send
-    it one request. Returns (status, reply body, ident of the run thread)
-    after the run has ended."""
+def during_run(runner, action, delay=0.0):
+    """Run ``runner`` in a thread and call ``action()`` ``delay`` s after its
+    servers listen. Returns what it returned, how long it took and the ident
+    of the run thread, after the run has ended."""
     thread = threading.Thread(target=runner.run)
     thread.start()
     try:
         deadline = time.monotonic() + 10
         while not runner._servers and time.monotonic() < deadline:
             time.sleep(0.01)
-        conn = http.client.HTTPConnection(
-            "127.0.0.1", runner.broker_http.port, timeout=10)
-        try:
-            conn.request(method, path, body=json.dumps(body),
-                         headers={"Content-Type": "application/json"})
-            resp = conn.getresponse()
-            raw = resp.read()
-        finally:
-            conn.close()
+        time.sleep(delay)
+        start = time.monotonic()
+        result = action()
+        elapsed = time.monotonic() - start
     finally:
         thread.join(timeout=60)
     assert not thread.is_alive()
-    return resp.status, json.loads(raw) if raw else None, thread.ident
+    return result, elapsed, thread.ident
+
+
+def broker_request(runner, method, path, body=None):
+    """Send one request to ``runner``'s broker HTTP server; returns its
+    status and reply body."""
+    conn = http.client.HTTPConnection(
+        "127.0.0.1", runner.broker_http.port, timeout=10)
+    try:
+        conn.request(method, path, body=json.dumps(body),
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        raw = resp.read()
+    finally:
+        conn.close()
+    return resp.status, json.loads(raw) if raw else None
+
+
+def live_broker_request(runner, method, path, body=None):
+    """Send one broker request during a run of ``runner``; returns (status,
+    reply body, ident of the run thread) after the run has ended."""
+    (status, reply), _, ident = during_run(
+        runner, lambda: broker_request(runner, method, path, body))
+    return status, reply, ident
 
 
 def paced(tmp_path, scenario_dir, mutate=None) -> Runner:
@@ -376,6 +457,92 @@ class TestBrokerHttpThroughFabric:
         i = hops.index(("ops", "broker", "http"))
         assert hops[i + 1] == ("broker", "fc-storage", "command")
         assert sent[i + 1][3].new == "charge"
+
+
+def long_gap(tmp_path, scenario_dir) -> Runner:
+    # 12 sim-s at 1:4: the first event, at 10 sim-s, is 2.5 wall-s away
+    path = customized(tmp_path, scenario_dir, duration_s=12,
+                      clock={"scale": 4, "tick": 0.1})
+    return Runner(load_scenario(path), pace=True)
+
+
+def record_events(runner) -> list[tuple[float, float]]:
+    """(sim time, monotonic wall time) of each event ``runner`` runs."""
+    events = []
+    advance_to = runner.clock.advance_to
+
+    def recording(t):
+        events.append((t, time.monotonic()))
+        return advance_to(t)
+
+    runner.clock.advance_to = recording
+    return events
+
+
+class TestPacedWake:
+    def test_inject_during_a_long_gap_is_made_at_once(self, tmp_path,
+                                                      scenario_dir):
+        runner = long_gap(tmp_path, scenario_dir)
+        reply, elapsed, _ = during_run(runner, lambda: runner.inject(
+            "modbus:cab-a/coil/101", True, timeout=10), delay=0.3)
+        assert reply["ok"]
+        assert elapsed < 0.25
+
+    def test_scan_queued_before_the_next_event_runs_in_order(self, tmp_path,
+                                                             scenario_dir):
+        runner = long_gap(tmp_path, scenario_dir)
+        events = record_events(runner)
+        during_run(runner, lambda: runner.inject(
+            "modbus:cab-a/coil/101", True, timeout=10), delay=0.3)
+        assert runner.artifacts.completed
+        times = [t for t, _ in events]
+        # the coil write asks for a scan at 0.1 s, before the event at 10 s
+        assert times == sorted(times)
+        assert times[0] == pytest.approx(0.1)
+        assert times[1] == 10.0
+
+    def test_broker_put_during_a_long_gap_is_made_at_once(self, tmp_path,
+                                                          scenario_dir):
+        runner = long_gap(tmp_path, scenario_dir)
+        reply, elapsed, _ = during_run(runner, lambda: broker_request(
+            runner, "PUT", property_path("FDT:campus-turnout", "campus", "note"),
+            "drill"), delay=0.3)
+        assert reply == (204, None)
+        assert elapsed < 0.25
+
+    def test_waking_never_runs_an_event_early(self, tmp_path, scenario_dir):
+        runner = paced(tmp_path, scenario_dir)
+        events = record_events(runner)
+        start_servers = runner._start_servers
+        started = []
+
+        def timed_start():
+            start_servers()
+            started.append(time.monotonic())   # the loop's clock starts later
+
+        runner._start_servers = timed_start
+
+        def burst():
+            replies = []
+
+            def send():
+                for _ in range(10):
+                    replies.append(runner.inject(
+                        "modbus:cab-a/coil/101", True, timeout=10))
+
+            senders = [threading.Thread(target=send) for _ in range(5)]
+            for sender in senders:
+                sender.start()
+            for sender in senders:
+                sender.join(timeout=30)
+            return replies
+
+        replies, _, _ = during_run(runner, burst, delay=0.3)
+        end = time.monotonic()
+        assert len(replies) == 50 and all(r["ok"] for r in replies)
+        scale = runner.clock.scale
+        assert all(ran >= started[0] + t / scale for t, ran in events)
+        assert end - started[0] >= runner.scenario.duration_s / scale
 
 
 class TestModbusPolls:
