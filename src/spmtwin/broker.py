@@ -12,6 +12,7 @@ thread, so the firewall checks external traffic as it checks any other.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 from collections import deque
@@ -80,7 +81,8 @@ class Subscription:
         parts = path_filter.split("/")
         if not 1 <= len(parts) <= 3:
             raise ValidationError(f"bad path filter {path_filter!r}")
-        self._parts = parts
+        # (thing, feature, property); an omitted segment matches any
+        self._parts = tuple(parts + ["*"] * (3 - len(parts)))
         self._queue: deque[ChangeEvent] = deque()
         self._maxlen = maxlen
         self._cond = threading.Condition()
@@ -88,9 +90,10 @@ class Subscription:
         self.closed = False
         self.callback = callback
 
-    def matches(self, event: ChangeEvent) -> bool:
-        path = (event.thing_id, event.feature, event.prop)
-        return all(p in ("*", path[i]) for i, p in enumerate(self._parts))
+    def matches(self, thing_id: str, feature: str, prop: str) -> bool:
+        t, f, p = self._parts
+        return ((t == "*" or t == thing_id) and (f == "*" or f == feature)
+                and (p == "*" or p == prop))
 
     def _offer(self, event: ChangeEvent) -> None:
         if self.callback is not None:
@@ -180,14 +183,17 @@ class Broker:
             props[prop] = value
             thing.revision += 1
             thing.last_modified = self._time_fn()
-            event = ChangeEvent(thing_id, feature, prop, old, value,
-                                thing.revision, thing.last_modified)
             # deliver under the thing lock so per-thing revision order is
-            # preserved in every subscriber queue
+            # preserved in every subscriber queue; an event is built only
+            # for a write that some subscription wants
             with self._registry_lock:
                 subs = list(self._subscriptions)
+            event = None
             for sub in subs:
-                if sub.matches(event):
+                if sub.matches(thing_id, feature, prop):
+                    if event is None:
+                        event = ChangeEvent(thing_id, feature, prop, old, value,
+                                            thing.revision, thing.last_modified)
                     sub._offer(event)
             return thing.revision
 
@@ -250,6 +256,9 @@ def _check_scalar(thing_id: str, feature: str, prop: str, value) -> None:
             f"{thing_id}/{feature}/{prop}: values must be scalars, "
             f"got {type(value).__name__}"
         )
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(
+            f"{thing_id}/{feature}/{prop}: numbers must be finite, got {value}")
 
 
 # ── HTTP front end ─────────────────────────────────────────────────────────
@@ -260,6 +269,9 @@ class _BrokerHandler(JsonHandler):
         self.send_json(result["status"], result["body"])
 
     def do_GET(self):
+        # read a body too, or keep-alive parses it as the next request
+        if self.read_body() is None:
+            return
         self._respond(self.server.handle({"method": "GET", "path": self.path}))
 
     def do_PUT(self):

@@ -3,14 +3,21 @@
 Polls Modbus registers and broker properties into one sample log, exposes
 the datapoint API the EMS consumes (getAll / latest), and issues operator or
 EMS commands back to the field. The read and write functions are injected;
-the runner binds them to the fabric.
+the runner binds them to the fabric, and :meth:`Historian.register` binds
+each point to its read once, so a poll makes no choice of source.
+
+The sample log is a list of ``(t, xid, value)`` kept in memory, or, in a run
+that writes artifacts, a :class:`SampleSink` that writes each sample's
+``datapoints.csv`` row as it is polled, through a buffer of
+:data:`BUFFER_ROWS` rows, so memory does not grow with the run's length.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .httpapi import JsonHandler, JsonHttpServer
@@ -59,6 +66,8 @@ class Datapoint:
     derive: Callable[["Historian"], float] | None = None
     latest: tuple[float, float] | None = None
     error_count: int = 0
+    # the point's source read, bound by Historian.register
+    read: Callable[[], object] | None = field(default=None, repr=False)
 
     def append(self, t: float, value: float) -> None:
         if self.latest is not None and t <= self.latest[0]:
@@ -86,16 +95,30 @@ class Historian:
         # its own: sourced points by host, derived points in one list
         self._by_host: dict[str, list[Datapoint]] = {}
         self._derived: list[Datapoint] = []
-        # the one sample store: (t, xid, value) in poll order, for export
-        self.log: list[tuple[float, str, float]] = []
+        # the one sample store, (t, xid, value) in poll order: a list, or a
+        # SampleSink that writes them to datapoints.csv as they come
+        self.log: list[tuple[float, str, float]] | SampleSink = []
 
     # ── registration and queries ──────────────────────────────────────
 
     def register(self, dp: Datapoint) -> Datapoint:
-        """Add a point. A run registers every point while it builds, before
-        its HTTP server starts, so the registry is fixed while it is read."""
+        """Add a point and bind its read: its ``derive``, else a read of its
+        broker or Modbus source. A run registers every point while it
+        builds, before its HTTP server starts, so the registry is fixed
+        while it is read."""
         if dp.xid in self._points:
             raise HistorianError(f"duplicate xid {dp.xid!r}")
+        src = dp.source
+        if dp.derive is not None:
+            dp.read = partial(dp.derive, self)
+        elif isinstance(src, BrokerSource):
+            dp.read = partial(self._read_broker, src.thing, src.feature,
+                              src.prop)
+        elif isinstance(src, ModbusSource):
+            dp.read = partial(self._read_modbus, src.host, src.unit,
+                              src.table, src.address)
+        else:
+            raise HistorianError(f"{dp.xid}: no source configured")
         self._points[dp.xid] = dp
         self._order.append(dp.xid)
         if dp.source is not None:
@@ -124,17 +147,7 @@ class Historian:
     def poll(self, dp: Datapoint, now: float) -> tuple[float, float] | None:
         """Acquire one sample; a read failure records a gap, never a value."""
         try:
-            if dp.derive is not None:
-                raw = dp.derive(self)
-            elif isinstance(dp.source, BrokerSource):
-                raw = self._read_broker(dp.source.thing, dp.source.feature,
-                                        dp.source.prop)
-            elif isinstance(dp.source, ModbusSource):
-                raw = self._read_modbus(dp.source.host, dp.source.unit,
-                                        dp.source.table, dp.source.address)
-            else:
-                raise HistorianError(f"{dp.xid}: no source configured")
-            value = float(raw)
+            value = float(dp.read())
         except Exception as exc:  # gap, never an invented sample
             dp.error_count += 1
             log.warning("poll gap for %s: %s", dp.xid, exc)
@@ -215,18 +228,75 @@ def _as_bool(value) -> bool:
 
 DATAPOINTS_HEADER = "timestamp,xid,value"
 
+# rows a CsvSink holds before it writes them to its file
+BUFFER_ROWS = 4096
+
 
 def format_value(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
+    """A finite float as CSV text: a whole number below 1e15 in magnitude
+    as an integer, any other as its shortest round-trip repr."""
+    if value % 1.0 == 0.0 and -1e15 < value < 1e15:
+        return "%d" % value
     return repr(value)
 
 
-def export_datapoints_csv(historian: Historian, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(DATAPOINTS_HEADER + "\n")
-        for t, xid, value in historian.log:
-            fh.write(f"{format_value(t)},{xid},{format_value(value)}\n")
+class CsvSink:
+    """A CSV file written as its rows come. :meth:`append` turns a row into
+    its :meth:`line` in a buffer that is written out every
+    :data:`BUFFER_ROWS` rows and by :meth:`close`; ``len()`` counts the rows
+    appended. So a sink stands in for a list of rows."""
+
+    header = ""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = open(path, "w", newline="")
+        self._fh.write(self.header + "\n")
+        self._buf: list[str] = []
+        self._written = 0
+
+    def line(self, row) -> str:
+        """The row as one CSV line, newline included."""
+        raise NotImplementedError
+
+    def append(self, row) -> None:
+        buf = self._buf
+        buf.append(self.line(row))
+        if len(buf) >= BUFFER_ROWS:
+            self.flush()
+
+    def __len__(self) -> int:
+        return self._written + len(self._buf)
+
+    def flush(self) -> None:
+        self._fh.write("".join(self._buf))
+        self._written += len(self._buf)
+        self._buf.clear()
+
+    def close(self) -> None:
+        if not self._fh.closed:
+            self.flush()
+            self._fh.close()
+
+
+class SampleSink(CsvSink):
+    """``datapoints.csv`` written as samples are polled. The points of one
+    poll instant come together, so each instant's timestamp is formatted
+    once. It builds each line in :meth:`append` itself: one call less per
+    sample on the poll path."""
+
+    header = DATAPOINTS_HEADER
+    _t: float | None = None
+    _stamp = ""
+
+    def append(self, sample: tuple[float, str, float]) -> None:
+        t, xid, value = sample
+        if t != self._t:
+            self._t, self._stamp = t, format_value(t)
+        buf = self._buf
+        buf.append(f"{self._stamp},{xid},{format_value(value)}\n")
+        if len(buf) >= BUFFER_ROWS:
+            self.flush()
 
 
 # ── HTTP API ───────────────────────────────────────────────────────────────
@@ -234,6 +304,9 @@ def export_datapoints_csv(historian: Historian, path: str) -> None:
 
 class _HistorianHandler(JsonHandler):
     def do_GET(self):
+        # read a body too, or keep-alive parses it as the next request
+        if self.read_body() is None:
+            return
         hist = self.server.historian
         if self.path == "/datapoint/getAll":
             self.send_json(200, hist.get_all())

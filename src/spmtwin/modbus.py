@@ -38,6 +38,10 @@ MBAP_HEADER = struct.Struct(">HHHB")    # transaction, protocol, length, unit
 U16_PAIR = struct.Struct(">HH")
 U16 = struct.Struct(">H")
 
+# builds a Pdu or MbapFrame from all its fields without the NamedTuple's
+# generated Python __new__: the same tuple, for less work on the poll path
+_new_tuple = tuple.__new__
+
 
 class EncodingError(ValueError):
     """Frame cannot be serialized to valid Modbus/TCP bytes."""
@@ -100,7 +104,8 @@ def decode_frame(data: bytes) -> tuple[MbapFrame, int]:
     total = 6 + length
     if len(data) < total:
         raise NeedMoreBytes
-    return MbapFrame(txn, unit, Pdu(data[7], bytes(data[8:total])), proto), total
+    pdu = _new_tuple(Pdu, (data[7], bytes(data[8:total])))
+    return _new_tuple(MbapFrame, (txn, unit, pdu, proto)), total
 
 
 # ── Request builders / response parsers ────────────────────────────────────
@@ -199,7 +204,7 @@ def execute(rf: RegisterFile, pdu: Pdu) -> Pdu:
             value = table.get(address)
             if value is None:
                 return _exception(fc, EXC_ILLEGAL_ADDRESS)
-            return Pdu(fc, b"\x02" + U16.pack(value))
+            return _new_tuple(Pdu, (fc, b"\x02" + U16.pack(value)))
         addresses = range(address, address + count)
         if any(a not in table for a in addresses):
             return _exception(fc, EXC_ILLEGAL_ADDRESS)
@@ -230,6 +235,5 @@ def serve_frame_bytes(rf: RegisterFile, data: bytes) -> bytes:
     """
     frame, _ = decode_frame(data)
     response = execute(rf, frame.pdu)
-    return encode_frame(
-        MbapFrame(frame.transaction_id, frame.unit_id, response)
-    )
+    return encode_frame(_new_tuple(
+        MbapFrame, (frame.transaction_id, frame.unit_id, response, 0)))

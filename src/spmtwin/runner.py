@@ -25,6 +25,14 @@ historian's registry, none of which takes a lock. The HTTP servers' threads
 only queue fabric deliveries from the management node (operator commands to
 the historian, requests to the broker) and wait; the run loop makes them
 between two events.
+
+``run(out_dir)`` opens ``datapoints.csv`` and ``ems_ticks.csv`` once the
+servers listen, so a run that cannot start writes nothing, and writes each
+sample and EMS tick as it comes; ``summary.csv``'s per-day sums are added up
+tick by tick, in the order the ticks come. So the run's memory does not grow
+with its length. :meth:`RunArtifacts.export` finishes the files, at the end
+of the run or when a task fails. Without ``out_dir`` the rows are kept in
+memory, and ``export`` writes the same bytes after the run.
 """
 
 from __future__ import annotations
@@ -55,12 +63,13 @@ from .devices import (
 from .historian import (
     BrokerSource,
     CommandFailure,
+    CsvSink,
     Datapoint,
     Historian,
     HistorianError,
     HistorianHttpServer,
     ModbusSource,
-    export_datapoints_csv,
+    SampleSink,
     format_value,
 )
 from .scenario import (
@@ -93,8 +102,15 @@ TURNOUT_THING = "FDT:campus-turnout"
 READ_FUNCTIONS = {"input": modbus.READ_INPUT, "holding": modbus.READ_HOLDING,
                   "coil": modbus.READ_COILS}
 
-SUMMARY_HEADER = ("day,solar_kwh,storage_charge_kwh,storage_discharge_kwh,"
-                  "turbine_kwh,grid_import_kwh,dissipated_kwh,consumption_kwh")
+# summary.csv's per-day sums, each of an EmsTickRecord field times the hours
+# one record covers
+SUMMARY_SUMS = (("solar_kwh", "solar_kw"), ("storage_charge_kwh", "charge_kw"),
+                ("storage_discharge_kwh", "discharge_kw"),
+                ("turbine_kwh", "turbine_kw"),
+                ("grid_import_kwh", "grid_import_kw"),
+                ("dissipated_kwh", "dissipated_kw"),
+                ("consumption_kwh", "consumption_kw"))
+SUMMARY_HEADER = ",".join(["day"] + [name for name, _ in SUMMARY_SUMS])
 EMS_LOG_HEADER = ("timestamp,solar_kw,consumption_kw,storage_level_pct,"
                   "turbine_kw,storage_mode,turbine_command,charge_kw,"
                   "discharge_kw,grid_import_kw,dissipated_kw")
@@ -122,77 +138,81 @@ class EmsTickRecord:
     grid_import_kw: float
     dissipated_kw: float
 
-    def csv_row(self) -> str:
+
+class EmsTickSink(CsvSink):
+    """``ems_ticks.csv`` written as the EMS ticks are accounted."""
+
+    header = EMS_LOG_HEADER
+
+    def line(self, rec: EmsTickRecord) -> str:
         return ",".join([
-            format_value(self.timestamp), format_value(self.solar_kw),
-            format_value(self.consumption_kw),
-            format_value(self.storage_level_pct), format_value(self.turbine_kw),
-            self.storage_mode, self.turbine_command,
-            format_value(self.charge_kw), format_value(self.discharge_kw),
-            format_value(self.grid_import_kw), format_value(self.dissipated_kw),
-        ])
+            format_value(rec.timestamp), format_value(rec.solar_kw),
+            format_value(rec.consumption_kw),
+            format_value(rec.storage_level_pct), format_value(rec.turbine_kw),
+            rec.storage_mode, rec.turbine_command,
+            format_value(rec.charge_kw), format_value(rec.discharge_kw),
+            format_value(rec.grid_import_kw), format_value(rec.dissipated_kw),
+        ]) + "\n"
 
 
 @dataclass
 class RunArtifacts:
+    """A run's outputs. The sample log and the EMS tick records are kept in
+    memory, or, after :meth:`stream_to`, written to their CSV files as they
+    come; summary.csv's per-day sums are added up as the ticks come, either
+    way. :meth:`export` finishes the files."""
+
     seed: int
     duration_s: float
     historian: Historian
     tick_hours: float                 # the EMS timer period one record covers
-    ems_ticks: list[EmsTickRecord] = field(default_factory=list)
+    ems_ticks: list[EmsTickRecord] | EmsTickSink = field(default_factory=list)
     blocked_count: int = 0
     skipped_ems_ticks: int = 0
     publish_errors: int = 0
     completed: bool = False
+    # day -> running sums, in SUMMARY_SUMS order
+    day_sums: dict[int, list[float]] = field(default_factory=dict)
 
-    def daily_summary(self) -> list[dict]:
-        days: dict[int, dict[str, float]] = {}
-        for rec in self.ems_ticks:
-            day = int(rec.timestamp // 86400)
-            agg = days.setdefault(day, {
-                "solar_kwh": 0.0, "storage_charge_kwh": 0.0,
-                "storage_discharge_kwh": 0.0, "turbine_kwh": 0.0,
-                "grid_import_kwh": 0.0, "dissipated_kwh": 0.0,
-                "consumption_kwh": 0.0,
-            })
-            hours = self.tick_hours
-            agg["solar_kwh"] += rec.solar_kw * hours
-            agg["storage_charge_kwh"] += rec.charge_kw * hours
-            agg["storage_discharge_kwh"] += rec.discharge_kw * hours
-            agg["turbine_kwh"] += rec.turbine_kw * hours
-            agg["grid_import_kwh"] += rec.grid_import_kw * hours
-            agg["dissipated_kwh"] += rec.dissipated_kw * hours
-            agg["consumption_kwh"] += rec.consumption_kw * hours
-        return [{"day": d, **v} for d, v in sorted(days.items())]
+    def stream_to(self, out_dir: str) -> None:
+        """Write datapoints.csv and ems_ticks.csv rows to ``out_dir`` from
+        now on, as they come, instead of keeping them."""
+        os.makedirs(out_dir, exist_ok=True)
+        self.historian.log = SampleSink(
+            os.path.join(out_dir, "datapoints.csv"))
+        self.ems_ticks = EmsTickSink(os.path.join(out_dir, "ems_ticks.csv"))
+
+    def add_tick(self, rec: EmsTickRecord) -> None:
+        self.ems_ticks.append(rec)
+        sums = self.day_sums.setdefault(int(rec.timestamp // 86400),
+                                        [0.0] * len(SUMMARY_SUMS))
+        hours = self.tick_hours
+        for i, (_, attr) in enumerate(SUMMARY_SUMS):
+            sums[i] += getattr(rec, attr) * hours
 
     def export(self, out_dir: str) -> list[str]:
-        """Write datapoints.csv, summary.csv, and ems_ticks.csv."""
+        """Finish datapoints.csv and ems_ticks.csv in ``out_dir`` (close
+        the streamed files, or write the kept rows) and write summary.csv."""
         os.makedirs(out_dir, exist_ok=True)
-        paths = []
-        dp_path = os.path.join(out_dir, "datapoints.csv")
-        export_datapoints_csv(self.historian, dp_path)
-        paths.append(dp_path)
-
-        summary_path = os.path.join(out_dir, "summary.csv")
+        paths = [os.path.join(out_dir, name) for name in
+                 ("datapoints.csv", "summary.csv", "ems_ticks.csv")]
+        dp_path, summary_path, ems_path = paths
+        for rows, sink_type, path in ((self.historian.log, SampleSink, dp_path),
+                                      (self.ems_ticks, EmsTickSink, ems_path)):
+            if isinstance(rows, CsvSink):
+                if not os.path.samefile(rows.path, path):
+                    raise ValueError(f"{rows.path} was streamed, not {path}")
+                rows.close()
+            else:
+                sink = sink_type(path)
+                for row in rows:
+                    sink.append(row)
+                sink.close()
         with open(summary_path, "w") as fh:
             fh.write(SUMMARY_HEADER + "\n")
-            for row in self.daily_summary():
-                fh.write(",".join(
-                    [str(row["day"])]
-                    + [format_value(row[k]) for k in (
-                        "solar_kwh", "storage_charge_kwh",
-                        "storage_discharge_kwh", "turbine_kwh",
-                        "grid_import_kwh", "dissipated_kwh",
-                        "consumption_kwh")]
-                ) + "\n")
-        paths.append(summary_path)
-
-        ems_path = os.path.join(out_dir, "ems_ticks.csv")
-        with open(ems_path, "w") as fh:
-            fh.write(EMS_LOG_HEADER + "\n")
-            for rec in self.ems_ticks:
-                fh.write(rec.csv_row() + "\n")
-        paths.append(ems_path)
+            for day, sums in sorted(self.day_sums.items()):
+                fh.write(",".join([str(day)] + [format_value(v) for v in sums])
+                         + "\n")
         return paths
 
 
@@ -640,7 +660,7 @@ class Runner:
         dissipated = max(0.0, solar_kw + turbine_kw + discharge
                          - consumption_kw - charge)
         if t < self.scenario.duration_s:
-            self.artifacts.ems_ticks.append(EmsTickRecord(
+            self.artifacts.add_tick(EmsTickRecord(
                 timestamp=t, solar_kw=solar_kw, consumption_kw=consumption_kw,
                 storage_level_pct=level, turbine_kw=turbine_kw,
                 storage_mode=actions.storage_mode,
@@ -755,6 +775,8 @@ class Runner:
         s = self.scenario
         self._start_servers()
         try:
+            if out_dir:
+                self.artifacts.stream_to(out_dir)
             tasks = [(s.turnout.period_s, PHASE_OCCUPANCY, self._task_occupancy)]
             tasks += [(cab.sample_period_s, PHASE_CABINET,
                        partial(self._task_cabinet_sample, cab.building))

@@ -1,3 +1,4 @@
+import http.client
 import json
 import threading
 import urllib.error
@@ -45,6 +46,20 @@ class TestThings:
             broker.put_property("FDT:solar-panel-1", "panel", "power", [1, 2])
         with pytest.raises(ValidationError):
             broker.create_thing("FDT:x", {"f": {"p": {"nested": 1}}})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_numbers_rejected(self, value):
+        broker = make_broker()
+        with pytest.raises(ValidationError, match="finite"):
+            broker.put_property("FDT:solar-panel-1", "panel", "power", value)
+        assert broker.get_property("FDT:solar-panel-1", "panel", "power") == 0.0
+        assert broker.revision("FDT:solar-panel-1") == 0
+        reply = broker.handle_request({
+            "method": "PUT", "body": value,
+            "path": "/api/2/things/FDT:solar-panel-1/features/panel"
+                    "/properties/power"})
+        assert reply["status"] == 400
 
 
 class TestProperties:
@@ -226,6 +241,26 @@ class TestHttpServer:
             server.shutdown()
             server.server_close()
 
+    def test_get_with_a_body_keeps_the_connection_in_step(self):
+        server = BrokerHttpServer(make_broker().handle_request)
+        server.start()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=2)
+        path = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
+        try:
+            # on one keep-alive connection, a body left unread would be
+            # parsed as the next request
+            conn.request("GET", path, body=b"GET /nope HTTP/1.1\r\n\r\n")
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) == (200, 0.0)
+            conn.request("GET", "/api/2/things")
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) \
+                == (200, ["FDT:solar-panel-1"])
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+
     def test_http_404(self):
         broker = make_broker()
         server = BrokerHttpServer(broker.handle_request)
@@ -241,7 +276,8 @@ class TestHttpServer:
             server.server_close()
 
 
-@given(st.lists(st.one_of(st.integers(), st.floats(allow_nan=False),
+@given(st.lists(st.one_of(st.integers(),
+                          st.floats(allow_nan=False, allow_infinity=False),
                           st.booleans(), st.text(max_size=10)),
                 min_size=1, max_size=50))
 @settings(max_examples=100, deadline=None)

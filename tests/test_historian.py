@@ -4,17 +4,21 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spmtwin.historian import (
+    BUFFER_ROWS,
     BrokerSource,
     CommandFailure,
     Datapoint,
     Historian,
+    HistorianError,
     HistorianHttpServer,
     ModbusSource,
     NoData,
+    SampleSink,
     UnknownDatapoint,
-    export_datapoints_csv,
     format_value,
 )
 
@@ -74,6 +78,13 @@ class TestRegistryAndQueries:
         hist, _ = make()
         with pytest.raises(Exception):
             hist.register(Datapoint(xid="DP_solar_power", name="x", source=None))
+
+    def test_point_without_a_source_rejected(self):
+        hist, _ = make()
+        with pytest.raises(HistorianError, match="no source"):
+            hist.register(Datapoint(xid="DP_none", name="x", source=None))
+        assert [p["xid"] for p in hist.get_all()] == [
+            "DP_solar_power", "DP_a_consumption"]
 
     def test_latest_before_any_poll(self):
         hist, _ = make()
@@ -209,7 +220,10 @@ class TestExport:
         hist.poll_host("broker", 10.0)
         hist.poll_host("cab-a", 10.0)
         path = tmp_path / "datapoints.csv"
-        export_datapoints_csv(hist, str(path))
+        sink = SampleSink(str(path))
+        for sample in hist.log:
+            sink.append(sample)
+        sink.close()
         assert path.read_text() == (
             "timestamp,xid,value\n"
             "10,DP_solar_power,500\n"
@@ -220,6 +234,39 @@ class TestExport:
         assert format_value(10.0) == "10"
         assert format_value(0.1 + 0.2) == repr(0.1 + 0.2)
         assert float(format_value(62.667)) == 62.667
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(1e15)
+    @example(-1e15)
+    @example(1e15 - 1)
+    @example(-(1e15 - 1))
+    @example(-0.5)
+    @example(5e-324)
+    def test_format_value_matches_the_int_conversion(self, value):
+        # the definition it replaced, which every committed artifact used
+        if value == int(value) and abs(value) < 1e15:
+            expected = str(int(value))
+        else:
+            expected = repr(value)
+        assert format_value(value) == expected
+
+    def test_sink_counts_and_writes_rows_past_its_buffer(self, tmp_path):
+        path = tmp_path / "datapoints.csv"
+        sink = SampleSink(str(path))
+        samples = [(float(i // 3), f"DP_{i % 3}", i / 4) for i in
+                   range(2 * BUFFER_ROWS + 5)]
+        for i, sample in enumerate(samples):
+            sink.append(sample)
+            assert len(sink) == i + 1
+        sink.close()
+        sink.close()
+        assert len(sink) == len(samples)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "timestamp,xid,value"
+        assert lines[1:] == [f"{format_value(t)},{xid},{format_value(v)}"
+                             for t, xid, v in samples]
 
 
 class TestHttpApi:
@@ -272,6 +319,25 @@ class TestHttpApi:
             resp = conn.getresponse()
             assert (resp.status, json.loads(resp.read())) \
                 == (404, {"error": "unknown path"})
+            conn.request("GET", "/datapoint/DP_solar_power/latest")
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) \
+                == (200, {"timestamp": 10.0, "value": 500.0})
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_get_with_a_body_keeps_the_connection_in_step(self):
+        hist, _, server = self.make_server()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=2)
+        try:
+            hist.poll_host("broker", 10.0)
+            conn.request("GET", "/datapoint/getAll",
+                         body=b"GET /nope HTTP/1.1\r\n\r\n")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
             conn.request("GET", "/datapoint/DP_solar_power/latest")
             resp = conn.getresponse()
             assert (resp.status, json.loads(resp.read())) \

@@ -1,6 +1,9 @@
 import http.client
 import json
 import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -9,8 +12,14 @@ import pytest
 from spmtwin import modbus, netfabric
 from spmtwin.cli import EXIT_INVALID, EXIT_OK, main
 from spmtwin.devices import CONSUMPTION_REGISTER, TRIP_COIL
-from spmtwin.historian import CommandFailure
-from spmtwin.runner import PHASE_PLC, RunAbort, Runner, run_scenario
+from spmtwin.historian import BUFFER_ROWS, CommandFailure
+from spmtwin.runner import (
+    PHASE_PLC,
+    RunAbort,
+    Runner,
+    StartupError,
+    run_scenario,
+)
 from spmtwin.scenario import load_scenario
 
 
@@ -318,11 +327,11 @@ class TestInjectionAndServers:
 STORE = "FDT:energy-store-1"
 
 
-def during_run(runner, action, delay=0.0):
+def during_run(runner, action, delay=0.0, out_dir=None):
     """Run ``runner`` in a thread and call ``action()`` ``delay`` s after its
     servers listen. Returns what it returned, how long it took and the ident
     of the run thread, after the run has ended."""
-    thread = threading.Thread(target=runner.run)
+    thread = threading.Thread(target=runner.run, args=(out_dir,))
     thread.start()
     try:
         deadline = time.monotonic() + 10
@@ -457,6 +466,24 @@ class TestBrokerHttpThroughFabric:
         i = hops.index(("ops", "broker", "http"))
         assert hops[i + 1] == ("broker", "fc-storage", "command")
         assert sent[i + 1][3].new == "charge"
+
+
+    def test_non_finite_put_is_400_and_the_run_exports(self, tmp_path,
+                                                       scenario_dir):
+        runner = paced(tmp_path, scenario_dir)
+        out = tmp_path / "out"
+        (status, body), _, _ = during_run(
+            runner, lambda: broker_request(
+                runner, "PUT",
+                property_path("FDT:solar-panel-1", "panel", "power"),
+                float("nan")),
+            out_dir=str(out))
+        assert status == 400
+        assert "finite" in body["error"]
+        assert runner.artifacts.completed
+        rows = (out / "datapoints.csv").read_text().splitlines()
+        assert len(rows) - 1 == len(runner.historian.log) > 0
+        assert not any(r.endswith(",nan") for r in rows)
 
 
 def long_gap(tmp_path, scenario_dir) -> Runner:
@@ -701,6 +728,99 @@ class TestGroupedScheduling:
         assert sum(1 for _, xid, _ in artifacts.historian.log
                    if xid.endswith("_consumption")) == polls * 61
         assert 0 < events[0] <= 8 * polls
+
+
+class TestStreamedArtifacts:
+    def test_streamed_files_equal_the_kept_ones(self, tmp_path, scenario_dir):
+        # 25 sim-h: summary.csv has two days
+        path = customized(tmp_path, scenario_dir, duration_s=90000)
+        streamed = Runner(load_scenario(path), pace=False)
+        streamed.run(out_dir=str(tmp_path / "streamed"))
+        kept = Runner(load_scenario(path), pace=False).run()
+        assert isinstance(kept.historian.log, list)
+        kept.export(str(tmp_path / "kept"))
+        assert len(streamed.historian.log) == len(kept.historian.log)
+        assert len(streamed.artifacts.ems_ticks) == len(kept.ems_ticks)
+        for name in ("datapoints.csv", "ems_ticks.csv", "summary.csv"):
+            assert (tmp_path / "streamed" / name).read_bytes() \
+                == (tmp_path / "kept" / name).read_bytes()
+        summary = (tmp_path / "kept" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == ["0", "1"]
+
+    def test_abort_leaves_closed_files_of_the_rows_made(self, tmp_path,
+                                                         scenario_dir):
+        path = customized(tmp_path, scenario_dir, duration_s=7200)
+        runner = Runner(load_scenario(path), pace=False)
+        task_ems = runner._task_ems
+
+        def failing(t):
+            if t >= 3600:
+                raise RuntimeError("controller fault")
+            task_ems(t)
+
+        runner._task_ems = failing
+        out = tmp_path / "out"
+        with pytest.raises(RunAbort, match="controller fault"):
+            runner.run(out_dir=str(out))
+        log, ticks = runner.historian.log, runner.artifacts.ems_ticks
+        assert log._fh.closed and ticks._fh.closed
+        rows = (out / "datapoints.csv").read_text().splitlines()
+        assert len(rows) - 1 == len(log) > BUFFER_ROWS
+        assert all(len(row.split(",")) == 3 for row in rows)
+        ems_rows = (out / "ems_ticks.csv").read_text().splitlines()
+        assert len(ems_rows) - 1 == len(ticks) > 0
+        assert (out / "summary.csv").read_text().count("\n") == 2
+
+    def test_startup_error_writes_nothing(self, tmp_path, scenario_dir):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            path = customized(
+                tmp_path, scenario_dir, duration_s=600,
+                mutate=lambda raw: raw["broker"].update(http_port=port))
+            out = tmp_path / "out"
+            with pytest.raises(StartupError):
+                Runner(load_scenario(path), pace=False).run(out_dir=str(out))
+        assert not out.exists()
+
+
+# One unpaced run in a fresh process; prints its own peak RSS, read from
+# VmHWM (ru_maxrss would carry the parent's peak across fork+exec)
+MEMORY_CHILD = """
+import json, sys
+from spmtwin.runner import Runner
+from spmtwin.scenario import load_scenario
+scenario = load_scenario(sys.argv[1])
+scenario.duration_s = float(sys.argv[2])
+runner = Runner(scenario, pace=False)
+assert runner.run(out_dir=sys.argv[3]).completed
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh
+                  if line.startswith("VmHWM:"))
+print(json.dumps({"hwm_kb": hwm_kb, "nodes": len(runner.fabric._nodes),
+                  "samples": len(runner.historian.log)}))
+"""
+
+
+@pytest.mark.slow
+def test_memory_flat_from_a_week_to_a_month(tmp_path, scenario_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(days):
+        done = subprocess.run(
+            [sys.executable, "-c", MEMORY_CHILD, scenario_path,
+             str(days * 86400.0), str(tmp_path / f"{days}d")],
+            capture_output=True, text=True, env=env, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    week, month = run(7), run(30)
+    assert month["samples"] > 4 * week["samples"]
+    assert abs(month["hwm_kb"] - week["hwm_kb"]) <= 5 * 1024
+    assert month["nodes"] == week["nodes"] \
+        == len(load_scenario(scenario_path).nodes)
 
 
 class TestCli:
