@@ -2,6 +2,8 @@ import http.client
 import json
 import os
 import statistics
+import subprocess
+import sys
 import time
 
 import pytest
@@ -17,6 +19,51 @@ def scenario_path() -> str:
 @pytest.fixture(scope="session")
 def scenario_dir() -> str:
     return os.path.abspath(SCENARIO_DIR)
+
+
+WEEK_RUN_TEST = "test_criterion_07_week_run"
+
+# The CLI run of criterion 07; prints its wall seconds as the last line
+WEEK_RUN_CHILD = """
+import sys, time
+from spmtwin.cli import main
+start = time.monotonic()
+code = main(sys.argv[1:])
+print(time.monotonic() - start)
+sys.exit(code)
+"""
+
+
+def pytest_collection_modifyitems(items):
+    # the week-run test only collects the run week_run_child started, so it
+    # goes last and the other tests run while that run sleeps between events
+    items.sort(key=lambda item: item.name == WEEK_RUN_TEST)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def week_run_child(request, tmp_path_factory, scenario_path):
+    """The paced 7-day run of criterion 07 (about ten wall-minutes, nearly
+    all of it asleep), started in its own process when the session starts.
+    Yields ``(process, out_dir, console_path)``, or None when the week-run
+    test is not selected."""
+    if not any(item.name == WEEK_RUN_TEST for item in request.session.items):
+        yield None
+        return
+    out = tmp_path_factory.mktemp("week")
+    console = tmp_path_factory.mktemp("week_console") / "console.txt"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    with open(console, "w") as fh:
+        child = subprocess.Popen(
+            [sys.executable, "-c", WEEK_RUN_CHILD, "run", scenario_path,
+             "--out", str(out), "--quiet"],
+            stdout=fh, stderr=subprocess.STDOUT, env=env)
+    try:
+        yield child, str(out), console
+    finally:
+        child.kill()
+        child.wait()
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Criterion 7 performs the real paced 7-day run through the CLI; it is the
-slow test of the suite (about ten wall-minutes at clock scale 1000).
+slow test of the suite (about ten wall-minutes at clock scale 1000). The run
+starts in its own process with the session (``conftest.week_run_child``) and
+its test runs last, so the rest of the suite runs while it sleeps.
 """
 
 import csv
@@ -167,13 +169,12 @@ def test_criterion_06_firewall_policy():
 
 
 @pytest.fixture(scope="module")
-def week_run(scenario_path, tmp_path_factory):
-    out = str(tmp_path_factory.mktemp("week"))
-    start = time.monotonic()
-    code = main(["run", scenario_path, "--out", out, "--quiet"])
-    wall = time.monotonic() - start
-    assert code == EXIT_OK
-    return out, wall
+def week_run(week_run_child):
+    child, out, console = week_run_child
+    code = child.wait(timeout=20 * 60)
+    lines = console.read_text().splitlines()
+    assert code == EXIT_OK, lines
+    return out, float(lines[-1])
 
 
 def load_csv(path):

@@ -813,7 +813,8 @@ def test_memory_flat_from_a_week_to_a_month(tmp_path, scenario_path):
         done = subprocess.run(
             [sys.executable, "-c", MEMORY_CHILD, scenario_path,
              str(days * 86400.0), str(tmp_path / f"{days}d")],
-            capture_output=True, text=True, env=env, check=True)
+            capture_output=True, text=True, env=env, check=True,
+            timeout=600)
         return json.loads(done.stdout.splitlines()[-1])
 
     week, month = run(7), run(30)
