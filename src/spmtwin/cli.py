@@ -96,7 +96,9 @@ def cmd_run(args) -> int:
     if not args.quiet:
         print(f"done: {len(artifacts.ems_ticks)} control ticks, "
               f"{artifacts.blocked_count} blocked deliveries, "
-              f"{artifacts.skipped_ems_ticks} skipped ticks")
+              f"{artifacts.skipped_ems_ticks} skipped ticks ("
+              + ", ".join(f"{reason} {n}" for reason, n
+                          in artifacts.skipped_by_reason.items()) + ")")
         if args.out:
             print(f"artifacts in {args.out}")
     return EXIT_OK

@@ -66,6 +66,7 @@ class Datapoint:
     derive: Callable[["Historian"], float] | None = None
     latest: tuple[float, float] | None = None
     error_count: int = 0
+    gap_polls: int = 0          # failed polls since the last good one
     # the point's source read, bound by Historian.register
     read: Callable[[], object] | None = field(default=None, repr=False)
 
@@ -145,13 +146,20 @@ class Historian:
     # ── polling ───────────────────────────────────────────────────────
 
     def poll(self, dp: Datapoint, now: float) -> tuple[float, float] | None:
-        """Acquire one sample; a read failure records a gap, never a value."""
+        """Acquire one sample; a read failure records a gap, never a value.
+        A point's gap is logged once as it opens and once as it closes."""
         try:
             value = float(dp.read())
         except Exception as exc:  # gap, never an invented sample
             dp.error_count += 1
-            log.warning("poll gap for %s: %s", dp.xid, exc)
+            if not dp.gap_polls:
+                log.warning("poll gap for %s: %s", dp.xid, exc)
+            dp.gap_polls += 1
             return None
+        if dp.gap_polls:
+            log.info("poll of %s back after %d failed polls", dp.xid,
+                     dp.gap_polls)
+            dp.gap_polls = 0
         dp.append(now, value)
         self.log.append((now, dp.xid, value))
         return (now, value)

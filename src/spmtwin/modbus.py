@@ -5,10 +5,16 @@ Supports function codes 0x01 (read coils), 0x03 (read holding registers),
 register). Framing is MBAP, big-endian throughout; frames travel as bytes
 over the in-process fabric.
 
-Every historian poll is a single-register read, so :func:`execute` and
-:func:`parse_read_registers_response` serve a count of 1 with one table
-lookup and one precompiled ``>H`` struct. The frames and exception
-responses are those of the general path.
+Every historian poll is a single-register read of the same request bytes,
+so :func:`serve_frame_bytes` prepares each request: the first time the
+general path decodes one and finds it a well-formed single-register read,
+its bytes are kept with its :func:`read_reply_header` and the register to
+read (up to :data:`PREPARED_READS` requests). The same bytes again are
+answered with that header and the register's current value, without the
+codec; an unmapped register, or any other input, takes the general path and
+gets its reply, exception included. The prepared requests depend on the
+bytes alone, never on a register file, so one map serves every device in
+the process.
 """
 
 from __future__ import annotations
@@ -38,8 +44,16 @@ MBAP_HEADER = struct.Struct(">HHHB")    # transaction, protocol, length, unit
 U16_PAIR = struct.Struct(">HH")
 U16 = struct.Struct(">H")
 
+# distinct request frames serve_frame_bytes keeps prepared; once that many
+# are kept, new ones are served on the general path and not kept
+PREPARED_READS = 1024
+# request bytes -> (reply header, function code, address) of each prepared
+# request
+_prepared: dict[bytes, tuple[bytes, int, int]] = {}
+
 # builds a Pdu or MbapFrame from all its fields without the NamedTuple's
-# generated Python __new__: the same tuple, for less work on the poll path
+# generated Python __new__: the same tuple, for less work per frame on the
+# general path (coil writes, a request the first time it is served)
 _new_tuple = tuple.__new__
 
 
@@ -123,12 +137,18 @@ def write_register_request(address: int, value: int) -> Pdu:
     return Pdu(WRITE_REGISTER, U16_PAIR.pack(address, value))
 
 
+def read_reply_header(transaction_id: int, unit_id: int,
+                      function_code: int) -> bytes:
+    """The first 9 bytes of the reply to a single-register read (MBAP
+    header, function code, byte count 2); the register's 2 bytes follow."""
+    return (MBAP_HEADER.pack(transaction_id, 0, 5, unit_id)
+            + bytes((function_code, 2)))
+
+
 def parse_read_registers_response(pdu: Pdu) -> list[int]:
     if pdu.is_exception():
         raise ModbusExceptionResponse(pdu.function_code & 0x7F, pdu.payload[0])
     payload = pdu.payload
-    if payload[0] == 2:         # one register
-        return [U16.unpack_from(payload, 1)[0]]
     count = payload[0] // 2
     return list(struct.unpack(f">{count}H", payload[1 : 1 + 2 * count]))
 
@@ -200,11 +220,6 @@ def execute(rf: RegisterFile, pdu: Pdu) -> Pdu:
                     packed[i // 8] |= 1 << (i % 8)
             return Pdu(fc, bytes([nbytes]) + bytes(packed))
         table = rf.holding_registers if fc == READ_HOLDING else rf.input_registers
-        if count == 1:          # a poll: one lookup, no range
-            value = table.get(address)
-            if value is None:
-                return _exception(fc, EXC_ILLEGAL_ADDRESS)
-            return _new_tuple(Pdu, (fc, b"\x02" + U16.pack(value)))
         addresses = range(address, address + count)
         if any(a not in table for a in addresses):
             return _exception(fc, EXC_ILLEGAL_ADDRESS)
@@ -231,9 +246,29 @@ def serve_frame_bytes(rf: RegisterFile, data: bytes) -> bytes:
     """Decode a request frame, execute it, and encode the response.
 
     Every cabinet's fabric endpoint serves requests through this, so the
-    in-process path exercises the real wire format.
+    in-process path exercises the real wire format. A request already
+    prepared (see the module docstring) is answered from its kept reply
+    header and the register's value: the same bytes as the general path.
     """
-    frame, _ = decode_frame(data)
-    response = execute(rf, frame.pdu)
+    if data.__class__ is bytes:
+        prepared = _prepared.get(data)
+        if prepared is not None:
+            header, fc, address = prepared
+            value = (rf.input_registers if fc == READ_INPUT
+                     else rf.holding_registers).get(address)
+            if value is not None:
+                return header + U16.pack(value)
+    frame, consumed = decode_frame(data)
+    pdu = frame.pdu
+    response = execute(rf, pdu)
+    if (consumed == len(data) == 12 and data.__class__ is bytes
+            and pdu.function_code in (READ_HOLDING, READ_INPUT)
+            and len(_prepared) < PREPARED_READS):
+        address, count = U16_PAIR.unpack(pdu.payload)
+        if count == 1:
+            _prepared[data] = (
+                read_reply_header(frame.transaction_id, frame.unit_id,
+                                  pdu.function_code),
+                pdu.function_code, address)
     return encode_frame(_new_tuple(
         MbapFrame, (frame.transaction_id, frame.unit_id, response, 0)))

@@ -33,6 +33,14 @@ tick by tick, in the order the ticks come. So the run's memory does not grow
 with its length. :meth:`RunArtifacts.export` finishes the files, at the end
 of the run or when a task fails. Without ``out_dir`` the rows are kept in
 memory, and ``export`` writes the same bytes after the run.
+
+Each Modbus read the historian polls is prepared once: its request bytes,
+and the 9-byte header a reply to it starts with when it carries the one
+register asked for. Every poll sends those bytes through the fabric, and a
+reply of 11 bytes that starts with that header is read with one unpack; any
+other reply is decoded and parsed in full, exceptions included. A single-coil
+write is done when its reply echoes the request, as the specification says a
+successful one does; any other reply is decoded and checked.
 """
 
 from __future__ import annotations
@@ -111,6 +119,9 @@ SUMMARY_SUMS = (("solar_kwh", "solar_kw"), ("storage_charge_kwh", "charge_kw"),
                 ("dissipated_kwh", "dissipated_kw"),
                 ("consumption_kwh", "consumption_kw"))
 SUMMARY_HEADER = ",".join(["day"] + [name for name, _ in SUMMARY_SUMS])
+# why an EMS tick was skipped: its measurements were too old, the historian
+# had none, or the firewall refused the EMS's read
+EMS_SKIP_REASONS = ("stale", "no data", "blocked")
 EMS_LOG_HEADER = ("timestamp,solar_kw,consumption_kw,storage_level_pct,"
                   "turbine_kw,storage_mode,turbine_command,charge_kw,"
                   "discharge_kw,grid_import_kw,dissipated_kw")
@@ -168,11 +179,17 @@ class RunArtifacts:
     tick_hours: float                 # the EMS timer period one record covers
     ems_ticks: list[EmsTickRecord] | EmsTickSink = field(default_factory=list)
     blocked_count: int = 0
-    skipped_ems_ticks: int = 0
+    # skipped EMS ticks per EMS_SKIP_REASONS entry
+    skipped_by_reason: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(EMS_SKIP_REASONS, 0))
     publish_errors: int = 0
     completed: bool = False
     # day -> running sums, in SUMMARY_SUMS order
     day_sums: dict[int, list[float]] = field(default_factory=dict)
+
+    @property
+    def skipped_ems_ticks(self) -> int:
+        return sum(self.skipped_by_reason.values())
 
     def stream_to(self, out_dir: str) -> None:
         """Write datapoints.csv and ems_ticks.csv rows to ``out_dir`` from
@@ -233,7 +250,10 @@ class Runner:
         self._closed = False          # set once the run ends; guarded by _inject_lock
         self._wake = threading.Event()  # set when a delivery is queued
         self._servers: list = []
-        self._read_requests: dict[tuple[int, str, int], bytes] = {}
+        # (unit, table, address) -> (request bytes, the reply header of a
+        # register read; None for a coil)
+        self._read_requests: dict[tuple[int, str, int],
+                                  tuple[bytes, bytes | None]] = {}
         self._build()
 
     # ── construction ──────────────────────────────────────────────────
@@ -373,6 +393,7 @@ class Runner:
 
         self.ems_cfg = s.ems.config()
         self._last_commands: dict[str, object] = {}
+        self._ems_skip_reason: str | None = None   # of the last tick, if skipped
         self._scan_scheduled: dict[str, float] = {}
         self._scans_due: dict[float, list[str]] = {}   # scan instant -> buildings
         self._last_controller_advance: dict[str, float] = {}
@@ -473,14 +494,19 @@ class Runner:
 
     def _read_modbus(self, host: str, unit: int, table: str, address: int) -> int:
         key = (unit, table, address)
-        request = self._read_requests.get(key)
-        if request is None:
-            # the same bytes every poll; the cabinet still decodes each one
-            request = self._read_requests[key] = modbus.encode_frame(
-                modbus.MbapFrame(1, unit, modbus.read_request(
-                    READ_FUNCTIONS[table], address, 1)))
+        prepared = self._read_requests.get(key)
+        if prepared is None:
+            fc = READ_FUNCTIONS[table]
+            request = modbus.encode_frame(modbus.MbapFrame(
+                1, unit, modbus.read_request(fc, address, 1)))
+            header = (None if fc == modbus.READ_COILS
+                      else modbus.read_reply_header(1, unit, fc))
+            prepared = self._read_requests[key] = (request, header)
+        request, header = prepared
         raw = self.fabric.deliver(
             self.scenario.historian_node, host, "modbus", request)
+        if len(raw) == 11 and raw[:9] == header:
+            return modbus.U16.unpack_from(raw, 9)[0]
         frame, _ = modbus.decode_frame(raw)
         if table == "coil":
             return int(modbus.parse_read_coils_response(frame.pdu, 1)[0])
@@ -492,6 +518,8 @@ class Runner:
             1, unit, modbus.write_coil_request(address, on)))
         raw = self.fabric.deliver(
             self.scenario.historian_node, host, "modbus", request)
+        if raw == request:            # the echo: the write is done
+            return
         frame, _ = modbus.decode_frame(raw)
         if frame.pdu.is_exception():
             raise CommandFailure(
@@ -620,9 +648,9 @@ class Runner:
             turbine_kw = self._ems_latest("DP_turbine_power", t)
             rpm = self._ems_latest("DP_turbine_rpm", t)
         except (ems_mod.StaleMeasurements, HistorianError, netfabric.Blocked) as exc:
-            self.artifacts.skipped_ems_ticks += 1
-            log.warning("EMS tick skipped at t=%s: %s", t, exc)
+            self._skip_ems_tick(t, exc)
             return
+        self._ems_skip_reason = None
         turbine = next(iter(self.turbine.values()), None)
         running = bool(turbine and rpm >= 0.5 * turbine.nominal_rpm)
         level = min(100.0, max(0.0, level))
@@ -644,6 +672,17 @@ class Runner:
                     actions.turbine_command)
 
         self._account(t, solar_kw, consumption_kw, level, turbine_kw, actions)
+
+    def _skip_ems_tick(self, t: float, exc: Exception) -> None:
+        """Count a skipped tick by its reason; log only a change of reason,
+        not every tick skipped for the same one."""
+        reason = ("stale" if isinstance(exc, ems_mod.StaleMeasurements)
+                  else "blocked" if isinstance(exc, netfabric.Blocked)
+                  else "no data")
+        self.artifacts.skipped_by_reason[reason] += 1
+        if reason != self._ems_skip_reason:
+            self._ems_skip_reason = reason
+            log.warning("EMS ticks skipped from t=%s (%s): %s", t, reason, exc)
 
     def _account(self, t: float, solar_kw: float, consumption_kw: float,
                  level: float, turbine_kw: float,

@@ -1,5 +1,6 @@
 import http.client
 import json
+import logging
 import urllib.error
 import urllib.request
 
@@ -111,6 +112,22 @@ class TestPolling:
                 if xid == "DP_solar_power"] == [10.0, 30.0]
         assert hist.get_latest("DP_solar_power") == (30.0, 500.0)
         assert hist.point("DP_solar_power").error_count == 1
+
+    def test_gap_is_logged_as_it_opens_and_closes(self, caplog):
+        caplog.set_level(logging.INFO, logger="spmtwin.historian")
+        hist, plant = make()
+        dp = hist.point("DP_solar_power")
+        plant.fail_broker = True
+        for t in range(1, 101):
+            assert hist.poll(dp, float(t)) is None
+        plant.fail_broker = False
+        assert hist.poll(dp, 101.0) == (101.0, 500.0)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, "poll gap for DP_solar_power: unreachable"),
+            (logging.INFO, "poll of DP_solar_power back after 100 failed polls"),
+        ]
+        assert dp.error_count == 100
+        assert dp.gap_polls == 0
 
     def test_poll_host_selects_by_host(self):
         hist, _ = make()

@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the hot primitives: the per-sample poll path, model
-stepping, broker writes and the EMS decision.
+"""Micro-benchmarks of the hot primitives: the per-sample poll path (a
+Modbus read on the general path and on a prepared request), model stepping,
+broker writes and the EMS decision.
 
 Each bench times one hot primitive with a fixed, small number of rounds (no
 calibration), so the file stays fast inside the normal test run, and asserts
@@ -73,7 +74,11 @@ def test_deliver_on_established_pair(benchmark):
     assert fabric.blocked_count == 0
 
 
-def test_modbus_read_round_trip(benchmark):
+def test_modbus_read_round_trip(benchmark, monkeypatch):
+    # the general path: with no room for prepared requests, every request
+    # is decoded, executed and encoded
+    monkeypatch.setattr(modbus, "_prepared", {})
+    monkeypatch.setattr(modbus, "PREPARED_READS", 0)
     rf = modbus.RegisterFile()
     rf.set_input(100, 1234)
 
@@ -85,6 +90,29 @@ def test_modbus_read_round_trip(benchmark):
 
     assert benchmark.pedantic(round_trip, rounds=ROUNDS,
                               iterations=ITERATIONS) == [1234]
+    assert modbus._prepared == {}
+
+
+def test_modbus_prepared_read_round_trip(benchmark):
+    # the poll as the runner makes it: cached request bytes, a prepared
+    # request on the server, the reply's header checked and its value
+    # unpacked; test_modbus_read_round_trip is the general path
+    rf = modbus.RegisterFile()
+    rf.set_input(100, 1234)
+    request = modbus.encode_frame(modbus.MbapFrame(
+        1, 1, modbus.read_request(modbus.READ_INPUT, 100, 1)))
+    header = modbus.read_reply_header(1, 1, modbus.READ_INPUT)
+    modbus.serve_frame_bytes(rf, request)       # prepares the request
+    assert request in modbus._prepared
+
+    def round_trip():
+        raw = modbus.serve_frame_bytes(rf, request)
+        if len(raw) == 11 and raw[:9] == header:
+            return modbus.U16.unpack_from(raw, 9)[0]
+        return None
+
+    assert benchmark.pedantic(round_trip, rounds=ROUNDS,
+                              iterations=ITERATIONS) == 1234
 
 
 def test_execute_single_input_register_read(benchmark):

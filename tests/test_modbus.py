@@ -158,7 +158,7 @@ class TestExecute:
 
 def general_read(table: dict, fc: int, address: int, count: int) -> Pdu:
     """The specification's register read for any count: the oracle of the
-    count-1 fast path."""
+    replies served from prepared requests."""
     addresses = range(address, address + count)
     if any(a not in table for a in addresses):
         return Pdu(fc | 0x80, bytes([EXC_ILLEGAL_ADDRESS]))
@@ -198,6 +198,106 @@ class TestSingleRegisterRead:
             == encode_frame(MbapFrame(txn, 1, expected))
         if mapped:
             assert parse_read_registers_response(expected) == [value]
+
+
+def read_frame(txn: int, unit: int, fc: int, address: int, count: int = 1,
+               proto: int = 0) -> bytes:
+    """A read request's bytes, any protocol id included."""
+    return (modbus.MBAP_HEADER.pack(txn, proto, 6, unit) + bytes([fc])
+            + modbus.U16_PAIR.pack(address, count))
+
+
+class TestPreparedRequests:
+    """A request served once is prepared; its later replies must be the
+    general path's bytes, whatever the register file holds by then."""
+
+    @given(
+        txn=st.integers(min_value=0, max_value=0xFFFF),
+        unit=st.integers(min_value=0, max_value=0xFF),
+        proto=st.sampled_from([0, 0, 1, 0xFFFF]),
+        fc=st.sampled_from([READ_HOLDING, READ_INPUT]),
+        address=st.integers(min_value=0, max_value=0xFFFF),
+        value=st.integers(min_value=0, max_value=0xFFFF),
+        mapped=st.booleans(),
+    )
+    @settings(max_examples=2000, deadline=None)
+    def test_cold_and_prepared_replies_equal_the_general_path(
+            self, txn, unit, proto, fc, address, value, mapped):
+        modbus._prepared.clear()
+
+        def device(v):
+            rf = RegisterFile()
+            table, other = ((rf.input_registers, rf.holding_registers)
+                            if fc == READ_INPUT else
+                            (rf.holding_registers, rf.input_registers))
+            table[address ^ 1] = 0x5A5A       # a neighbour, never read
+            other[address] = 0xA5A5           # the other table, never read
+            if mapped:
+                table[address] = v
+            return rf, table
+
+        def general(table):
+            return encode_frame(MbapFrame(
+                txn, unit, general_read(table, fc, address, 1)))
+
+        rf, table = device(value)
+        request = read_frame(txn, unit, fc, address, proto=proto)
+        expected = general(table)
+        assert serve_frame_bytes(rf, request) == expected        # cold
+        assert request in modbus._prepared
+        assert serve_frame_bytes(rf, request) == expected        # prepared
+        for view in (bytearray(request), memoryview(request)):
+            assert serve_frame_bytes(rf, view) == expected
+        # a second device shares the prepared request, not its values
+        other, other_table = device(value ^ 0xFFFF)
+        assert serve_frame_bytes(other, request) == general(other_table)
+        # unmapped after the request was prepared, then mapped again
+        table.pop(address, None)
+        assert serve_frame_bytes(rf, request) == encode_frame(MbapFrame(
+            txn, unit, Pdu(fc | 0x80, bytes([EXC_ILLEGAL_ADDRESS]))))
+        table[address] = value
+        assert serve_frame_bytes(rf, request) == general(table)
+
+    @pytest.mark.parametrize("request_bytes", [
+        read_frame(1, 1, READ_INPUT, 100, count=2),
+        read_frame(1, 1, READ_COILS, 100),
+        read_frame(1, 1, READ_INPUT, 100) + b"\x00",             # trailing
+        encode_frame(MbapFrame(1, 1, write_register_request(100, 5))),
+        encode_frame(MbapFrame(1, 1, Pdu(READ_INPUT, b"\x00\x64"))),
+        read_frame(1, 1, 0x10, 100),                              # unsupported
+        bytearray(read_frame(1, 1, READ_INPUT, 100)),
+        memoryview(read_frame(1, 1, READ_INPUT, 100)),
+    ], ids=["two-registers", "coil", "trailing-byte", "write", "short-pdu",
+            "unsupported", "bytearray", "memoryview"])
+    def test_only_single_register_reads_are_prepared(self, request_bytes):
+        modbus._prepared.clear()
+        rf = cabinet_rf()
+        frame, _ = decode_frame(request_bytes)
+        expected = encode_frame(MbapFrame(1, 1, execute(cabinet_rf(),
+                                                        frame.pdu)))
+        for _ in range(2):
+            assert serve_frame_bytes(rf, request_bytes) == expected
+        assert modbus._prepared == {}
+
+    def test_map_stays_within_its_bound(self):
+        modbus._prepared.clear()
+        n = modbus.PREPARED_READS + 100
+        rf = RegisterFile()
+        for address in range(n):
+            rf.set_input(address, address)
+        try:
+            requests = [read_frame(1, 1, READ_INPUT, a) for a in range(n)]
+            for address, request in enumerate(requests):
+                expected = encode_frame(MbapFrame(1, 1, Pdu(
+                    READ_INPUT, b"\x02" + struct.pack(">H", address))))
+                for _ in range(2):
+                    assert serve_frame_bytes(rf, request) == expected
+                assert len(modbus._prepared) <= modbus.PREPARED_READS
+            assert len(modbus._prepared) == modbus.PREPARED_READS
+            assert requests[0] in modbus._prepared
+            assert requests[-1] not in modbus._prepared
+        finally:
+            modbus._prepared.clear()
 
 
 class TestFrameValues:

@@ -1,5 +1,6 @@
 import http.client
 import json
+import logging
 import os
 import socket
 import subprocess
@@ -9,10 +10,10 @@ import time
 
 import pytest
 
-from spmtwin import modbus, netfabric
+from spmtwin import ems, modbus, netfabric
 from spmtwin.cli import EXIT_INVALID, EXIT_OK, main
 from spmtwin.devices import CONSUMPTION_REGISTER, TRIP_COIL
-from spmtwin.historian import BUFFER_ROWS, CommandFailure
+from spmtwin.historian import BUFFER_ROWS, CommandFailure, NoData
 from spmtwin.runner import (
     PHASE_PLC,
     RunAbort,
@@ -99,11 +100,14 @@ class TestShortRuns:
         c = run_scenario(load_scenario(path), pace=True)
         assert a.historian.log == c.historian.log
 
-    @pytest.mark.parametrize("error, aborts", [
-        (netfabric.FabricError("node vanished"), True),
-        (netfabric.Blocked("ems", "scada"), False),
-    ], ids=["fabric-error-aborts", "blocked-skips"])
-    def test_ems_read_errors(self, tmp_path, scenario_dir, error, aborts):
+    @pytest.mark.parametrize("error, reason", [
+        (netfabric.FabricError("node vanished"), None),
+        (netfabric.Blocked("ems", "scada"), "blocked"),
+        (ems.StaleMeasurements("too old"), "stale"),
+        (NoData("no samples yet"), "no data"),
+    ], ids=["fabric-error-aborts", "blocked-skips", "stale-skips",
+            "no-data-skips"])
+    def test_ems_read_errors(self, tmp_path, scenario_dir, error, reason):
         path = customized(tmp_path, scenario_dir, duration_s=120)
         runner = Runner(load_scenario(path), pace=False)
         deliver = runner.fabric.deliver
@@ -115,12 +119,54 @@ class TestShortRuns:
             return deliver(src, dst, service, payload)
 
         runner.fabric.deliver = failing
-        if aborts:
+        if reason is None:
             with pytest.raises(RunAbort, match="node vanished"):
                 runner.run()
             assert runner.artifacts.skipped_ems_ticks == 0
+            assert set(runner.artifacts.skipped_by_reason.values()) == {0}
         else:
-            assert runner.run().skipped_ems_ticks == 2  # ticks at 60 s, 120 s
+            artifacts = runner.run()
+            assert artifacts.skipped_ems_ticks == 2  # ticks at 60 s, 120 s
+            assert artifacts.skipped_by_reason == dict(
+                {"stale": 0, "no data": 0, "blocked": 0}, **{reason: 2})
+
+    def test_ems_skips_are_logged_once_per_reason(self, tmp_path,
+                                                  scenario_dir, caplog):
+        caplog.set_level(logging.WARNING, logger="spmtwin.runner")
+        path = customized(tmp_path, scenario_dir, duration_s=360)
+        runner = Runner(load_scenario(path), pace=False)
+        deliver = runner.fabric.deliver
+        ems_node = runner.scenario.ems.node
+        # by tick time: the EMS's reads are refused, then stale, then fine,
+        # then refused again, then find no data
+        plan = {60.0: "blocked", 120.0: "blocked", 180.0: "stale",
+                300.0: "blocked", 360.0: "no data"}
+
+        def scripted(src, dst, service, payload):
+            failure = plan.get(runner.clock.now()) if src == ems_node else None
+            if failure == "blocked":
+                raise netfabric.Blocked(src, dst)
+            if failure == "no data":
+                raise NoData("no samples yet")
+            reply = deliver(src, dst, service, payload)
+            if failure == "stale":
+                reply = dict(reply, timestamp=reply["timestamp"] - 3600.0)
+            return reply
+
+        runner.fabric.deliver = scripted
+        artifacts = runner.run()
+        assert artifacts.skipped_ems_ticks == 5
+        assert artifacts.skipped_by_reason == {
+            "stale": 1, "no data": 1, "blocked": 3}
+        assert len(artifacts.ems_ticks) == 1               # the 240 s tick
+        skips = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("EMS ticks skipped")]
+        assert [m.split(":")[0] for m in skips] == [
+            "EMS ticks skipped from t=60.0 (blocked)",
+            "EMS ticks skipped from t=180.0 (stale)",
+            "EMS ticks skipped from t=300.0 (blocked)",
+            "EMS ticks skipped from t=360.0 (no data)",
+        ]
 
     def test_seed_changes_the_draws(self, tmp_path, scenario_dir):
         # daytime window so client loads are actually drawn
@@ -601,6 +647,81 @@ class TestModbusPolls:
         runner.cabinets[cab.building].register_file.set_holding(7, 43)
         assert runner._read_modbus(cab.node, cab.unit_id, "holding", 7) == 43
 
+    @pytest.mark.parametrize("table", ["input", "holding", "coil"])
+    def test_any_other_reply_reads_as_the_general_path(self, scenario_path,
+                                                       table):
+        runner = Runner(load_scenario(scenario_path), pace=False)
+        cab = runner.scenario.cabinets[0]
+        unit = cab.unit_id
+        fc = {"input": modbus.READ_INPUT, "holding": modbus.READ_HOLDING,
+              "coil": modbus.READ_COILS}[table]
+        reply = []
+        runner.fabric.register_handler(cab.node, "modbus",
+                                       lambda data: reply[0])
+
+        def frame(pdu, txn=1, unit=unit, proto=0):
+            body = bytes([pdu.function_code]) + pdu.payload
+            return modbus.MBAP_HEADER.pack(txn, proto, 1 + len(body),
+                                           unit) + body
+
+        replies = [
+            frame(modbus.Pdu(fc, b"\x02\x12\x34")),          # the prepared one
+            frame(modbus.Pdu(fc, b"\x02\x12\x34"), txn=2),   # another txn
+            frame(modbus.Pdu(fc, b"\x02\x12\x34"), unit=unit + 1),
+            frame(modbus.Pdu(fc, b"\x02\x12\x34"), proto=3),
+            frame(modbus.Pdu(fc ^ 0x07, b"\x02\x12\x34")),   # another fc
+            frame(modbus.Pdu(fc, b"\x04\x00\x01\x00\x02")),  # two registers
+            frame(modbus.Pdu(fc, b"\x01\x01")),               # one coil
+            frame(modbus.Pdu(fc | 0x80, bytes([modbus.EXC_ILLEGAL_ADDRESS]))),
+            frame(modbus.Pdu(fc, b"\x02\x12\x34"))[:10],     # cut short
+            # 11 bytes, as the prepared reply, but not its header
+            frame(modbus.Pdu(fc | 0x80, b"\x02\x12\x34")),
+            frame(modbus.Pdu(fc, b"\x04\x12\x34")),
+        ]
+
+        def general(raw):
+            # the read as it was before prepared replies: decode and parse
+            frame, _ = modbus.decode_frame(raw)
+            if table == "coil":
+                return int(modbus.parse_read_coils_response(frame.pdu, 1)[0])
+            return modbus.parse_read_registers_response(frame.pdu)[0]
+
+        def outcome(read, raw):
+            reply[:] = [raw]
+            try:
+                return read()
+            except Exception as exc:
+                return type(exc), exc.args
+
+        for raw in replies:
+            assert outcome(lambda: runner._read_modbus(
+                cab.node, unit, table, 100), raw) \
+                == outcome(lambda: general(raw), raw), raw.hex()
+        raised = outcome(lambda: runner._read_modbus(cab.node, unit, table,
+                                                     100), replies[7])
+        assert raised[0] is modbus.ModbusExceptionResponse
+        if table != "coil":
+            assert outcome(lambda: runner._read_modbus(
+                cab.node, unit, table, 100), replies[0]) == 0x1234
+
+    def test_coil_write_takes_the_echo_and_rejects_an_exception(
+            self, scenario_path):
+        runner = Runner(load_scenario(scenario_path), pace=False)
+        cab = runner.scenario.cabinets[0]
+        rf = runner.cabinets[cab.building].register_file
+        runner._write_modbus_coil(cab.node, cab.unit_id, TRIP_COIL, True)
+        assert rf.get_coil(TRIP_COIL) is True
+        # the cabinet's own reply to an unmapped coil
+        with pytest.raises(CommandFailure, match="exception 2"):
+            runner._write_modbus_coil(cab.node, cab.unit_id, 999, True)
+        # the same reply from a handler, after the write it answers
+        illegal = modbus.encode_frame(modbus.MbapFrame(1, cab.unit_id, modbus.Pdu(
+            modbus.WRITE_COIL | 0x80, bytes([modbus.EXC_ILLEGAL_ADDRESS]))))
+        runner.fabric.register_handler(cab.node, "modbus",
+                                       lambda data: illegal)
+        with pytest.raises(CommandFailure, match="exception 2"):
+            runner._write_modbus_coil(cab.node, cab.unit_id, TRIP_COIL, False)
+
 
 class PerTaskRunner(Runner):
     """The scheduling that grouping replaced, kept as the oracle: one heap
@@ -860,6 +981,8 @@ class TestCli:
         assert len(lines) > 1
         assert (out / "summary.csv").exists()
         assert (out / "ems_ticks.csv").exists()
+        assert ("done: 4 control ticks, 0 blocked deliveries, 0 skipped "
+                "ticks (stale 0, no data 0, blocked 0)\n") in capsys.readouterr().out
 
     def test_inject_unreachable_historian(self, capsys):
         code = main(["inject", "--url", "http://127.0.0.1:1",
