@@ -62,7 +62,6 @@ class Datapoint:
     xid: str
     name: str
     source: BrokerSource | ModbusSource | None   # None: derived
-    poll_period_s: float = 10.0
     derive: Callable[["Historian"], float] | None = None
     latest: tuple[float, float] | None = None
     error_count: int = 0

@@ -19,6 +19,19 @@ order one event per task gave, because tasks of one period re-arm together
 and so always ran contiguously, in registration order, at each
 ``(t, phase)`` they shared.
 
+Cabinet sampling and PLC scanning are change-driven. A cabinet's inputs are
+its building's client loads, which change only at a spawn, a retire or a trip
+change (each moves ``ClientPopulation.version``), and its master coil; a
+sample whose ``(version, master coil)`` equals that of the building's last
+sample would write the same consumption, so it is skipped. A sample that does
+run asks for a PLC scan only if it wrote a consumption other than the one the
+building's last scan read. Skipping is exact: a scan of unchanged inputs gives
+the trip coil it already holds (``coil or cons > maxcons`` twice is ``coil``
+once), ``on_trip``/``on_reset`` fire only on a change of that coil, and every
+other change of a cabinet's registers, a Modbus coil or register write, asks
+for its own scan. The loads are summed in the same order either way, so the
+artifacts are the same bytes as with a sample and a scan every period.
+
 One thread owns the plant: the thread that calls :meth:`Runner.run` is the
 only one that touches the fabric, the devices, the register files and the
 historian's registry, none of which takes a lock. The HTTP servers' threads
@@ -61,6 +74,7 @@ from . import modbus, netfabric, occupancy
 from .broker import Broker, BrokerHttpServer, ChangeEvent
 from .devices import (
     CONSUMPTION_REGISTER,
+    MASTER_COIL,
     SmartCabinet,
     SolarController,
     StorageController,
@@ -283,21 +297,17 @@ class Runner:
         self.turbine: dict[str, TurbineController] = {}
         specs = {t.name: t for t in s.things}
         self._features = {name: spec.feature for name, spec in specs.items()}
-        radiance_tables = {}
+        # read before any callback thing, wherever the file lists them
+        radiance_tables = {
+            spec.name: load_radiance_csv(s.path(spec.source_csv), mode=spec.mode)
+            for spec in s.things if isinstance(spec, InterpolationThingSpec)}
         for spec in s.things:
             if isinstance(spec, InterpolationThingSpec):
-                radiance_tables[spec.name] = load_radiance_csv(
-                    s.path(spec.source_csv), mode=spec.mode)
                 self.broker.create_thing(spec.name, {spec.feature: {spec.prop: 0.0}})
             elif isinstance(spec, CallbackThingSpec):
-                src = specs[spec.source_thing]
-                table = radiance_tables.get(spec.source_thing)
-                if table is None:
-                    raise StartupError(
-                        f"{spec.name}: source {spec.source_thing!r} is not an "
-                        f"interpolation thing")
                 self.solar[spec.name] = SolarController(
-                    table, registry, spec.callback_name,
+                    radiance_tables[spec.source_thing], registry,
+                    spec.callback_name,
                     spec.surface_m2, spec.efficiency,
                     year_offset_s=year_offset, year_len_s=year_len)
                 self.broker.create_thing(spec.name, {spec.feature: {spec.prop: 0.0}})
@@ -396,6 +406,10 @@ class Runner:
         self._ems_skip_reason: str | None = None   # of the last tick, if skipped
         self._scan_scheduled: dict[str, float] = {}
         self._scans_due: dict[float, list[str]] = {}   # scan instant -> buildings
+        # building -> (population version, master coil) at its last sample
+        self._sampled: dict[str, tuple[int, bool]] = {}
+        # building -> the consumption its last PLC scan read
+        self._scanned: dict[str, int] = {}
         self._last_controller_advance: dict[str, float] = {}
 
         self.artifacts = RunArtifacts(
@@ -404,37 +418,31 @@ class Runner:
 
     def _register_datapoints(self, specs: dict) -> None:
         s = self.scenario
-        poll = s.poll_period_s
-        for name, ctl in self.solar.items():
+        for name in self.solar:
             spec = specs[name]
             self.historian.register(Datapoint(
                 xid="DP_solar_power", name="Solar generation (W)",
                 source=BrokerSource(name, spec.feature, spec.prop,
-                                    host=s.broker_node),
-                poll_period_s=poll))
+                                    host=s.broker_node)))
         for name in self.storage:
             spec = specs[name]
             self.historian.register(Datapoint(
                 xid="DP_storage_level", name="Storage charge level (%)",
                 source=BrokerSource(name, spec.feature, "level",
-                                    host=s.broker_node),
-                poll_period_s=poll))
+                                    host=s.broker_node)))
         for name, ctl in self.turbine.items():
             spec = specs[name]
             self.historian.register(Datapoint(
                 xid="DP_turbine_rpm", name="Turbine rotor speed (rpm)",
                 source=BrokerSource(name, spec.feature, "rpm",
-                                    host=s.broker_node),
-                poll_period_s=poll))
+                                    host=s.broker_node)))
             self.historian.register(Datapoint(
                 xid="DP_turbine_power", name="Turbine output (kW)",
-                source=None, poll_period_s=poll,
-                derive=lambda h, c=ctl: c.power_kw()))
+                source=None, derive=lambda h, c=ctl: c.power_kw()))
         self.historian.register(Datapoint(
             xid="DP_turnout", name="Campus turnout (persons)",
             source=BrokerSource(TURNOUT_THING, "campus", "persons",
-                                host=s.broker_node),
-            poll_period_s=poll))
+                                host=s.broker_node)))
         building_xids = []
         for cab in s.cabinets:
             xid = f"DP_{cab.building}_consumption"
@@ -442,15 +450,14 @@ class Runner:
             self.historian.register(Datapoint(
                 xid=xid, name=f"Building {cab.building} consumption (W)",
                 source=ModbusSource(cab.node, cab.unit_id, "input",
-                                    CONSUMPTION_REGISTER),
-                poll_period_s=poll))
+                                    CONSUMPTION_REGISTER)))
 
         def campus_kw(h: Historian, xids=tuple(building_xids)) -> float:
             return sum(h.get_latest(x)[1] for x in xids) / 1000.0
 
         self.historian.register(Datapoint(
             xid="DP_campus_consumption", name="Campus consumption (kW)",
-            source=None, poll_period_s=poll, derive=campus_kw))
+            source=None, derive=campus_kw))
 
     # ── fabric-routed transport ───────────────────────────────────────
 
@@ -576,7 +583,9 @@ class Runner:
 
     def _run_scans(self, t: float) -> None:
         for building in self._scans_due.pop(t):
-            self.plcs[building].scan(self.cabinets[building].register_file)
+            rf = self.cabinets[building].register_file
+            self._scanned[building] = rf.input_registers[CONSUMPTION_REGISTER]
+            self.plcs[building].scan(rf)
 
     # ── periodic tasks ────────────────────────────────────────────────
 
@@ -592,8 +601,14 @@ class Runner:
 
     def _task_cabinet_sample(self, building: str, t: float) -> None:
         cabinet = self.cabinets[building]
-        cabinet.sample(self.population.building_loads_w(building))
-        self._schedule_plc_scan(building, t)
+        inputs = (self.population.version[building],
+                  cabinet.register_file.coils[MASTER_COIL])
+        if self._sampled.get(building) == inputs:
+            return
+        self._sampled[building] = inputs
+        consumption = cabinet.sample(self.population.building_loads_w(building))
+        if consumption != self._scanned.get(building):
+            self._schedule_plc_scan(building, t)
 
     def _publish(self, thing: str, feature: str, values: dict) -> None:
         node = self._controller_nodes.get(thing, self.scenario.broker_node)

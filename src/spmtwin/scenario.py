@@ -83,7 +83,6 @@ ThingSpec = InterpolationThingSpec | CallbackThingSpec | SystemThingSpec
 class ControllerSpec:
     thing: str
     node: str
-    feature: str = ""
     publish_period_s: float = 10.0
     command_property: str | None = None   # watched for mode/command writes
 
@@ -350,7 +349,10 @@ def load_scenario(path: str) -> Scenario:
         historian_http_port=_get(historian, "http_port", "int", "historian", 0),
         poll_period_s=_get(historian, "poll_period_s", "float", "historian", 10.0),
         things=[_parse_thing(t) for t in raw.get("things", [])],
-        controllers=[_section(ControllerSpec, c, "controller")
+        # a controller's feature is a key of older scenario files; its
+        # thing's feature is the one published to
+        controllers=[_section(ControllerSpec, c, "controller",
+                              ignored=("feature",))
                      for c in devices.get("controllers", [])],
         cabinets=[_section(CabinetSpec, c, "cabinet")
                   for c in devices.get("cabinets", [])],
@@ -455,12 +457,19 @@ def validate_scenario(s: Scenario) -> None:
                     f"thing {spec.name!r}: unknown callbackName "
                     f"{spec.callback_name!r}"
                 )
+    sources = {spec.name for spec in s.things
+               if isinstance(spec, InterpolationThingSpec)}
     for spec in s.things:
-        if isinstance(spec, CallbackThingSpec) and spec.source_thing not in thing_names:
+        if not isinstance(spec, CallbackThingSpec) or spec.source_thing in sources:
+            continue
+        if spec.source_thing not in thing_names:
             raise ScenarioError(
                 f"thing {spec.name!r}: dangling source reference "
                 f"{spec.source_thing!r}"
             )
+        raise ScenarioError(
+            f"thing {spec.name!r}: source {spec.source_thing!r} is not an "
+            f"interpolation thing")
 
     for ctrl in s.controllers:
         if ctrl.thing not in thing_names:
@@ -480,6 +489,11 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioError(
                 f"cabinet {cab.building!r}: dangling node reference {cab.node!r}"
             )
+        # the range a Modbus frame can carry (modbus.encode_frame)
+        if not 0 <= cab.unit_id <= 0xFF:
+            raise ScenarioError(
+                f"cabinet {cab.building!r}: unit_id must be 0..255, "
+                f"got {cab.unit_id}")
 
     # last, once the structure is valid: the files the run opens at start-up
     # (existence only; parsing them stays with the run)

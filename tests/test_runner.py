@@ -15,6 +15,7 @@ from spmtwin.cli import EXIT_INVALID, EXIT_OK, main
 from spmtwin.devices import CONSUMPTION_REGISTER, TRIP_COIL
 from spmtwin.historian import BUFFER_ROWS, CommandFailure, NoData
 from spmtwin.runner import (
+    PHASE_EMS,
     PHASE_PLC,
     RunAbort,
     Runner,
@@ -184,6 +185,23 @@ class TestShortRuns:
         assert runner.run().completed
         assert runner.population.clients
         assert len(runner.fabric._nodes) == len(runner.scenario.nodes)
+
+    def test_thing_order_does_not_matter(self, tmp_path, scenario_dir):
+        def panel_first(raw):     # the solar panel before the sun it reads
+            assert [t["type"] for t in raw["things"][:2]] == [
+                "interpolation", "callback"]
+            raw["things"][:2] = raw["things"][1::-1]
+
+        for name, mutate in (("listed", None), ("panel-first", panel_first)):
+            (tmp_path / name).mkdir()
+            path = customized(tmp_path / name, scenario_dir, mutate=mutate,
+                              duration_s=1800,
+                              start_time="2016-06-06T10:00:00")
+            assert Runner(load_scenario(path), pace=False).run(
+                out_dir=str(tmp_path / name / "out")).completed
+        for name in ARTIFACTS:
+            assert (tmp_path / "panel-first" / "out" / name).read_bytes() \
+                == (tmp_path / "listed" / "out" / name).read_bytes()
 
 
 def consumption(historian) -> list[float]:
@@ -723,7 +741,18 @@ class TestModbusPolls:
             runner._write_modbus_coil(cab.node, cab.unit_id, TRIP_COIL, False)
 
 
-class PerTaskRunner(Runner):
+class EverySampleRunner(Runner):
+    """The sampling that change-driven sampling replaced, kept as the
+    oracle: every sample sums its building's loads and asks for a PLC
+    scan."""
+
+    def _task_cabinet_sample(self, building, t):
+        self.cabinets[building].sample(
+            self.population.building_loads_w(building))
+        self._schedule_plc_scan(building, t)
+
+
+class PerTaskRunner(EverySampleRunner):
     """The scheduling that grouping replaced, kept as the oracle: one heap
     event per periodic task, pushed in registration order, and one per PLC
     scan."""
@@ -767,24 +796,71 @@ def mixed_periods(raw):
         ctrl["publish_period_s"] = period
 
 
-def recorded_run(runner_cls, path, out_dir):
-    """Run unpaced, recording every cabinet sample and PLC scan as
-    ``(t, "sample"|"scan", building)``; returns (calls, runner)."""
-    runner = runner_cls(load_scenario(path), pace=False)
-    calls = []
+ARTIFACTS = ("datapoints.csv", "ems_ticks.csv", "summary.csv")
 
-    def recording(kind, building, fn):
+
+def effects_run(runner_cls, path, out_dir, commands=()):
+    """Run unpaced into ``out_dir``, delivering each ``(t, target, value)``
+    of ``commands`` management -> historian API at sim ``t`` after the EMS
+    phase, as the run loop delivers an injection. The runner returned keeps
+    what it did in ``callbacks``: every PLC callback as ``(t, "on_trip" |
+    "on_reset", building)``; ``polls``: at every poll of a cabinet, ``(t,
+    building, consumption, trip coil)``; ``replies``: each command's reply;
+    and ``calls``: every cabinet sample and PLC scan as ``(t, "sample" |
+    "scan", building)``."""
+    runner = runner_cls(load_scenario(path), pace=False)
+    now = runner.clock.now
+    runner.out = out_dir
+    runner.callbacks, runner.polls, runner.replies, runner.calls = \
+        [], [], [], []
+
+    def recording(log, entry, fn):
         def record(*args):
-            calls.append((runner.clock.now(), kind, building))
+            log.append((now(),) + entry)
             return fn(*args)
         return record
 
-    for b, cabinet in runner.cabinets.items():
-        cabinet.sample = recording("sample", b, cabinet.sample)
-        plc = runner.plcs[b]
-        plc.scan = recording("scan", b, plc.scan)
-    runner.run(out_dir=str(out_dir))
-    return calls, runner
+    for b, plc in runner.plcs.items():
+        runner.cabinets[b].sample = recording(
+            runner.calls, ("sample", b), runner.cabinets[b].sample)
+        plc.scan = recording(runner.calls, ("scan", b), plc.scan)
+        for kind in ("on_trip", "on_reset"):
+            setattr(plc, kind, recording(runner.callbacks, (kind, b),
+                                         getattr(plc, kind)))
+    buildings = {node: b for b, node in runner._cabinet_nodes.items()}
+    poll_host = runner.historian.poll_host
+
+    def polled(host, t):
+        if host in buildings:
+            rf = runner.cabinets[buildings[host]].register_file
+            runner.polls.append((t, buildings[host],
+                                 rf.get_input(CONSUMPTION_REGISTER),
+                                 rf.get_coil(TRIP_COIL)))
+        return poll_host(host, t)
+
+    runner.historian.poll_host = polled
+
+    def command(target, value):
+        runner.replies.append(runner.fabric.deliver(
+            runner._mgmt_node, runner.scenario.historian_node, "api",
+            {"type": "command", "target": target, "value": value}))
+
+    for t, target, value in commands:
+        runner._schedule(t, PHASE_EMS + 1,
+                         lambda _t, a=(target, value): command(*a))
+    assert runner.run(out_dir=str(out_dir)).completed
+    return runner
+
+
+def assert_same_effects(runner, oracle):
+    """Equal artifacts, deliveries, command replies, PLC callback instants,
+    and cabinet registers at every poll."""
+    for name in ARTIFACTS:
+        assert (runner.out / name).read_bytes() == (oracle.out / name).read_bytes()
+    assert runner.fabric.delivered_count == oracle.fabric.delivered_count
+    assert runner.replies == oracle.replies
+    assert runner.callbacks == oracle.callbacks
+    assert runner.polls == oracle.polls
 
 
 def campus(buildings):
@@ -809,23 +885,27 @@ class TestGroupedScheduling:
                                                     scenario_dir):
         path = customized(tmp_path, scenario_dir, mutate=mixed_periods,
                           duration_s=3600, start_time="2016-06-06T10:00:00")
-        calls, runner = recorded_run(Runner, path, tmp_path / "grouped")
-        expected, oracle = recorded_run(PerTaskRunner, path,
-                                        tmp_path / "per-task")
-        assert calls == expected
-        for name in ("datapoints.csv", "ems_ticks.csv", "summary.csv"):
-            assert (tmp_path / "grouped" / name).read_bytes() \
-                == (tmp_path / "per-task" / name).read_bytes()
-        assert runner.fabric.delivered_count == oracle.fabric.delivered_count
+        runner = effects_run(Runner, path, tmp_path / "grouped")
+        oracle = effects_run(PerTaskRunner, path, tmp_path / "per-task")
+        assert_same_effects(runner, oracle)
         # the variant exercises what the order decides: PLCs trip, and
-        # buildings of different scan periods share a scan instant
+        # buildings share a scan instant; in the oracle's every-sample run,
+        # buildings of different scan periods do too (scans asked for only
+        # on a change start from a shared minute, so they do not)
         assert sum(plc._last_coil for plc in runner.plcs.values()) >= 2
         periods = dict(zip("abcdef", SCAN_PERIODS))
-        shared = {}
-        for t, kind, b in calls:
-            if kind == "scan":
-                shared.setdefault(t, set()).add(periods[b])
-        assert any(len(p) > 1 for p in shared.values())
+
+        def shared_scans(calls):
+            shared = {}
+            for t, kind, b in calls:
+                if kind == "scan":
+                    shared.setdefault(t, []).append(periods[b])
+            return [p for p in shared.values() if len(p) > 1]
+
+        assert shared_scans(runner.calls)
+        assert any(len(set(p)) > 1 for p in shared_scans(oracle.calls))
+        # and the change samples and scans far less than every sample does
+        assert 10 * len(runner.calls) < len(oracle.calls)
 
     def test_sixty_buildings_make_few_events_per_poll_period(self, tmp_path,
                                                              scenario_dir):
@@ -849,6 +929,35 @@ class TestGroupedScheduling:
         assert sum(1 for _, xid, _ in artifacts.historian.log
                    if xid.endswith("_consumption")) == polls * 61
         assert 0 < events[0] <= 8 * polls
+
+
+class TestChangeDrivenSampling:
+    # on the mixed-periods variant a trips at 60 s and stays tripped, and
+    # c never trips
+    COMMANDS = [
+        (600.0, "modbus:cab-c/coil/101", False),   # master off ...
+        (900.0, "modbus:cab-c/coil/101", True),    # ... and on again
+        (1000.0, "modbus:cab-a/coil/100", False),  # reset a tripped PLC
+        (1200.0, "modbus:cab-b/coil/101", True),   # a redundant master on
+    ]
+
+    def test_coil_writes_match_every_sample(self, tmp_path, scenario_dir):
+        path = customized(tmp_path, scenario_dir, mutate=mixed_periods,
+                          duration_s=3600, start_time="2016-06-06T10:00:00")
+        runner = effects_run(Runner, path, tmp_path / "change",
+                             self.COMMANDS)
+        oracle = effects_run(EverySampleRunner, path, tmp_path / "oracle",
+                             self.COMMANDS)
+        assert_same_effects(runner, oracle)
+        # every command was made, and each did what it is there for
+        assert runner.replies == [{"ok": True, "target": target}
+                                  for _, target, _ in self.COMMANDS]
+        c_polls = [(t, cons) for t, b, cons, _ in runner.polls if b == "c"]
+        assert all(cons == 0 for t, cons in c_polls if 610 <= t <= 900)
+        assert all(cons > 0 for t, cons in c_polls if t < 600 or t > 910)
+        assert [e[1:] for e in runner.callbacks if 1000 < e[0] < 1010] == [
+            ("on_reset", "a"), ("on_trip", "a")]
+        assert 10 * len(runner.calls) < len(oracle.calls)
 
 
 class TestStreamedArtifacts:

@@ -22,6 +22,11 @@ SYSTEM = {"name": "FDT:sys", "type": "systemSimulator", "feature": "f",
 CABINET = {"building": "a", "node": "ems", "base_load_w": 1,
            "max_consumption_w": 2}
 
+# a callback thing reading FDT:sys, which is not an interpolation thing
+PANEL = {"name": "FDT:panel", "type": "callback", "feature": "panel",
+         "property": "power", "callbackName": "getSolarSurfaceInterpolant",
+         "source": "FDT:sys", "args": {"surface_m2": 1, "efficiency": 1}}
+
 
 @contextlib.contextmanager
 def deadline(seconds: float):
@@ -81,6 +86,12 @@ class TestLoading:
         scenario = load_scenario(minimal(
             tmp_path, lambda r: r.update(ems={"setpoint_kw": 5.0})))
         assert scenario.ems.timer_period_s == 60.0
+
+    def test_legacy_controller_feature_accepted(self, tmp_path):
+        scenario = load_scenario(minimal(tmp_path, lambda r: r.update(
+            things=[SYSTEM], devices={"controllers": [
+                {"thing": "FDT:sys", "node": "ems", "feature": "f"}]})))
+        assert [c.thing for c in scenario.controllers] == ["FDT:sys"]
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="not found"):
@@ -150,6 +161,9 @@ class TestValidation:
                       "feature": "sky", "property": "radiance",
                       "source_csv": "missing.csv"}]}, "source_csv"),
         ({"turnout": {"schedule_csv": "missing.csv"}}, "schedule_csv"),
+        ({"devices": {"cabinets": [dict(CABINET, unit_id=300)]}}, "unit_id"),
+        ({"devices": {"cabinets": [dict(CABINET, unit_id=-1)]}}, "unit_id"),
+        ({"things": [SYSTEM, PANEL]}, "not an interpolation thing"),
     ], ids=["ems-key", "turnout-key", "ems-not-object", "tcp-transport",
             "ems-value-type", "turnout-value-type", "historian-key",
             "top-level-key", "clock-key", "broker-key", "ems-zero-timer",
@@ -157,7 +171,8 @@ class TestValidation:
             "turnout-cluster-size", "clock-scale", "poll-period",
             "plc-scan-period", "cabinet-sample-period",
             "controller-publish-period", "negative-seed", "missing-source-csv",
-            "missing-schedule-csv"])
+            "missing-schedule-csv", "cabinet-unit-id-over",
+            "cabinet-unit-id-under", "callback-source-kind"])
     def test_input_error_exits_2(self, tmp_path, capsys, section, key):
         path = minimal(tmp_path, lambda r: r.update(section))
         # unchecked, a zero period reschedules its task at t = 0 forever
