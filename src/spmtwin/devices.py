@@ -145,6 +145,8 @@ class TurbineController:
         self.valves = (0.0, 0.0)
         # nominal rpm taken at both valves open with the reference air temp
         self.nominal_rpm = system.steady_state((1.0, 1.0, 15.0))[0]
+        if not self.nominal_rpm > 0:
+            raise ValueError(f"nominal rpm must be > 0, got {self.nominal_rpm}")
 
     @property
     def rpm(self) -> float:

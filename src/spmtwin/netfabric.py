@@ -8,7 +8,6 @@ allowed connection is allowed statefully.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -34,6 +33,10 @@ class FirewallRule:
     priority: int = 0
 
     def __post_init__(self):
+        for end, segment in (("src", self.src_segment),
+                             ("dst", self.dst_segment)):
+            if segment != "*" and segment not in SEGMENTS:
+                raise ValueError(f"{end}: unknown segment {segment!r}")
         if self.verdict not in (ALLOW, DENY):
             raise ValueError(f"verdict must be allow/deny, got {self.verdict!r}")
 
@@ -45,29 +48,6 @@ class FirewallRule:
 class Node:
     id: str
     segment: str
-
-
-def load_policy(path: str) -> list[FirewallRule]:
-    """Read a JSON list of {src, dst, verdict, priority} rules."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: policy file must contain a JSON list")
-    return parse_policy(raw)
-
-
-def parse_policy(raw: list[dict]) -> list[FirewallRule]:
-    rules = []
-    for entry in raw:
-        rules.append(
-            FirewallRule(
-                src_segment=entry["src"],
-                dst_segment=entry["dst"],
-                verdict=entry["verdict"],
-                priority=int(entry.get("priority", 0)),
-            )
-        )
-    return rules
 
 
 def permits(

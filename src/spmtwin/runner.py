@@ -95,10 +95,10 @@ from .historian import (
     format_value,
 )
 from .scenario import (
+    TURNOUT_THING,
     CallbackThingSpec,
     InterpolationThingSpec,
     Scenario,
-    SystemThingSpec,
 )
 from .simcore import (
     SimClock,
@@ -118,8 +118,6 @@ PHASE_CONTROLLER = 3
 PHASE_POLL = 4
 PHASE_DERIVED = 5
 PHASE_EMS = 6
-
-TURNOUT_THING = "FDT:campus-turnout"
 
 READ_FUNCTIONS = {"input": modbus.READ_INPUT, "holding": modbus.READ_HOLDING,
                   "coil": modbus.READ_COILS}
@@ -301,6 +299,7 @@ class Runner:
         radiance_tables = {
             spec.name: load_radiance_csv(s.path(spec.source_csv), mode=spec.mode)
             for spec in s.things if isinstance(spec, InterpolationThingSpec)}
+        self._charge_kw = self._discharge_kw = 0.0
         for spec in s.things:
             if isinstance(spec, InterpolationThingSpec):
                 self.broker.create_thing(spec.name, {spec.feature: {spec.prop: 0.0}})
@@ -311,35 +310,21 @@ class Runner:
                     spec.surface_m2, spec.efficiency,
                     year_offset_s=year_offset, year_len_s=year_len)
                 self.broker.create_thing(spec.name, {spec.feature: {spec.prop: 0.0}})
-            elif isinstance(spec, SystemThingSpec):
-                system = spec.build_system()
-                if system.n == 1 and system.m == 2:
-                    self.storage[spec.name] = StorageController(system)
-                    self.broker.create_thing(spec.name, {
-                        spec.feature: {"level": system.x[0], "mode": "idle"}})
-                elif system.n == 2 and system.m == 3:
-                    self.turbine[spec.name] = TurbineController(
-                        system, rated_kw=spec.rated_kw or 65.0,
-                        air_temp_c=spec.air_temp_c
-                        if spec.air_temp_c is not None else 15.0)
-                    self.broker.create_thing(spec.name, {
-                        spec.feature: {"rpm": system.x[0], "power": 0.0,
-                                       "exhaust-temp": system.x[1]}})
+            else:
+                # validation built this controller once, so its shape fits
+                ctl = spec.build_controller()
+                if isinstance(ctl, StorageController):
+                    self.storage[spec.name] = ctl
+                    # energy-accounting constants from the rate and capacity
+                    cap = spec.capacity_kwh or 0.0
+                    rate_charge, rate_discharge = ctl.system.B[0]
+                    self._charge_kw = rate_charge / 100.0 * cap * 3600.0
+                    self._discharge_kw = -rate_discharge / 100.0 * cap * 3600.0
                 else:
-                    raise StartupError(
-                        f"{spec.name}: unsupported system shape "
-                        f"{system.n}x{system.m}")
+                    self.turbine[spec.name] = ctl
+                self.broker.create_thing(spec.name,
+                                         {spec.feature: ctl.telemetry()})
         self.broker.create_thing(TURNOUT_THING, {"campus": {"persons": 0.0}})
-
-        # storage energy-accounting constants from the rate and capacity
-        self._charge_kw = self._discharge_kw = 0.0
-        for spec in s.things:
-            if isinstance(spec, SystemThingSpec) and spec.name in self.storage:
-                cap = spec.capacity_kwh or 0.0
-                rate_charge = spec.B[0][0] * spec.time_unit_scale
-                rate_discharge = -spec.B[0][1] * spec.time_unit_scale
-                self._charge_kw = rate_charge / 100.0 * cap * 3600.0
-                self._discharge_kw = rate_discharge / 100.0 * cap * 3600.0
 
         # cabinets
         self.cabinets: dict[str, SmartCabinet] = {}
@@ -404,8 +389,9 @@ class Runner:
         self.ems_cfg = s.ems.config()
         self._last_commands: dict[str, object] = {}
         self._ems_skip_reason: str | None = None   # of the last tick, if skipped
-        self._scan_scheduled: dict[str, float] = {}
-        self._scans_due: dict[float, list[str]] = {}   # scan instant -> buildings
+        # scan instant -> its buildings, in the order their scans were asked
+        # for (dict keys: a repeated request is a no-op)
+        self._scans_due: dict[float, dict[str, None]] = {}
         # building -> (population version, master coil) at its last sample
         self._sampled: dict[str, tuple[int, bool]] = {}
         # building -> the consumption its last PLC scan read
@@ -572,14 +558,11 @@ class Runner:
     def _schedule_plc_scan(self, building: str, now: float) -> None:
         plc = self.plcs[building]
         t = (int(now / plc.scan_period_s) + 1) * plc.scan_period_s
-        if self._scan_scheduled.get(building) == t:
-            return
-        self._scan_scheduled[building] = t
         due = self._scans_due.get(t)
         if due is None:
-            due = self._scans_due[t] = []
+            due = self._scans_due[t] = {}
             self._schedule(t, PHASE_PLC, self._run_scans)
-        due.append(building)
+        due[building] = None
 
     def _run_scans(self, t: float) -> None:
         for building in self._scans_due.pop(t):

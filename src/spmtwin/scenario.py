@@ -3,8 +3,9 @@
 A scenario JSON file declares the things (simulator type + parameters), the
 devices binding them to the broker and Modbus, the network topology and
 policy, the EMS configuration, the turnout model, and the run parameters
-(duration, clock, seed). Loading dimension-checks every matrix and rejects
-dangling references by name.
+(duration, clock, seed). Loading reads every key with its declared type,
+builds each model and field controller once to run its own parameter checks,
+and rejects dangling references by name, so a file that loads can run.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ from dataclasses import MISSING, dataclass, fields
 from datetime import datetime
 
 from . import netfabric
+from .broker import THING_ID_RE
+from .devices import StorageController, TurbineController
 from .ems import EmsConfig
 from .occupancy import TurnoutModel
 from .simcore import (
-    INTERPOLATION_MODES,
+    NEAREST,
+    ConfigurationError,
+    InterpolationTable,
     LinearStateSpace,
     SimClock,
     builtin_registry,
@@ -28,6 +33,10 @@ from .simcore import (
 
 class ScenarioError(Exception):
     """Malformed or inconsistent scenario file."""
+
+
+# the thing the run creates for the campus turnout, beside the file's things
+TURNOUT_THING = "FDT:campus-turnout"
 
 
 # ── thing specs ────────────────────────────────────────────────────────────
@@ -71,6 +80,21 @@ class SystemThingSpec:
         A = [[a * scale for a in row] for row in self.A]
         B = [[b * scale for b in row] for row in self.B]
         return LinearStateSpace(A=A, B=B, x=list(self.x0), dt=dt)
+
+    def build_controller(self) -> StorageController | TurbineController:
+        """The field controller of this system's shape: 1 state x 2 inputs
+        is a storage, 2 states x 3 inputs a turbine."""
+        system = self.build_system()
+        shape = (system.n, system.m)
+        if shape == (1, 2):
+            return StorageController(system)
+        if shape == (2, 3):
+            given = {"rated_kw": self.rated_kw, "air_temp_c": self.air_temp_c}
+            return TurbineController(system, **{
+                key: value for key, value in given.items() if value is not None})
+        raise ConfigurationError(
+            f"system shape {system.n}x{system.m} is neither 1x2 (storage) "
+            f"nor 2x3 (turbine)")
 
 
 ThingSpec = InterpolationThingSpec | CallbackThingSpec | SystemThingSpec
@@ -162,11 +186,21 @@ class Scenario:
         raise ScenarioError(f"unknown thing {name!r}")
 
 
-def _req(obj: dict, key: str, where: str):
+# the default of a key that must be present; a dataclass field without a
+# default has this one
+_REQUIRED = MISSING
+
+
+def _read_json(path: str, what: str):
     try:
-        return obj[key]
-    except (KeyError, TypeError):
-        raise ScenarioError(f"{where}: missing required key {key!r}") from None
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ScenarioError(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(
+            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+        ) from None
 
 
 def _object(raw, where: str, known, ignored=()) -> dict:
@@ -182,25 +216,34 @@ def _object(raw, where: str, known, ignored=()) -> dict:
 
 def _typed(value, kind: str, where: str):
     """``value`` checked against the declared type ``kind``: ``"str"``,
-    ``"int"`` or ``"float"`` (any finite JSON number, returned as float)."""
-    if kind == "str" and isinstance(value, str):
-        return value
-    if not isinstance(value, bool):
+    ``"int"``, ``"float"`` (any finite JSON number, returned as float), or
+    ``"list[<kind>]"`` of any of these, each item checked."""
+    if kind.startswith("list["):
+        if isinstance(value, list):
+            return [_typed(item, kind[5:-1], f"{where}[{i}]")
+                    for i, item in enumerate(value)]
+    elif kind == "str":
+        if isinstance(value, str):
+            return value
+    elif not isinstance(value, bool):
         if kind == "int" and isinstance(value, int):
             return value
         if (kind == "float" and isinstance(value, (int, float))
                 and math.isfinite(value)):
             return float(value)
-    expected = {"str": "a string", "int": "an integer",
-                "float": "a finite number"}[kind]
+    expected = {"str": "a string", "int": "an integer", "float": "a finite number",
+                "list": "a list"}[kind.partition("[")[0]]
     raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
 
 
 def _get(obj: dict, key: str, kind: str, where: str, default=None):
-    """The ``kind``-typed value of ``obj[key]``, or ``default`` if absent."""
-    if key not in obj:
-        return default
-    return _typed(obj[key], kind, f"{where}.{key}")
+    """The ``kind``-typed value of ``obj[key]``, or ``default`` if absent; a
+    key whose default is ``_REQUIRED`` must be present."""
+    if key in obj:
+        return _typed(obj[key], kind, f"{where}.{key}")
+    if default is _REQUIRED:
+        raise ScenarioError(f"{where}: missing required key {key!r}")
+    return default
 
 
 def _section(cls, raw, where: str, ignored: tuple[str, ...] = ()):
@@ -211,28 +254,28 @@ def _section(cls, raw, where: str, ignored: tuple[str, ...] = ()):
     raw = _object(raw, where, decl, ignored)
     args = {}
     for name, f in decl.items():
-        if name not in raw:
-            if f.default is MISSING:
-                raise ScenarioError(f"{where}: missing required key {name!r}")
-            continue
         # annotations are strings here; optional fields read "str | None"
         kind, _, optional = f.type.partition(" | ")
-        value = raw[name]
-        args[name] = (None if value is None and optional
-                      else _typed(value, kind, f"{where}.{name}"))
+        args[name] = (None if optional and raw.get(name) is None
+                      else _get(raw, name, kind, where, f.default))
     return cls(**args)
 
 
-def _floats(raw, where: str) -> list[float]:
+def parse_policy(raw, where: str = "network.policy") -> list[netfabric.FirewallRule]:
+    """Firewall rules from a JSON list of ``{src, dst, verdict, priority}``
+    objects; :class:`netfabric.FirewallRule` checks each rule's values."""
     if not isinstance(raw, list):
-        raise ScenarioError(f"{where}: expected a list")
-    return [_typed(v, "float", f"{where}[{i}]") for i, v in enumerate(raw)]
-
-
-def _matrix(raw, where: str) -> list[list[float]]:
-    if not isinstance(raw, list):
-        raise ScenarioError(f"{where}: expected a list of rows")
-    return [_floats(row, f"{where}[{i}]") for i, row in enumerate(raw)]
+        raise ScenarioError(f"{where}: expected a list, got {raw!r}")
+    rules = []
+    for i, entry in enumerate(raw):
+        at = f"{where}[{i}]"
+        entry = _object(entry, at, ("src", "dst", "verdict", "priority"))
+        src, dst, verdict = (_get(entry, key, "str", at, _REQUIRED)
+                             for key in ("src", "dst", "verdict"))
+        priority = _get(entry, "priority", "int", at, 0)
+        rules.append(_check(at, lambda: netfabric.FirewallRule(
+            src, dst, verdict, priority)))
+    return rules
 
 
 _THING_KEYS = {
@@ -243,41 +286,43 @@ _THING_KEYS = {
 }
 
 
-def _parse_thing(raw: dict) -> ThingSpec:
-    name = _req(raw, "name", "thing")
+def _parse_thing(raw) -> ThingSpec:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"thing: expected an object, got {raw!r}")
+    name = _get(raw, "name", "str", "thing", _REQUIRED)
     where = f"thing {name!r}"
-    kind = _req(raw, "type", where)
-    feature = _req(raw, "feature", where)
+    kind = _get(raw, "type", "str", where, _REQUIRED)
     if kind not in _THING_KEYS:
         raise ScenarioError(f"{where}: unknown thing type {kind!r}")
     _object(raw, where, ("name", "type", "feature") + _THING_KEYS[kind])
+    feature = _get(raw, "feature", "str", where, _REQUIRED)
     if kind == "interpolation":
         return InterpolationThingSpec(
             name=name, feature=feature,
-            prop=_req(raw, "property", where),
-            mode=raw.get("mode", "nearest-record"),
-            source_csv=_req(raw, "source_csv", where),
+            prop=_get(raw, "property", "str", where, _REQUIRED),
+            mode=_get(raw, "mode", "str", where, NEAREST),
+            source_csv=_get(raw, "source_csv", "str", where, _REQUIRED),
         )
     if kind == "callback":
         args = _object(raw.get("args", {}), f"{where}.args",
                        ("surface_m2", "efficiency"))
         return CallbackThingSpec(
             name=name, feature=feature,
-            prop=_req(raw, "property", where),
-            callback_name=_req(raw, "callbackName", where),
-            surface_m2=_typed(_req(args, "surface_m2", where), "float",
-                              f"{where}.args.surface_m2"),
-            efficiency=_typed(_req(args, "efficiency", where), "float",
-                              f"{where}.args.efficiency"),
-            source_thing=_req(raw, "source", where),
+            prop=_get(raw, "property", "str", where, _REQUIRED),
+            callback_name=_get(raw, "callbackName", "str", where, _REQUIRED),
+            surface_m2=_get(args, "surface_m2", "float", f"{where}.args",
+                            _REQUIRED),
+            efficiency=_get(args, "efficiency", "float", f"{where}.args",
+                            _REQUIRED),
+            source_thing=_get(raw, "source", "str", where, _REQUIRED),
         )
-    system = _object(_req(raw, "system", where), f"{where}.system", ("A", "B"))
+    system = _object(raw.get("system"), f"{where}.system", ("A", "B"))
     return SystemThingSpec(
         name=name, feature=feature,
-        A=_matrix(_req(system, "A", where), f"{where}: A"),
-        B=_matrix(_req(system, "B", where), f"{where}: B"),
-        x0=_floats(_req(raw, "x0", where), f"{where}: x0"),
-        inputs=list(raw.get("inputs", [])),
+        A=_get(system, "A", "list[list[float]]", f"{where}.system", _REQUIRED),
+        B=_get(system, "B", "list[list[float]]", f"{where}.system", _REQUIRED),
+        x0=_get(raw, "x0", "list[float]", where, _REQUIRED),
+        inputs=_get(raw, "inputs", "list[str]", where, []),
         time_unit_scale=_get(raw, "time_unit_scale", "float", where, 1.0),
         capacity_kwh=_get(raw, "capacity_kwh", "float", where),
         rated_kw=_get(raw, "rated_kw", "float", where),
@@ -291,16 +336,7 @@ _TOP_LEVEL_KEYS = ("name", "start_time", "duration_s", "seed", "transport",
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from None
-
+    raw = _read_json(path, "scenario file")
     base_dir = os.path.dirname(os.path.abspath(path))
     raw = _object(raw, "scenario", _TOP_LEVEL_KEYS)
     transport = raw.get("transport", "inproc")
@@ -309,20 +345,15 @@ def load_scenario(path: str) -> Scenario:
             f"unknown transport {transport!r}: only 'inproc' is supported")
     # clock.tick is a key of older scenario files; pacing has no tick
     clock = _object(raw.get("clock", {}), "clock", ("scale",), ignored=("tick",))
-    network = _object(_req(raw, "network", "scenario"), "network",
+    network = _object(raw.get("network"), "network",
                       ("policy", "policy_file", "nodes"))
-
-    policy_raw = network.get("policy")
-    if policy_raw is None and "policy_file" in network:
-        policy_path = network["policy_file"]
-        if not os.path.isabs(policy_path):
-            policy_path = os.path.join(base_dir, policy_path)
-        try:
-            policy = netfabric.load_policy(policy_path)
-        except FileNotFoundError:
-            raise ScenarioError(f"policy file not found: {policy_path}") from None
+    if "policy" not in network and "policy_file" in network:
+        policy_path = os.path.join(
+            base_dir, _get(network, "policy_file", "str", "network"))
+        policy = parse_policy(_read_json(policy_path, "policy file"),
+                              policy_path)
     else:
-        policy = netfabric.parse_policy(policy_raw or [])
+        policy = parse_policy(network.get("policy", []))
 
     broker = _object(raw.get("broker", {}), "broker", ("node", "http_port"))
     historian = _object(raw.get("historian", {}), "historian",
@@ -366,10 +397,11 @@ def load_scenario(path: str) -> Scenario:
     return scenario
 
 
-def _check(where: str, build) -> None:
-    """Run a model's own parameter checks on scenario values at load time."""
+def _check(where: str, build):
+    """Run a model's own parameter checks on scenario values at load time;
+    returns what ``build`` built."""
     try:
-        build()
+        return build()
     except ValueError as exc:     # simcore's ConfigurationError included
         raise ScenarioError(f"{where}: {exc}") from None
 
@@ -424,39 +456,28 @@ def validate_scenario(s: Scenario) -> None:
     thing_names = set()
     registry = builtin_registry()
     for spec in s.things:
-        if spec.name in thing_names:
+        where = f"thing {spec.name!r}"
+        if spec.name in thing_names or spec.name == TURNOUT_THING:
             raise ScenarioError(f"duplicate thing {spec.name!r}")
         thing_names.add(spec.name)
+        # the broker's rule for a thing id
+        if not THING_ID_RE.match(spec.name):
+            raise ScenarioError(
+                f"{where}: name must be 'namespace:name' "
+                f"(pattern {THING_ID_RE.pattern})")
         if isinstance(spec, SystemThingSpec):
-            n = len(spec.A)
-            if any(len(row) != n for row in spec.A):
-                raise ScenarioError(f"thing {spec.name!r}: A must be square")
-            if len(spec.B) != n or len({len(row) for row in spec.B}) > 1:
-                raise ScenarioError(
-                    f"thing {spec.name!r}: B rows must match A dimension"
-                )
-            m = len(spec.B[0]) if spec.B else 0
-            if len(spec.x0) != n:
-                raise ScenarioError(
-                    f"thing {spec.name!r}: x0 length {len(spec.x0)} != {n}"
-                )
+            m = _check(where, spec.build_controller).system.m
             if spec.inputs and len(spec.inputs) != m:
                 raise ScenarioError(
-                    f"thing {spec.name!r}: {len(spec.inputs)} input bindings "
+                    f"{where}: {len(spec.inputs)} input bindings "
                     f"for a {m}-input system"
                 )
         elif isinstance(spec, InterpolationThingSpec):
-            if spec.mode not in INTERPOLATION_MODES:
-                raise ScenarioError(
-                    f"thing {spec.name!r}: unknown interpolation mode "
-                    f"{spec.mode!r}"
-                )
-        elif isinstance(spec, CallbackThingSpec):
-            if spec.callback_name not in registry:
-                raise ScenarioError(
-                    f"thing {spec.name!r}: unknown callbackName "
-                    f"{spec.callback_name!r}"
-                )
+            # the table's own mode check; its points are read by the run
+            _check(where, lambda: InterpolationTable([(0.0, 0.0)], spec.mode))
+        elif spec.callback_name not in registry:
+            raise ScenarioError(
+                f"{where}: unknown callbackName {spec.callback_name!r}")
     sources = {spec.name for spec in s.things
                if isinstance(spec, InterpolationThingSpec)}
     for spec in s.things:
@@ -471,7 +492,11 @@ def validate_scenario(s: Scenario) -> None:
             f"thing {spec.name!r}: source {spec.source_thing!r} is not an "
             f"interpolation thing")
 
+    controlled = set()
     for ctrl in s.controllers:
+        if ctrl.thing in controlled:
+            raise ScenarioError(f"duplicate controller for thing {ctrl.thing!r}")
+        controlled.add(ctrl.thing)
         if ctrl.thing not in thing_names:
             raise ScenarioError(
                 f"controller: dangling thing reference {ctrl.thing!r}"
@@ -480,7 +505,7 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioError(
                 f"controller {ctrl.thing!r}: dangling node reference {ctrl.node!r}"
             )
-    buildings = set()
+    buildings, cabinet_nodes = set(), set()
     for cab in s.cabinets:
         if cab.building in buildings:
             raise ScenarioError(f"duplicate cabinet building {cab.building!r}")
@@ -489,6 +514,12 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioError(
                 f"cabinet {cab.building!r}: dangling node reference {cab.node!r}"
             )
+        # a node serves one Modbus register file
+        if cab.node in cabinet_nodes:
+            raise ScenarioError(
+                f"cabinet {cab.building!r}: node {cab.node!r} already has a "
+                f"cabinet")
+        cabinet_nodes.add(cab.node)
         # the range a Modbus frame can carry (modbus.encode_frame)
         if not 0 <= cab.unit_id <= 0xFF:
             raise ScenarioError(

@@ -9,6 +9,7 @@ closed-form pipelines such as the solar surface model.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime
 from operator import mul
@@ -94,23 +95,12 @@ def interpolate(table: InterpolationTable, x: float) -> float:
         return ys[0]
     if x >= xs[-1]:
         return ys[-1]
-    hi = _bisect(xs, x)
+    hi = bisect_right(xs, x)
     lo = hi - 1
     if table.mode == NEAREST:
         return ys[lo] if (x - xs[lo]) <= (xs[hi] - x) else ys[hi]
     frac = (x - xs[lo]) / (xs[hi] - xs[lo])
     return ys[lo] + frac * (ys[hi] - ys[lo])
-
-
-def _bisect(xs: Sequence[float], x: float) -> int:
-    lo, hi = 0, len(xs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if xs[mid] <= x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 # ── Linear state-space ─────────────────────────────────────────────────────
@@ -141,12 +131,12 @@ class LinearStateSpace:
         if any(len(row) != n for row in self.A):
             raise ConfigurationError("A must be square")
         if len(self.B) != n:
-            raise ConfigurationError("B row count must equal the A dimension")
+            raise ConfigurationError("B rows must match the A dimension")
         m = len(self.B[0]) if self.B else 0
         if any(len(row) != m for row in self.B):
             raise ConfigurationError("B rows must have equal length")
         if len(self.x) != n:
-            raise ConfigurationError("state length must equal the A dimension")
+            raise ConfigurationError("state x0 length must equal the A dimension")
         if self.dt <= 0:
             raise ConfigurationError("dt must be > 0")
         self.A = [list(map(float, row)) for row in self.A]

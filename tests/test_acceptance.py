@@ -23,8 +23,9 @@ from spmtwin.devices import (
     StorageController,
     TripPlc,
 )
-from spmtwin.netfabric import ALLOW, DENY, Node, parse_policy, permits
+from spmtwin.netfabric import ALLOW, DENY, Node, permits
 from spmtwin.occupancy import TurnoutModel, building_load
+from spmtwin.scenario import parse_policy
 from spmtwin.simcore import LinearStateSpace
 
 STORAGE = dict(A=[[0.0]], B=[[0.12667, -0.14]])

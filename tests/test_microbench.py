@@ -19,7 +19,8 @@ from spmtwin import modbus
 from spmtwin.broker import Broker
 from spmtwin.ems import IDLE, START, ActionSet, EmsConfig, Measurements, ems_tick
 from spmtwin.historian import BrokerSource, Datapoint, Historian, ModbusSource
-from spmtwin.netfabric import Fabric, parse_policy
+from spmtwin.netfabric import Fabric
+from spmtwin.scenario import parse_policy
 from spmtwin.simcore import LinearStateSpace
 
 ROUNDS = 20

@@ -13,9 +13,9 @@ from spmtwin.netfabric import (
     FabricError,
     FirewallRule,
     Node,
-    parse_policy,
     permits,
 )
+from spmtwin.scenario import parse_policy
 
 PLANT_POLICY = parse_policy([
     {"src": "control", "dst": "field", "verdict": "allow", "priority": 10},

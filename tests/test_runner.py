@@ -767,6 +767,10 @@ class PerTaskRunner(EverySampleRunner):
             self._schedule(t + period, phase, wrapper)
         self._schedule(period, phase, wrapper)
 
+    def __init__(self, *args, **kwargs):
+        self._scan_scheduled = {}     # building -> its next scan instant
+        super().__init__(*args, **kwargs)
+
     def _schedule_plc_scan(self, building, now):
         plc = self.plcs[building]
         t = (int(now / plc.scan_period_s) + 1) * plc.scan_period_s

@@ -14,13 +14,28 @@ from spmtwin.scenario import (
 )
 
 
+# a storage: 1 state x 2 inputs
 SYSTEM = {"name": "FDT:sys", "type": "systemSimulator", "feature": "f",
-          "system": {"A": [[0.0, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]]},
-          "x0": [0.0, 0.0]}
+          "system": {"A": [[0.0]], "B": [[1.0, -1.0]]}, "x0": [0.0]}
+
+# a turbine: 2 states x 3 inputs
+TURBINE = {"name": "FDT:turbine", "type": "systemSimulator",
+           "feature": "engine",
+           "system": {"A": [[-0.3, 0.0], [0.0008, -0.2]],
+                      "B": [[4750.0, 29993.0, -0.1], [1.0, 45.0, 0.2]]},
+           "x0": [0.0, 15.0]}
+
+# the file only has to exist: loading does not read it
+SUN = {"name": "FDT:sun", "type": "interpolation", "feature": "sky",
+       "property": "radiance", "source_csv": "schedule.csv"}
 
 
 CABINET = {"building": "a", "node": "ems", "base_load_w": 1,
            "max_consumption_w": 2}
+
+NODES = [{"id": "broker", "segment": "control"},
+         {"id": "scada", "segment": "control"},
+         {"id": "ems", "segment": "control"}]
 
 # a callback thing reading FDT:sys, which is not an interpolation thing
 PANEL = {"name": "FDT:panel", "type": "callback", "feature": "panel",
@@ -46,14 +61,7 @@ def deadline(seconds: float):
 def minimal(tmp_path, mutate=None) -> str:
     raw = {
         "name": "mini",
-        "network": {
-            "policy": [],
-            "nodes": [
-                {"id": "broker", "segment": "control"},
-                {"id": "scada", "segment": "control"},
-                {"id": "ems", "segment": "control"},
-            ],
-        },
+        "network": {"policy": [], "nodes": list(NODES)},
         "things": [],
         "devices": {},
     }
@@ -114,6 +122,16 @@ class TestLoading:
         scenario = load_scenario(minimal(tmp_path, mutate))
         assert len(scenario.policy) == 1
 
+    def test_invalid_policy_json_reports_position(self, tmp_path):
+        (tmp_path / "pol.json").write_text('[{"src": "control",\n  "dst"}]')
+
+        def mutate(raw):
+            raw["network"].pop("policy")
+            raw["network"]["policy_file"] = "pol.json"
+
+        with pytest.raises(ScenarioError, match=r"pol\.json:2:\d+"):
+            load_scenario(minimal(tmp_path, mutate))
+
     def test_missing_policy_file(self, tmp_path):
         def mutate(raw):
             raw["network"].pop("policy")
@@ -164,6 +182,39 @@ class TestValidation:
         ({"devices": {"cabinets": [dict(CABINET, unit_id=300)]}}, "unit_id"),
         ({"devices": {"cabinets": [dict(CABINET, unit_id=-1)]}}, "unit_id"),
         ({"things": [SYSTEM, PANEL]}, "not an interpolation thing"),
+        ({"things": [dict(SYSTEM, name="sun")]}, "namespace:name"),
+        ({"things": [dict(SYSTEM, name="FDT:campus-turnout")]},
+         "duplicate thing"),
+        ({"things": [dict(SYSTEM, system={
+            "A": [[0.0, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]]},
+            x0=[0.0, 0.0])]}, "2x1"),
+        ({"things": [dict(TURBINE, system=dict(
+            TURBINE["system"], A=[[0.0, 0.0], [0.0, -0.2]]))]}, "singular"),
+        ({"things": [dict(TURBINE, system=dict(
+            TURBINE["system"], B=[[0.0, 0.0, 0.0], [1.0, 45.0, 0.2]]))]},
+         "nominal rpm"),
+        ({"devices": {"cabinets": [CABINET, dict(CABINET, building="b")]}},
+         "already has a cabinet"),
+        ({"things": [dict(SYSTEM, name=5)]}, "thing.name"),
+        ({"things": [dict(SYSTEM, feature=["f"])]}, "feature"),
+        ({"things": [dict(SUN, property=1)]}, "property"),
+        ({"things": [dict(SUN, source_csv=7)]}, "source_csv"),
+        ({"things": [dict(SUN, mode=1)]}, "mode: expected a string"),
+        ({"things": [dict(SYSTEM, inputs="ab")]}, "inputs"),
+        ({"network": {"nodes": NODES, "policy": [
+            {"src": "control", "verdict": "allow"}]}}, "dst"),
+        ({"network": {"nodes": NODES, "policy": [
+            {"src": "control", "dst": "field", "verdict": "maybe"}]}},
+         "verdict"),
+        ({"network": {"nodes": NODES, "policy": {
+            "src": "control", "dst": "field", "verdict": "allow"}}},
+         "policy"),
+        ({"network": {"nodes": NODES, "policy": [
+            {"src": "contrl", "dst": "field", "verdict": "allow"}]}},
+         "contrl"),
+        ({"things": [SYSTEM], "devices": {"controllers": [
+            {"thing": "FDT:sys", "node": "ems"},
+            {"thing": "FDT:sys", "node": "ems"}]}}, "duplicate controller"),
     ], ids=["ems-key", "turnout-key", "ems-not-object", "tcp-transport",
             "ems-value-type", "turnout-value-type", "historian-key",
             "top-level-key", "clock-key", "broker-key", "ems-zero-timer",
@@ -172,13 +223,22 @@ class TestValidation:
             "plc-scan-period", "cabinet-sample-period",
             "controller-publish-period", "negative-seed", "missing-source-csv",
             "missing-schedule-csv", "cabinet-unit-id-over",
-            "cabinet-unit-id-under", "callback-source-kind"])
+            "cabinet-unit-id-under", "callback-source-kind", "thing-id",
+            "turnout-thing-id",
+            "system-shape", "turbine-singular", "turbine-zero-nominal-rpm",
+            "two-cabinets-one-node", "thing-name-type", "feature-type",
+            "property-type", "source-csv-type", "mode-type", "inputs-type",
+            "policy-missing-dst", "policy-verdict", "policy-not-list",
+            "policy-segment", "duplicate-controller"])
     def test_input_error_exits_2(self, tmp_path, capsys, section, key):
         path = minimal(tmp_path, lambda r: r.update(section))
+        out = tmp_path / "out"
         # unchecked, a zero period reschedules its task at t = 0 forever
         with deadline(30):
-            assert main(["run", path, "--no-pace"]) == EXIT_INVALID
+            assert main(["run", path, "--no-pace", "--out", str(out)]) \
+                == EXIT_INVALID
         assert key in capsys.readouterr().err
+        assert not out.exists()
         with pytest.raises(ScenarioError, match=key):
             load_scenario(path)
         assert main(["validate", path]) == EXIT_INVALID
@@ -192,14 +252,12 @@ class TestValidation:
             {"building": "a", "node": "ems", "base_load_w": 1,
              "max_consumption_w": 2, "unitid": 3}]), "unitid"),
         (lambda r: r["things"].append(dict(SYSTEM, system={
-            "A": [["fast", 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]]})),
-         "A[0][0]"),
+            "A": [["fast"]], "B": [[1.0, -1.0]]})), "A[0][0]"),
         (lambda r: r["things"].append(dict(SYSTEM, system={
-            "A": [[0.0, 0.0], [0.0, -1.0]], "B": [[1.0], [None]]})),
-         "B[1][0]"),
-        (lambda r: r["things"].append(dict(SYSTEM, x0=[0.0, "1"])), "x0[1]"),
-        (lambda r: r["things"].append(dict(SYSTEM, x0=[0.0, float("nan")])),
-         "x0[1]"),
+            "A": [[0.0]], "B": [[1.0, None]]})), "B[0][1]"),
+        (lambda r: r["things"].append(dict(SYSTEM, x0=["1"])), "x0[0]"),
+        (lambda r: r["things"].append(dict(SYSTEM, x0=[float("nan")])),
+         "x0[0]"),
         (lambda r: r["things"].append(dict(SYSTEM, time_unit_scale="60")),
          "time_unit_scale"),
     ], ids=["network-key", "controller-key", "cabinet-key", "A-entry",
