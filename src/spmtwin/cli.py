@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the scenario RNG seed")
     p_run.add_argument("--out", default=None,
-                       help="directory for datapoints.csv and summaries")
+                       help="directory for datapoints.csv, ems_ticks.csv "
+                            "and summary.csv (default: write no file)")
     p_run.add_argument("--no-pace", action="store_true",
                        help="run as fast as possible (results are identical)")
     p_run.add_argument("--quiet", action="store_true")

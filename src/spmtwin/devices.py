@@ -156,9 +156,14 @@ class TurbineController:
     def exhaust_temp_c(self) -> float:
         return self.system.x[1]
 
+    def runs_at(self, rpm: float) -> bool:
+        """Whether the turbine counts as running at ``rpm``: from half its
+        nominal rpm up."""
+        return rpm >= 0.5 * self.nominal_rpm
+
     @property
     def running(self) -> bool:
-        return self.rpm >= 0.5 * self.nominal_rpm
+        return self.runs_at(self.rpm)
 
     def power_kw(self) -> float:
         frac = min(1.0, max(0.0, self.rpm / self.nominal_rpm))

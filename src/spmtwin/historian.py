@@ -6,10 +6,11 @@ EMS commands back to the field. The read and write functions are injected;
 the runner binds them to the fabric, and :meth:`Historian.register` binds
 each point to its read once, so a poll makes no choice of source.
 
-The sample log is a list of ``(t, xid, value)`` kept in memory, or, in a run
-that writes artifacts, a :class:`SampleSink` that writes each sample's
+In a run, the sample log is a :class:`SampleSink` that writes each sample's
 ``datapoints.csv`` row as it is polled, through a buffer of
-:data:`BUFFER_ROWS` rows, so memory does not grow with the run's length.
+:data:`BUFFER_ROWS` rows, so memory does not grow with the run's length; a
+run without an output directory writes the rows to ``os.devnull``. A
+historian on its own keeps a list of ``(t, xid, value)``.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class Historian:
         # its own: sourced points by host, derived points in one list
         self._by_host: dict[str, list[Datapoint]] = {}
         self._derived: list[Datapoint] = []
-        # the one sample store, (t, xid, value) in poll order: a list, or a
-        # SampleSink that writes them to datapoints.csv as they come
+        # the one sample store, (t, xid, value) in poll order: a list, or,
+        # in a run, a SampleSink that writes them as they come
         self.log: list[tuple[float, str, float]] | SampleSink = []
 
     # ── registration and queries ──────────────────────────────────────
@@ -256,7 +257,6 @@ class CsvSink:
     header = ""
 
     def __init__(self, path: str):
-        self.path = path
         self._fh = open(path, "w", newline="")
         self._fh.write(self.header + "\n")
         self._buf: list[str] = []
@@ -289,19 +289,29 @@ class CsvSink:
 class SampleSink(CsvSink):
     """``datapoints.csv`` written as samples are polled. The points of one
     poll instant come together, so each instant's timestamp is formatted
-    once. It builds each line in :meth:`append` itself: one call less per
-    sample on the poll path."""
+    once, and most samples repeat their point's last value, so each point
+    keeps the text after the timestamp of its last value. It builds each
+    line in :meth:`append` itself: one call less per sample on the poll
+    path."""
 
     header = DATAPOINTS_HEADER
     _t: float | None = None
     _stamp = ""
 
+    def __init__(self, path: str):
+        super().__init__(path)
+        # xid -> (its last value, ",xid,value\n")
+        self._tails: dict[str, tuple[float, str]] = {}
+
     def append(self, sample: tuple[float, str, float]) -> None:
         t, xid, value = sample
         if t != self._t:
             self._t, self._stamp = t, format_value(t)
+        tail = self._tails.get(xid)
+        if tail is None or tail[0] != value:
+            tail = self._tails[xid] = (value, f",{xid},{format_value(value)}\n")
         buf = self._buf
-        buf.append(f"{self._stamp},{xid},{format_value(value)}\n")
+        buf.append(self._stamp + tail[1])
         if len(buf) >= BUFFER_ROWS:
             self.flush()
 

@@ -35,6 +35,13 @@ class TurnoutModel:
             raise ValueError("schedule values must be non-negative")
         self.schedule = sorted(self.schedule)
 
+    def cluster_load_w(self, rng: np.random.Generator) -> float:
+        """One cluster's load in W: C times a per-person draw from
+        N(mu, sigma) truncated at 0; mu itself, with no draw, when sigma is
+        0."""
+        p = rng.normal(self.mu_w, self.sigma_w) if self.sigma_w > 0 else self.mu_w
+        return self.cluster_size * max(0.0, p)
+
 
 def turnout_at(model: TurnoutModel, hour_of_week: float) -> float:
     """Persons on campus at ``hour_of_week`` (0 = Monday 00:00), linearly
@@ -67,8 +74,7 @@ def building_load(model: TurnoutModel, persons: float, rng: np.random.Generator)
         raise ValueError("persons must be >= 0")
     total_w = 0.0
     for _ in range(cluster_count(model, persons)):
-        p = rng.normal(model.mu_w, model.sigma_w) if model.sigma_w > 0 else model.mu_w
-        total_w += model.cluster_size * max(0.0, p)
+        total_w += model.cluster_load_w(rng)
     return model.base_load_kw + total_w / 1000.0
 
 
@@ -122,12 +128,10 @@ class ClientPopulation:
             i = self._spawn_counter
             self._spawn_counter += 1
             building = self.buildings[i % len(self.buildings)]
-            p = (self.rng.normal(self.model.mu_w, self.model.sigma_w)
-                 if self.model.sigma_w > 0 else self.model.mu_w)
             client = ClientEntity(
                 id=f"client-{i:05d}",
                 cabinet=building,
-                load_w=self.model.cluster_size * max(0.0, p),
+                load_w=self.model.cluster_load_w(self.rng),
             )
             self.clients.append(client)
             self._loads_w[building].append(client.load_w)

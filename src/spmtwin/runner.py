@@ -39,13 +39,14 @@ only queue fabric deliveries from the management node (operator commands to
 the historian, requests to the broker) and wait; the run loop makes them
 between two events.
 
-``run(out_dir)`` opens ``datapoints.csv`` and ``ems_ticks.csv`` once the
-servers listen, so a run that cannot start writes nothing, and writes each
-sample and EMS tick as it comes; ``summary.csv``'s per-day sums are added up
-tick by tick, in the order the ticks come. So the run's memory does not grow
-with its length. :meth:`RunArtifacts.export` finishes the files, at the end
-of the run or when a task fails. Without ``out_dir`` the rows are kept in
-memory, and ``export`` writes the same bytes after the run.
+Every run writes each sample and EMS tick as it comes, through the sinks
+:meth:`RunArtifacts.open_sinks` opens once the servers listen (so a run that
+cannot start writes nothing): ``datapoints.csv`` and ``ems_ticks.csv`` in
+``run(out_dir)``'s directory, or ``os.devnull`` without one. ``summary.csv``'s
+per-day sums are added up tick by tick, in the order the ticks come. So the
+run's memory does not grow with its length, with or without ``out_dir``.
+:meth:`RunArtifacts.export` closes the sinks and writes ``summary.csv``, at
+the end of the run or when a task fails.
 
 Each Modbus read the historian polls is prepared once: its request bytes,
 and the 9-byte header a reply to it starts with when it carries the one
@@ -65,7 +66,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -134,9 +135,6 @@ SUMMARY_HEADER = ",".join(["day"] + [name for name, _ in SUMMARY_SUMS])
 # why an EMS tick was skipped: its measurements were too old, the historian
 # had none, or the firewall refused the EMS's read
 EMS_SKIP_REASONS = ("stale", "no data", "blocked")
-EMS_LOG_HEADER = ("timestamp,solar_kw,consumption_kw,storage_level_pct,"
-                  "turbine_kw,storage_mode,turbine_command,charge_kw,"
-                  "discharge_kw,grid_import_kw,dissipated_kw")
 
 
 class RunAbort(Exception):
@@ -147,8 +145,9 @@ class StartupError(Exception):
     """A service could not start (e.g. port conflict)."""
 
 
-@dataclass
-class EmsTickRecord:
+class EmsTickRecord(NamedTuple):
+    """One row of ``ems_ticks.csv``: its fields are the columns, in order."""
+
     timestamp: float
     solar_kw: float
     consumption_kw: float
@@ -165,31 +164,23 @@ class EmsTickRecord:
 class EmsTickSink(CsvSink):
     """``ems_ticks.csv`` written as the EMS ticks are accounted."""
 
-    header = EMS_LOG_HEADER
+    header = ",".join(EmsTickRecord._fields)
 
     def line(self, rec: EmsTickRecord) -> str:
-        return ",".join([
-            format_value(rec.timestamp), format_value(rec.solar_kw),
-            format_value(rec.consumption_kw),
-            format_value(rec.storage_level_pct), format_value(rec.turbine_kw),
-            rec.storage_mode, rec.turbine_command,
-            format_value(rec.charge_kw), format_value(rec.discharge_kw),
-            format_value(rec.grid_import_kw), format_value(rec.dissipated_kw),
-        ]) + "\n"
+        return ",".join([v if isinstance(v, str) else format_value(v)
+                         for v in rec]) + "\n"
 
 
 @dataclass
 class RunArtifacts:
-    """A run's outputs. The sample log and the EMS tick records are kept in
-    memory, or, after :meth:`stream_to`, written to their CSV files as they
-    come; summary.csv's per-day sums are added up as the ticks come, either
-    way. :meth:`export` finishes the files."""
+    """A run's outputs. From :meth:`open_sinks` on, the sample log and the
+    EMS tick records are written to their CSV sinks as they come, and
+    summary.csv's per-day sums are added up as the ticks come.
+    :meth:`export` finishes the files."""
 
-    seed: int
-    duration_s: float
     historian: Historian
     tick_hours: float                 # the EMS timer period one record covers
-    ems_ticks: list[EmsTickRecord] | EmsTickSink = field(default_factory=list)
+    ems_ticks: EmsTickSink | None = None      # set by open_sinks
     blocked_count: int = 0
     # skipped EMS ticks per EMS_SKIP_REASONS entry
     skipped_by_reason: dict[str, int] = field(
@@ -203,13 +194,16 @@ class RunArtifacts:
     def skipped_ems_ticks(self) -> int:
         return sum(self.skipped_by_reason.values())
 
-    def stream_to(self, out_dir: str) -> None:
-        """Write datapoints.csv and ems_ticks.csv rows to ``out_dir`` from
-        now on, as they come, instead of keeping them."""
-        os.makedirs(out_dir, exist_ok=True)
-        self.historian.log = SampleSink(
-            os.path.join(out_dir, "datapoints.csv"))
-        self.ems_ticks = EmsTickSink(os.path.join(out_dir, "ems_ticks.csv"))
+    def open_sinks(self, out_dir: str | None) -> None:
+        """Write datapoints.csv and ems_ticks.csv rows as they come: to
+        ``out_dir``, or to ``os.devnull`` without one."""
+        dp_path = ems_path = os.devnull
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+            dp_path = os.path.join(out_dir, "datapoints.csv")
+            ems_path = os.path.join(out_dir, "ems_ticks.csv")
+        self.historian.log = SampleSink(dp_path)
+        self.ems_ticks = EmsTickSink(ems_path)
 
     def add_tick(self, rec: EmsTickRecord) -> None:
         self.ems_ticks.append(rec)
@@ -219,30 +213,18 @@ class RunArtifacts:
         for i, (_, attr) in enumerate(SUMMARY_SUMS):
             sums[i] += getattr(rec, attr) * hours
 
-    def export(self, out_dir: str) -> list[str]:
-        """Finish datapoints.csv and ems_ticks.csv in ``out_dir`` (close
-        the streamed files, or write the kept rows) and write summary.csv."""
-        os.makedirs(out_dir, exist_ok=True)
-        paths = [os.path.join(out_dir, name) for name in
-                 ("datapoints.csv", "summary.csv", "ems_ticks.csv")]
-        dp_path, summary_path, ems_path = paths
-        for rows, sink_type, path in ((self.historian.log, SampleSink, dp_path),
-                                      (self.ems_ticks, EmsTickSink, ems_path)):
-            if isinstance(rows, CsvSink):
-                if not os.path.samefile(rows.path, path):
-                    raise ValueError(f"{rows.path} was streamed, not {path}")
-                rows.close()
-            else:
-                sink = sink_type(path)
-                for row in rows:
-                    sink.append(row)
-                sink.close()
-        with open(summary_path, "w") as fh:
+    def export(self, out_dir: str | None) -> None:
+        """Close the sinks :meth:`open_sinks` opened and, with ``out_dir``,
+        write summary.csv there."""
+        self.historian.log.close()
+        self.ems_ticks.close()
+        if not out_dir:
+            return
+        with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
             fh.write(SUMMARY_HEADER + "\n")
             for day, sums in sorted(self.day_sums.items()):
                 fh.write(",".join([str(day)] + [format_value(v) for v in sums])
                          + "\n")
-        return paths
 
 
 class Runner:
@@ -396,11 +378,9 @@ class Runner:
         self._sampled: dict[str, tuple[int, bool]] = {}
         # building -> the consumption its last PLC scan read
         self._scanned: dict[str, int] = {}
-        self._last_controller_advance: dict[str, float] = {}
 
         self.artifacts = RunArtifacts(
-            seed=s.seed, duration_s=s.duration_s, historian=self.historian,
-            tick_hours=s.ems.timer_period_s / 3600.0)
+            historian=self.historian, tick_hours=s.ems.timer_period_s / 3600.0)
 
     def _register_datapoints(self, specs: dict) -> None:
         s = self.scenario
@@ -608,17 +588,16 @@ class Runner:
             except netfabric.Blocked:
                 self.artifacts.publish_errors += 1
 
-    def _task_controller(self, thing: str, t: float) -> None:
+    def _task_controller(self, thing: str, period: float, t: float) -> None:
+        """Publish ``thing``'s telemetry; a storage or turbine first advances
+        by ``period``, the time since its last publish (its task runs every
+        ``period`` s from ``period``)."""
         feature = self._features[thing]
-        last = self._last_controller_advance.get(thing, 0.0)
-        dt = t - last
-        self._last_controller_advance[thing] = t
         if thing in self.solar:
             self._publish(thing, feature, self.solar[thing].telemetry(t))
         elif thing in self.storage or thing in self.turbine:
             ctl = self.storage.get(thing) or self.turbine[thing]
-            if dt > 0:
-                ctl.advance(dt)
+            ctl.advance(period)
             self._publish(thing, feature, ctl.telemetry())
 
     def _ems_latest(self, xid: str, now: float) -> float:
@@ -650,7 +629,7 @@ class Runner:
             return
         self._ems_skip_reason = None
         turbine = next(iter(self.turbine.values()), None)
-        running = bool(turbine and rpm >= 0.5 * turbine.nominal_rpm)
+        running = turbine is not None and turbine.runs_at(rpm)
         level = min(100.0, max(0.0, level))
         m = ems_mod.Measurements(
             solar_generation_kw=solar_kw,
@@ -812,14 +791,14 @@ class Runner:
         s = self.scenario
         self._start_servers()
         try:
-            if out_dir:
-                self.artifacts.stream_to(out_dir)
+            self.artifacts.open_sinks(out_dir)
             tasks = [(s.turnout.period_s, PHASE_OCCUPANCY, self._task_occupancy)]
             tasks += [(cab.sample_period_s, PHASE_CABINET,
                        partial(self._task_cabinet_sample, cab.building))
                       for cab in s.cabinets]
             tasks += [(ctrl.publish_period_s, PHASE_CONTROLLER,
-                       partial(self._task_controller, ctrl.thing))
+                       partial(self._task_controller, ctrl.thing,
+                               ctrl.publish_period_s))
                       for ctrl in s.controllers]
             tasks += [(s.poll_period_s, PHASE_POLL,
                        partial(self.historian.poll_host, host))
@@ -858,8 +837,7 @@ class Runner:
 
     def _finalize(self, out_dir: str | None) -> None:
         self.artifacts.blocked_count = self.fabric.blocked_count
-        if out_dir:
-            self.artifacts.export(out_dir)
+        self.artifacts.export(out_dir)
 
 
 def run_scenario(scenario: Scenario, out_dir: str | None = None,

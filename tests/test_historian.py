@@ -269,6 +269,22 @@ class TestExport:
             expected = repr(value)
         assert format_value(value) == expected
 
+    def test_sink_writes_each_repeated_value_as_formatted(self, tmp_path):
+        # a point's last value is reused: equal values (0.0 and -0.0 too)
+        # give the same text, a NaN never equals the last one
+        nan = float("nan")
+        samples = [(10.0, "a", 1.5), (10.0, "b", 0.0), (20.0, "a", 1.5),
+                   (20.0, "b", -0.0), (30.0, "a", 2.25), (30.0, "b", nan),
+                   (40.0, "b", nan), (40.0, "a", 1.5), (50.0, "b", 0.0)]
+        path = tmp_path / "datapoints.csv"
+        sink = SampleSink(str(path))
+        for sample in samples:
+            sink.append(sample)
+        sink.close()
+        assert path.read_text() == "timestamp,xid,value\n" + "".join(
+            f"{format_value(t)},{xid},{format_value(v)}\n"
+            for t, xid, v in samples)
+
     def test_sink_counts_and_writes_rows_past_its_buffer(self, tmp_path):
         path = tmp_path / "datapoints.csv"
         sink = SampleSink(str(path))

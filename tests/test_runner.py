@@ -1,3 +1,4 @@
+import csv
 import http.client
 import json
 import logging
@@ -17,6 +18,8 @@ from spmtwin.historian import BUFFER_ROWS, CommandFailure, NoData
 from spmtwin.runner import (
     PHASE_EMS,
     PHASE_PLC,
+    SUMMARY_HEADER,
+    EmsTickRecord,
     RunAbort,
     Runner,
     StartupError,
@@ -42,23 +45,47 @@ def customized(tmp_path, scenario_dir, mutate=None, **top_level) -> str:
     return str(path)
 
 
-def run_short(tmp_path, scenario_dir, duration=600, mutate=None, **kw):
+def run_short(tmp_path, scenario_dir, duration=600, mutate=None, out="out",
+              **kw):
+    """Run the shipped scenario unpaced, its artifacts in ``tmp_path/out``."""
     path = customized(tmp_path, scenario_dir, mutate=mutate,
                       duration_s=duration, **kw)
     scenario = load_scenario(path)
-    return run_scenario(scenario, pace=False)
+    return run_scenario(scenario, out_dir=str(tmp_path / out), pace=False)
+
+
+# ems_ticks.csv's text columns; every other column is a number
+EMS_TEXT_COLUMNS = ("storage_mode", "turbine_command")
+
+
+def ems_ticks(out) -> list[EmsTickRecord]:
+    """The EMS tick records of ``out``/ems_ticks.csv."""
+    with open(out / "ems_ticks.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == EmsTickRecord._fields
+    return [EmsTickRecord(*(v if name in EMS_TEXT_COLUMNS else float(v)
+                            for name, v in zip(header, row)))
+            for row in rows]
+
+
+def samples(out) -> list[tuple[float, str, float]]:
+    """The ``(t, xid, value)`` samples of ``out``/datapoints.csv."""
+    with open(out / "datapoints.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["timestamp", "xid", "value"]
+    return [(float(t), xid, float(v)) for t, xid, v in rows]
 
 
 class TestShortRuns:
     def test_zero_duration_produces_empty_artifacts(self, tmp_path, scenario_dir):
         artifacts = run_short(tmp_path, scenario_dir, duration=0)
         assert artifacts.completed
-        assert artifacts.historian.log == []
-        assert artifacts.ems_ticks == []
+        assert len(artifacts.historian.log) == len(artifacts.ems_ticks) == 0
         out = tmp_path / "out"
-        paths = artifacts.export(str(out))
+        assert sorted(os.listdir(out)) == sorted(ARTIFACTS)
         assert (out / "datapoints.csv").read_text() == "timestamp,xid,value\n"
-        assert len(paths) == 3
+        assert ems_ticks(out) == []
+        assert (out / "summary.csv").read_text() == SUMMARY_HEADER + "\n"
 
     def test_ten_minutes_overnight(self, tmp_path, scenario_dir):
         artifacts = run_short(tmp_path, scenario_dir, duration=600)
@@ -70,36 +97,42 @@ class TestShortRuns:
         assert hist.get_latest("DP_solar_power")[1] == 0.0
         assert hist.get_latest("DP_campus_consumption")[1] == pytest.approx(9.0)
         # the EMS covers the night deficit from storage first
-        first = artifacts.ems_ticks[0]
+        first = ems_ticks(tmp_path / "out")[0]
         assert first.storage_mode == "discharge"
         assert first.grid_import_kw == 0.0
         assert first.discharge_kw == pytest.approx(9.0)
 
     def test_storage_floor_reached_then_grid(self, tmp_path, scenario_dir):
         # 50% -> 10% at 0.14 %/s takes ~286 s of commanded discharge
-        artifacts = run_short(tmp_path, scenario_dir, duration=1800)
-        modes = [r.storage_mode for r in artifacts.ems_ticks]
+        run_short(tmp_path, scenario_dir, duration=1800)
+        ticks = ems_ticks(tmp_path / "out")
+        modes = [r.storage_mode for r in ticks]
         assert "discharge" in modes and "idle" in modes
-        late = artifacts.ems_ticks[-1]
+        late = ticks[-1]
         assert late.storage_mode == "idle"
         assert late.grid_import_kw == pytest.approx(late.consumption_kw)
 
     def test_energy_balance_residual_zero(self, tmp_path, scenario_dir):
-        artifacts = run_short(tmp_path, scenario_dir, duration=1800)
-        for r in artifacts.ems_ticks:
+        run_short(tmp_path, scenario_dir, duration=1800)
+        ticks = ems_ticks(tmp_path / "out")
+        assert ticks
+        for r in ticks:
             residual = (r.consumption_kw + r.charge_kw + r.dissipated_kw
                         - r.solar_kw - r.discharge_kw - r.turbine_kw
                         - r.grid_import_kw)
             assert abs(residual) <= 0.5
 
     def test_deterministic_across_runs_and_scales(self, tmp_path, scenario_dir):
-        a = run_short(tmp_path, scenario_dir, duration=900)
-        b = run_short(tmp_path, scenario_dir, duration=900)
-        assert a.historian.log == b.historian.log
+        run_short(tmp_path, scenario_dir, duration=900, out="a")
+        run_short(tmp_path, scenario_dir, duration=900, out="b")
         path = customized(tmp_path, scenario_dir, duration_s=900,
                           clock={"scale": 77777, "tick": 0.1})
-        c = run_scenario(load_scenario(path), pace=True)
-        assert a.historian.log == c.historian.log
+        run_scenario(load_scenario(path), out_dir=str(tmp_path / "c"),
+                     pace=True)
+        a = (tmp_path / "a" / "datapoints.csv").read_bytes()
+        assert a.count(b"\n") > 1
+        assert a == (tmp_path / "b" / "datapoints.csv").read_bytes()
+        assert a == (tmp_path / "c" / "datapoints.csv").read_bytes()
 
     @pytest.mark.parametrize("error, reason", [
         (netfabric.FabricError("node vanished"), None),
@@ -171,11 +204,14 @@ class TestShortRuns:
 
     def test_seed_changes_the_draws(self, tmp_path, scenario_dir):
         # daytime window so client loads are actually drawn
-        a = run_short(tmp_path, scenario_dir, duration=600, seed=1,
-                      start_time="2016-06-06T10:00:00")
-        b = run_short(tmp_path, scenario_dir, duration=600, seed=2,
-                      start_time="2016-06-06T10:00:00")
-        assert a.historian.log != b.historian.log
+        run_short(tmp_path, scenario_dir, duration=600, seed=1, out="a",
+                  start_time="2016-06-06T10:00:00")
+        run_short(tmp_path, scenario_dir, duration=600, seed=2, out="b",
+                  start_time="2016-06-06T10:00:00")
+        a, b = samples(tmp_path / "a"), samples(tmp_path / "b")
+        # the same polls, but other loads drawn
+        assert [(t, xid) for t, xid, _ in a] == [(t, xid) for t, xid, _ in b]
+        assert a != b
 
     def test_fabric_holds_only_scenario_nodes(self, tmp_path, scenario_dir):
         # busy hours spawn and retire clients; none of them joins the fabric
@@ -204,9 +240,10 @@ class TestShortRuns:
                 == (tmp_path / "listed" / "out" / name).read_bytes()
 
 
-def consumption(historian) -> list[float]:
-    """Building a's consumption samples in poll order."""
-    return [v for _, xid, v in historian.log if xid == "DP_a_consumption"]
+def consumption(out) -> list[float]:
+    """Building a's consumption samples in ``out``/datapoints.csv, in poll
+    order."""
+    return [v for _, xid, v in samples(out) if xid == "DP_a_consumption"]
 
 
 class TestTripProtection:
@@ -226,10 +263,10 @@ class TestTripProtection:
                           start_time="2016-06-06T12:00:00")
         scenario = load_scenario(path)
         runner = Runner(scenario, pace=False)
-        artifacts = runner.run()
+        runner.run(out_dir=str(tmp_path / "out"))
         cabinet = runner.cabinets["a"]
         assert cabinet.register_file.get_coil(TRIP_COIL) is True
-        values = consumption(artifacts.historian)
+        values = consumption(tmp_path / "out")
         over = [i for i, v in enumerate(values) if v > 2000]
         assert len(over) == 1  # exactly the sample that tripped the PLC
         # every sample after the trip reads base load only
@@ -250,7 +287,8 @@ class TestTripProtection:
         # paced at 1:200 the run lasts ~2 wall-seconds, leaving room to
         # inject a reset after the trip (~0.35 s wall)
         runner = Runner(load_scenario(path), pace=True)
-        thread = threading.Thread(target=runner.run)
+        out = tmp_path / "out"
+        thread = threading.Thread(target=runner.run, args=(str(out),))
         thread.start()
         time.sleep(0.8)
         ack = runner.inject("modbus:cab-a/coil/100", False)
@@ -258,7 +296,7 @@ class TestTripProtection:
         assert ack["ok"]
         # after the reset the clients feed again, so the next sample exceeds
         # the max and re-trips: two over-limit samples, not one
-        assert sum(1 for v in consumption(runner.historian) if v > 2000) >= 2
+        assert sum(1 for v in consumption(out) if v > 2000) >= 2
 
 
 class TestInjectionAndServers:
@@ -927,10 +965,10 @@ class TestGroupedScheduling:
             return advance_to(t)
 
         runner.clock.advance_to = counted
-        artifacts = runner.run()
+        artifacts = runner.run(out_dir=str(tmp_path / "out"))
         assert artifacts.completed
         # every poll still reads all 60 cabinets and the broker's points
-        assert sum(1 for _, xid, _ in artifacts.historian.log
+        assert sum(1 for _, xid, _ in samples(tmp_path / "out")
                    if xid.endswith("_consumption")) == polls * 61
         assert 0 < events[0] <= 8 * polls
 
@@ -965,21 +1003,29 @@ class TestChangeDrivenSampling:
 
 
 class TestStreamedArtifacts:
-    def test_streamed_files_equal_the_kept_ones(self, tmp_path, scenario_dir):
+    def test_a_run_without_out_dir_streams_the_same_rows(self, tmp_path,
+                                                         scenario_dir,
+                                                         monkeypatch):
         # 25 sim-h: summary.csv has two days
         path = customized(tmp_path, scenario_dir, duration_s=90000)
-        streamed = Runner(load_scenario(path), pace=False)
-        streamed.run(out_dir=str(tmp_path / "streamed"))
-        kept = Runner(load_scenario(path), pace=False).run()
-        assert isinstance(kept.historian.log, list)
-        kept.export(str(tmp_path / "kept"))
-        assert len(streamed.historian.log) == len(kept.historian.log)
-        assert len(streamed.artifacts.ems_ticks) == len(kept.ems_ticks)
-        for name in ("datapoints.csv", "ems_ticks.csv", "summary.csv"):
-            assert (tmp_path / "streamed" / name).read_bytes() \
-                == (tmp_path / "kept" / name).read_bytes()
-        summary = (tmp_path / "kept" / "summary.csv").read_text().splitlines()
+        out = tmp_path / "out"
+        written = Runner(load_scenario(path), pace=False).run(out_dir=str(out))
+        rows = (out / "datapoints.csv").read_text().count("\n")
+        assert len(written.historian.log) == rows - 1 > BUFFER_ROWS
+        assert len(written.ems_ticks) == len(ems_ticks(out)) > 0
+        summary = (out / "summary.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in summary[1:]] == ["0", "1"]
+        # without out_dir: the same rows through the same sinks, and no file
+        here = tmp_path / "cwd"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        unwritten = Runner(load_scenario(path), pace=False).run()
+        assert unwritten.historian.log._fh.closed
+        assert unwritten.ems_ticks._fh.closed
+        assert len(unwritten.historian.log) == len(written.historian.log)
+        assert len(unwritten.ems_ticks) == len(written.ems_ticks)
+        assert unwritten.day_sums == written.day_sums
+        assert os.listdir(here) == []
 
     def test_abort_leaves_closed_files_of_the_rows_made(self, tmp_path,
                                                          scenario_dir):
@@ -1019,8 +1065,9 @@ class TestStreamedArtifacts:
         assert not out.exists()
 
 
-# One unpaced run in a fresh process; prints its own peak RSS, read from
-# VmHWM (ru_maxrss would carry the parent's peak across fork+exec)
+# One unpaced run in a fresh process, into the out dir given, or into none
+# if it is ""; prints its own peak RSS, read from VmHWM (ru_maxrss would
+# carry the parent's peak across fork+exec)
 MEMORY_CHILD = """
 import json, sys
 from spmtwin.runner import Runner
@@ -1028,7 +1075,7 @@ from spmtwin.scenario import load_scenario
 scenario = load_scenario(sys.argv[1])
 scenario.duration_s = float(sys.argv[2])
 runner = Runner(scenario, pace=False)
-assert runner.run(out_dir=sys.argv[3]).completed
+assert runner.run(out_dir=sys.argv[3] or None).completed
 with open("/proc/self/status") as fh:
     hwm_kb = next(int(line.split()[1]) for line in fh
                   if line.startswith("VmHWM:"))
@@ -1043,19 +1090,24 @@ def test_memory_flat_from_a_week_to_a_month(tmp_path, scenario_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
-    def run(days):
+    def run(days, out):
         done = subprocess.run(
             [sys.executable, "-c", MEMORY_CHILD, scenario_path,
-             str(days * 86400.0), str(tmp_path / f"{days}d")],
+             str(days * 86400.0), str(tmp_path / f"{days}d") if out else ""],
             capture_output=True, text=True, env=env, check=True,
             timeout=600)
         return json.loads(done.stdout.splitlines()[-1])
 
-    week, month = run(7), run(30)
-    assert month["samples"] > 4 * week["samples"]
-    assert abs(month["hwm_kb"] - week["hwm_kb"]) <= 5 * 1024
-    assert month["nodes"] == week["nodes"] \
-        == len(load_scenario(scenario_path).nodes)
+    nodes = len(load_scenario(scenario_path).nodes)
+    runs = {out: (run(7, out), run(30, out)) for out in (True, False)}
+    for week, month in runs.values():
+        assert month["samples"] > 4 * week["samples"]
+        assert abs(month["hwm_kb"] - week["hwm_kb"]) <= 5 * 1024
+        assert month["nodes"] == week["nodes"] == nodes
+    # a run without an out dir peaks where one with an out dir does
+    week_out, week_none = runs[True][0], runs[False][0]
+    assert week_none["samples"] == week_out["samples"]
+    assert abs(week_none["hwm_kb"] - week_out["hwm_kb"]) <= 5 * 1024
 
 
 class TestCli:
@@ -1096,6 +1148,29 @@ class TestCli:
         assert (out / "ems_ticks.csv").exists()
         assert ("done: 4 control ticks, 0 blocked deliveries, 0 skipped "
                 "ticks (stale 0, no data 0, blocked 0)\n") in capsys.readouterr().out
+
+    def test_run_without_out_prints_the_same_and_writes_nothing(
+            self, tmp_path, scenario_path, capsys, monkeypatch):
+        args = ["run", scenario_path, "--duration", "300", "--no-pace",
+                "--seed", "7"]
+
+        def done_line(out):
+            lines = out.splitlines()
+            return next(line for line in lines if line.startswith("done:"))
+
+        assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        with_out = done_line(capsys.readouterr().out)
+        here = tmp_path / "cwd"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        scenario_files = sorted(os.listdir(os.path.dirname(scenario_path)))
+        assert main(args) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert done_line(printed) == with_out
+        assert "artifacts in" not in printed
+        assert os.listdir(here) == []
+        assert sorted(os.listdir(os.path.dirname(scenario_path))) \
+            == scenario_files
 
     def test_inject_unreachable_historian(self, capsys):
         code = main(["inject", "--url", "http://127.0.0.1:1",
