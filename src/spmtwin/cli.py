@@ -5,7 +5,8 @@ accelerated clock and writes artifacts (``--no-pace`` runs it as fast as the
 host allows), ``inject`` posts an operator command to a live run's
 management API.
 
-Exit codes: 0 success, 2 scenario validation failure, 3 runtime abort.
+Exit codes: 0 success, 2 scenario validation failure, 3 runtime abort,
+130 interrupted (Ctrl-C; a run finishes its artifacts first).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .scenario import ScenarioError, load_scenario, validate_scenario
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_RUNTIME = 3
+EXIT_INTERRUPTED = 130
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,6 +137,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RunAbort, StartupError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:     # a run's artifacts are finished by now
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

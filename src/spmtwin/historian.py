@@ -83,8 +83,8 @@ class Historian:
         self,
         read_broker: Callable[[str, str, str], object],
         read_modbus: Callable[[str, int, str, int], int],
-        write_broker: Callable[[str, str, str, object], None] | None = None,
-        write_modbus_coil: Callable[[str, int, int, bool], None] | None = None,
+        write_broker: Callable[[str, str, str, object], None],
+        write_modbus_coil: Callable[[str, int, int, bool], None],
     ):
         self._read_broker = read_broker
         self._read_modbus = read_modbus
@@ -127,6 +127,11 @@ class Historian:
         if dp.derive is not None:
             self._derived.append(dp)
         return dp
+
+    @property
+    def hosts(self) -> tuple[str, ...]:
+        """Each sourced point's host once, in :meth:`register` order."""
+        return tuple(self._by_host)
 
     def get_all(self) -> list[dict]:
         return [{"name": self._points[x].name, "xid": x} for x in self._order]
@@ -198,16 +203,12 @@ class Historian:
                 if len(parts) != 3:
                     raise CommandFailure(f"malformed broker target {target!r}")
                 thing, feature, prop = parts
-                if self._write_broker is None:
-                    raise CommandFailure("no broker write path configured")
                 self._write_broker(thing, feature, prop, value)
             elif kind == "modbus":
                 parts = rest.split("/")
                 if len(parts) != 3 or parts[1] != "coil":
                     raise CommandFailure(f"malformed modbus target {target!r}")
                 host, _, addr = parts
-                if self._write_modbus_coil is None:
-                    raise CommandFailure("no modbus write path configured")
                 self._write_modbus_coil(host, 1, int(addr), _as_bool(value))
             else:
                 raise CommandFailure(f"unknown target kind {kind!r}")

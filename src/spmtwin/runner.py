@@ -40,13 +40,14 @@ the historian, requests to the broker) and wait; the run loop makes them
 between two events.
 
 Every run writes each sample and EMS tick as it comes, through the sinks
-:meth:`RunArtifacts.open_sinks` opens once the servers listen (so a run that
-cannot start writes nothing): ``datapoints.csv`` and ``ems_ticks.csv`` in
-``run(out_dir)``'s directory, or ``os.devnull`` without one. ``summary.csv``'s
-per-day sums are added up tick by tick, in the order the ticks come. So the
-run's memory does not grow with its length, with or without ``out_dir``.
-:meth:`RunArtifacts.export` closes the sinks and writes ``summary.csv``, at
-the end of the run or when a task fails.
+:meth:`RunArtifacts.open_sinks` opens once the servers listen (a run that
+cannot start, or cannot write its ``out_dir``, is a :class:`StartupError`
+and leaves no sink open): ``datapoints.csv`` and ``ems_ticks.csv`` in
+``out_dir``, or ``os.devnull`` without one. ``summary.csv``'s per-day sums
+are added up tick by tick, so memory does not grow with the run's length.
+:meth:`Runner.run` ends in one ``finally`` that stops the servers and then
+has :meth:`RunArtifacts.export` close the sinks and write ``summary.csv``,
+whether the run is done, aborted by a failed task or interrupted.
 
 Each Modbus read the historian polls is prepared once: its request bytes,
 and the 9-byte header a reply to it starts with when it carries the one
@@ -196,14 +197,20 @@ class RunArtifacts:
 
     def open_sinks(self, out_dir: str | None) -> None:
         """Write datapoints.csv and ems_ticks.csv rows as they come: to
-        ``out_dir``, or to ``os.devnull`` without one."""
+        ``out_dir``, or to ``os.devnull`` without one. Raises ``OSError``
+        with neither sink left open."""
         dp_path = ems_path = os.devnull
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
             dp_path = os.path.join(out_dir, "datapoints.csv")
             ems_path = os.path.join(out_dir, "ems_ticks.csv")
-        self.historian.log = SampleSink(dp_path)
-        self.ems_ticks = EmsTickSink(ems_path)
+        samples = SampleSink(dp_path)
+        try:
+            self.ems_ticks = EmsTickSink(ems_path)
+        except OSError:
+            samples.close()
+            raise
+        self.historian.log = samples
 
     def add_tick(self, rec: EmsTickRecord) -> None:
         self.ems_ticks.append(rec)
@@ -311,7 +318,6 @@ class Runner:
         # cabinets
         self.cabinets: dict[str, SmartCabinet] = {}
         self.plcs: dict[str, TripPlc] = {}
-        self._cabinet_nodes: dict[str, str] = {}
         for cab in s.cabinets:
             cabinet = SmartCabinet(cab.building, cab.base_load_w,
                                    cab.max_consumption_w)
@@ -323,20 +329,15 @@ class Runner:
             )
             self.cabinets[building] = cabinet
             self.plcs[building] = plc
-            self._cabinet_nodes[building] = cab.node
             self.fabric.register_handler(
                 cab.node, "modbus",
                 lambda data, c=cabinet, b=building: self._serve_modbus(c, b, data))
 
         # controllers bound to broker command properties
-        self._controller_nodes: dict[str, str] = {}
         for ctrl in s.controllers:
-            self._controller_nodes[ctrl.thing] = ctrl.node
             target = (self.storage.get(ctrl.thing)
                       or self.turbine.get(ctrl.thing))
             if target is not None and ctrl.command_property:
-                spec = specs[ctrl.thing]
-
                 def apply(ev: ChangeEvent, controller=target):
                     try:
                         controller.apply_command(ev.new)
@@ -346,14 +347,14 @@ class Runner:
 
                 self.fabric.register_handler(ctrl.node, "command", apply)
                 self.broker.subscribe(
-                    f"{ctrl.thing}/{spec.feature}/{ctrl.command_property}",
+                    f"{ctrl.thing}/{self._features[ctrl.thing]}/"
+                    f"{ctrl.command_property}",
                     callback=lambda ev, n=ctrl.node:
                         self._dispatch_command(n, ev))
 
         # occupancy
         model = s.turnout.model(
             occupancy.load_schedule_csv(s.path(s.turnout.schedule_csv)))
-        self.turnout_model = model
         self.population = occupancy.ClientPopulation(
             model, [c.building for c in s.cabinets] or ["campus"], self.rng)
 
@@ -384,46 +385,35 @@ class Runner:
 
     def _register_datapoints(self, specs: dict) -> None:
         s = self.scenario
+        features = self._features
+
+        def on_broker(xid: str, name: str, thing: str, feature: str,
+                      prop: str) -> None:
+            self.historian.register(Datapoint(xid, name, BrokerSource(
+                thing, feature, prop, host=s.broker_node)))
+
         for name in self.solar:
-            spec = specs[name]
-            self.historian.register(Datapoint(
-                xid="DP_solar_power", name="Solar generation (W)",
-                source=BrokerSource(name, spec.feature, spec.prop,
-                                    host=s.broker_node)))
+            on_broker("DP_solar_power", "Solar generation (W)", name,
+                      features[name], specs[name].prop)
         for name in self.storage:
-            spec = specs[name]
-            self.historian.register(Datapoint(
-                xid="DP_storage_level", name="Storage charge level (%)",
-                source=BrokerSource(name, spec.feature, "level",
-                                    host=s.broker_node)))
+            on_broker("DP_storage_level", "Storage charge level (%)", name,
+                      features[name], "level")
         for name, ctl in self.turbine.items():
-            spec = specs[name]
+            on_broker("DP_turbine_rpm", "Turbine rotor speed (rpm)", name,
+                      features[name], "rpm")
             self.historian.register(Datapoint(
-                xid="DP_turbine_rpm", name="Turbine rotor speed (rpm)",
-                source=BrokerSource(name, spec.feature, "rpm",
-                                    host=s.broker_node)))
+                "DP_turbine_power", "Turbine output (kW)", source=None,
+                derive=lambda h, c=ctl: c.power_kw()))
+        on_broker("DP_turnout", "Campus turnout (persons)", TURNOUT_THING,
+                  "campus", "persons")
+        xids = tuple(f"DP_{cab.building}_consumption" for cab in s.cabinets)
+        for xid, cab in zip(xids, s.cabinets):
             self.historian.register(Datapoint(
-                xid="DP_turbine_power", name="Turbine output (kW)",
-                source=None, derive=lambda h, c=ctl: c.power_kw()))
+                xid, f"Building {cab.building} consumption (W)", ModbusSource(
+                    cab.node, cab.unit_id, "input", CONSUMPTION_REGISTER)))
         self.historian.register(Datapoint(
-            xid="DP_turnout", name="Campus turnout (persons)",
-            source=BrokerSource(TURNOUT_THING, "campus", "persons",
-                                host=s.broker_node)))
-        building_xids = []
-        for cab in s.cabinets:
-            xid = f"DP_{cab.building}_consumption"
-            building_xids.append(xid)
-            self.historian.register(Datapoint(
-                xid=xid, name=f"Building {cab.building} consumption (W)",
-                source=ModbusSource(cab.node, cab.unit_id, "input",
-                                    CONSUMPTION_REGISTER)))
-
-        def campus_kw(h: Historian, xids=tuple(building_xids)) -> float:
-            return sum(h.get_latest(x)[1] for x in xids) / 1000.0
-
-        self.historian.register(Datapoint(
-            xid="DP_campus_consumption", name="Campus consumption (kW)",
-            source=None, derive=campus_kw))
+            "DP_campus_consumption", "Campus consumption (kW)", source=None,
+            derive=lambda h: sum(h.get_latest(x)[1] for x in xids) / 1000.0))
 
     # ── fabric-routed transport ───────────────────────────────────────
 
@@ -443,25 +433,25 @@ class Runner:
         except netfabric.Blocked:
             log.warning("command event to %s blocked by policy", node)
 
-    def _broker_request(self, src_node: str, request: dict) -> dict:
-        return self.fabric.deliver(
-            src_node, self.scenario.broker_node, "http", request)
+    def _broker_request(self, src: str, method: str, thing: str,
+                        feature: str, prop: str, body=None) -> dict:
+        """Deliver ``method`` on one thing property, ``src`` -> broker."""
+        return self.fabric.deliver(src, self.scenario.broker_node, "http", {
+            "method": method,
+            "path": f"/api/2/things/{thing}/features/{feature}/properties/{prop}",
+            "body": body,
+        })
 
     def _read_broker(self, thing: str, feature: str, prop: str):
-        result = self._broker_request(self.scenario.historian_node, {
-            "method": "GET",
-            "path": f"/api/2/things/{thing}/features/{feature}/properties/{prop}",
-        })
+        result = self._broker_request(self.scenario.historian_node, "GET",
+                                      thing, feature, prop)
         if result["status"] != 200:
             raise CommandFailure(f"broker read failed: {result}")
         return result["body"]
 
     def _write_broker(self, thing: str, feature: str, prop: str, value) -> None:
-        result = self._broker_request(self.scenario.historian_node, {
-            "method": "PUT",
-            "path": f"/api/2/things/{thing}/features/{feature}/properties/{prop}",
-            "body": value,
-        })
+        result = self._broker_request(self.scenario.historian_node, "PUT",
+                                      thing, feature, prop, value)
         if result["status"] not in (200, 204):
             raise CommandFailure(f"broker write failed: {result}")
 
@@ -557,7 +547,7 @@ class Runner:
         hour_of_week = (s.start_time.weekday() * 24.0
                         + s.start_time.hour + s.start_time.minute / 60.0
                         + t / 3600.0)
-        persons = occupancy.turnout_at(self.turnout_model, hour_of_week)
+        persons = occupancy.turnout_at(self.population.model, hour_of_week)
         self.population.sync(persons)
         self.broker.put_property(TURNOUT_THING, "campus", "persons",
                                  float(persons))
@@ -573,32 +563,27 @@ class Runner:
         if consumption != self._scanned.get(building):
             self._schedule_plc_scan(building, t)
 
-    def _publish(self, thing: str, feature: str, values: dict) -> None:
-        node = self._controller_nodes.get(thing, self.scenario.broker_node)
+    def _task_controller(self, thing: str, node: str, period: float,
+                         t: float) -> None:
+        """Publish ``thing``'s telemetry from ``node``, one broker PUT per
+        property; a storage or turbine first advances by ``period``, the
+        time since its last publish (its task runs every ``period`` s from
+        ``period``)."""
+        ctl = self.storage.get(thing) or self.turbine.get(thing)
+        if ctl is not None:
+            ctl.advance(period)
+            values = ctl.telemetry()
+        else:     # an interpolation thing publishes nothing
+            values = self.solar[thing].telemetry(t) if thing in self.solar else {}
+        feature = self._features[thing]
         for prop, value in values.items():
             try:
-                result = self._broker_request(node, {
-                    "method": "PUT",
-                    "path": f"/api/2/things/{thing}/features/{feature}"
-                            f"/properties/{prop}",
-                    "body": value,
-                })
+                result = self._broker_request(node, "PUT", thing, feature,
+                                              prop, value)
                 if result["status"] not in (200, 204):
                     self.artifacts.publish_errors += 1
             except netfabric.Blocked:
                 self.artifacts.publish_errors += 1
-
-    def _task_controller(self, thing: str, period: float, t: float) -> None:
-        """Publish ``thing``'s telemetry; a storage or turbine first advances
-        by ``period``, the time since its last publish (its task runs every
-        ``period`` s from ``period``)."""
-        feature = self._features[thing]
-        if thing in self.solar:
-            self._publish(thing, feature, self.solar[thing].telemetry(t))
-        elif thing in self.storage or thing in self.turbine:
-            ctl = self.storage.get(thing) or self.turbine[thing]
-            ctl.advance(period)
-            self._publish(thing, feature, ctl.telemetry())
 
     def _ems_latest(self, xid: str, now: float) -> float:
         reply = self.fabric.deliver(
@@ -791,18 +776,21 @@ class Runner:
         s = self.scenario
         self._start_servers()
         try:
-            self.artifacts.open_sinks(out_dir)
+            try:
+                self.artifacts.open_sinks(out_dir)
+            except OSError as exc:
+                raise StartupError(f"cannot write artifacts: {exc}") from exc
             tasks = [(s.turnout.period_s, PHASE_OCCUPANCY, self._task_occupancy)]
             tasks += [(cab.sample_period_s, PHASE_CABINET,
                        partial(self._task_cabinet_sample, cab.building))
                       for cab in s.cabinets]
             tasks += [(ctrl.publish_period_s, PHASE_CONTROLLER,
-                       partial(self._task_controller, ctrl.thing,
+                       partial(self._task_controller, ctrl.thing, ctrl.node,
                                ctrl.publish_period_s))
                       for ctrl in s.controllers]
             tasks += [(s.poll_period_s, PHASE_POLL,
                        partial(self.historian.poll_host, host))
-                      for host in [s.broker_node] + [c.node for c in s.cabinets]]
+                      for host in self.historian.hosts]
             tasks += [(s.poll_period_s, PHASE_DERIVED, self.historian.poll_derived),
                       (s.ems.timer_period_s, PHASE_EMS, self._task_ems)]
             self._schedule_periodic(tasks)
@@ -824,7 +812,6 @@ class Runner:
                 try:
                     fn(t)
                 except Exception as exc:
-                    self._finalize(out_dir)
                     raise RunAbort(
                         f"task failed at sim t={t}: {exc!r}") from exc
             self._drain_injections()
@@ -832,12 +819,10 @@ class Runner:
         finally:
             self._close_injections()
             self._stop_servers()
-        self._finalize(out_dir)
+            self.artifacts.blocked_count = self.fabric.blocked_count
+            if self.artifacts.ems_ticks is not None:   # the sinks are open
+                self.artifacts.export(out_dir)
         return self.artifacts
-
-    def _finalize(self, out_dir: str | None) -> None:
-        self.artifacts.blocked_count = self.fabric.blocked_count
-        self.artifacts.export(out_dir)
 
 
 def run_scenario(scenario: Scenario, out_dir: str | None = None,

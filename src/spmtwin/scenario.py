@@ -455,8 +455,10 @@ def validate_scenario(s: Scenario) -> None:
 
     thing_names = set()
     registry = builtin_registry()
+    single: dict[str, str] = {}   # kind -> its thing: a run takes one of each
     for spec in s.things:
         where = f"thing {spec.name!r}"
+        kind = None
         if spec.name in thing_names or spec.name == TURNOUT_THING:
             raise ScenarioError(f"duplicate thing {spec.name!r}")
         thing_names.add(spec.name)
@@ -466,7 +468,9 @@ def validate_scenario(s: Scenario) -> None:
                 f"{where}: name must be 'namespace:name' "
                 f"(pattern {THING_ID_RE.pattern})")
         if isinstance(spec, SystemThingSpec):
-            m = _check(where, spec.build_controller).system.m
+            ctl = _check(where, spec.build_controller)
+            kind = "storage" if isinstance(ctl, StorageController) else "turbine"
+            m = ctl.system.m
             if spec.inputs and len(spec.inputs) != m:
                 raise ScenarioError(
                     f"{where}: {len(spec.inputs)} input bindings "
@@ -475,9 +479,14 @@ def validate_scenario(s: Scenario) -> None:
         elif isinstance(spec, InterpolationThingSpec):
             # the table's own mode check; its points are read by the run
             _check(where, lambda: InterpolationTable([(0.0, 0.0)], spec.mode))
-        elif spec.callback_name not in registry:
-            raise ScenarioError(
-                f"{where}: unknown callbackName {spec.callback_name!r}")
+        else:
+            kind = "solar field"
+            if spec.callback_name not in registry:
+                raise ScenarioError(
+                    f"{where}: unknown callbackName {spec.callback_name!r}")
+        if kind and single.setdefault(kind, spec.name) != spec.name:
+            raise ScenarioError(f"{where}: a second {kind} after "
+                                f"{single[kind]!r}; a run takes one")
     sources = {spec.name for spec in s.things
                if isinstance(spec, InterpolationThingSpec)}
     for spec in s.things:

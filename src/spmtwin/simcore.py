@@ -84,9 +84,6 @@ class InterpolationTable:
         self._xs = xs
         self._ys = [p[1] for p in self.points]
 
-    def __call__(self, x: float) -> float:
-        return interpolate(self, x)
-
 
 def interpolate(table: InterpolationTable, x: float) -> float:
     """Evaluate ``table`` at ``x`` according to its mode."""

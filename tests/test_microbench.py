@@ -31,7 +31,9 @@ HOSTS = 60
 def test_poll_host_on_60_hosts(benchmark):
     registers = {f"cab-{i:03d}": 1000 + i for i in range(HOSTS)}
     hist = Historian(read_broker=lambda thing, feature, prop: 1.0,
-                     read_modbus=lambda host, unit, table, addr: registers[host])
+                     read_modbus=lambda host, unit, table, addr: registers[host],
+                     write_broker=lambda thing, feature, prop, value: None,
+                     write_modbus_coil=lambda host, unit, addr, on: None)
     for i in range(4):
         hist.register(Datapoint(xid=f"DP_broker_{i}", name="x",
                                 source=BrokerSource("FDT:t", "f", f"p{i}")))

@@ -12,7 +12,9 @@ import time
 import pytest
 
 from spmtwin import ems, modbus, netfabric
-from spmtwin.cli import EXIT_INVALID, EXIT_OK, main
+from spmtwin import runner as runner_mod
+from spmtwin.cli import (EXIT_INTERRUPTED, EXIT_INVALID, EXIT_OK,
+                         EXIT_RUNTIME, main)
 from spmtwin.devices import CONSUMPTION_REGISTER, TRIP_COIL
 from spmtwin.historian import BUFFER_ROWS, CommandFailure, NoData
 from spmtwin.runner import (
@@ -221,6 +223,20 @@ class TestShortRuns:
         assert runner.run().completed
         assert runner.population.clients
         assert len(runner.fabric._nodes) == len(runner.scenario.nodes)
+
+    def test_cabinet_on_the_broker_node_is_polled_once_per_poll(
+            self, tmp_path, scenario_dir):
+        def mutate(raw):
+            raw["devices"]["cabinets"][0]["node"] = raw["broker"]["node"]
+
+        artifacts = run_short(tmp_path, scenario_dir, duration=600,
+                              mutate=mutate)
+        assert artifacts.completed
+        assert artifacts.historian.hosts == (
+            "broker", "cab-b", "cab-c", "cab-d", "cab-e", "cab-f")
+        polled = [t for t, xid, _ in samples(tmp_path / "out")
+                  if xid == "DP_a_consumption"]
+        assert polled == [10.0 * i for i in range(1, 61)]
 
     def test_thing_order_does_not_matter(self, tmp_path, scenario_dir):
         def panel_first(raw):     # the solar panel before the sun it reads
@@ -869,7 +885,7 @@ def effects_run(runner_cls, path, out_dir, commands=()):
         for kind in ("on_trip", "on_reset"):
             setattr(plc, kind, recording(runner.callbacks, (kind, b),
                                          getattr(plc, kind)))
-    buildings = {node: b for b, node in runner._cabinet_nodes.items()}
+    buildings = {cab.node: cab.building for cab in runner.scenario.cabinets}
     poll_host = runner.historian.poll_host
 
     def polled(host, t):
@@ -1051,6 +1067,58 @@ class TestStreamedArtifacts:
         assert len(ems_rows) - 1 == len(ticks) > 0
         assert (out / "summary.csv").read_text().count("\n") == 2
 
+    def test_interrupt_leaves_closed_files_of_the_rows_made(
+            self, tmp_path, scenario_dir):
+        path = customized(tmp_path, scenario_dir, duration_s=86400)
+        runner = Runner(load_scenario(path), pace=False)
+        task_ems = runner._task_ems
+
+        def interrupted(t):
+            if t >= 43200:
+                raise KeyboardInterrupt
+            task_ems(t)
+
+        runner._task_ems = interrupted
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            runner.run(out_dir=str(out))
+        assert not runner.artifacts.completed
+        log, ticks = runner.historian.log, runner.artifacts.ems_ticks
+        assert log._fh.closed and ticks._fh.closed
+        rows = (out / "datapoints.csv").read_text().splitlines()
+        assert len(rows) - 1 == len(log) > 0
+        assert len(ems_ticks(out)) == len(ticks) == 43200 // 60 - 1
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[0] == SUMMARY_HEADER
+        assert [row.split(",")[0] for row in summary[1:]] == ["0"]
+        assert runner._servers == []
+
+    @pytest.mark.parametrize("unusable", ["file-parent", "sink-is-dir"])
+    def test_unusable_out_dir_is_a_startup_error(self, tmp_path, scenario_dir,
+                                                 monkeypatch, unusable):
+        opened = []
+
+        class RecordedSink(runner_mod.SampleSink):
+            def __init__(self, path):
+                super().__init__(path)
+                opened.append(self)
+
+        monkeypatch.setattr(runner_mod, "SampleSink", RecordedSink)
+        path = customized(tmp_path, scenario_dir, duration_s=600)
+        if unusable == "file-parent":
+            (tmp_path / "afile").write_text("")
+            out = tmp_path / "afile" / "sub"
+        else:
+            out = tmp_path / "out"
+            (out / "ems_ticks.csv").mkdir(parents=True)
+        runner = Runner(load_scenario(path), pace=False)
+        with pytest.raises(StartupError, match="cannot write artifacts"):
+            runner.run(out_dir=str(out))
+        assert runner.artifacts.ems_ticks is None
+        assert runner.historian.log == []
+        assert all(sink._fh.closed for sink in opened)
+        assert runner._servers == []
+
     def test_startup_error_writes_nothing(self, tmp_path, scenario_dir):
         with socket.socket() as taken:
             taken.bind(("127.0.0.1", 0))
@@ -1171,6 +1239,38 @@ class TestCli:
         assert os.listdir(here) == []
         assert sorted(os.listdir(os.path.dirname(scenario_path))) \
             == scenario_files
+
+    def test_run_into_an_unusable_out_dir_exits_3(self, tmp_path,
+                                                  scenario_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = main(["run", scenario_path, "--duration", "60", "--no-pace",
+                     "--quiet", "--out", str(afile / "sub")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("runtime error:") == 1
+        assert "Traceback" not in err
+
+    def test_interrupted_run_exits_130_after_its_artifacts(
+            self, tmp_path, scenario_path, capsys, monkeypatch):
+        task_ems = Runner._task_ems
+
+        def interrupted(self, t):
+            if t >= 1800:
+                raise KeyboardInterrupt
+            task_ems(self, t)
+
+        monkeypatch.setattr(Runner, "_task_ems", interrupted)
+        out = tmp_path / "out"
+        try:
+            code = main(["run", scenario_path, "--duration", "3600",
+                         "--no-pace", "--quiet", "--out", str(out)])
+        except KeyboardInterrupt:     # would end the whole test session
+            pytest.fail("the interrupt escaped main")
+        assert code == EXIT_INTERRUPTED
+        assert capsys.readouterr().err.strip().splitlines()[-1] == "interrupted"
+        assert len(ems_ticks(out)) == 1800 // 60 - 1
+        assert (out / "summary.csv").read_text().count("\n") == 2
 
     def test_inject_unreachable_historian(self, capsys):
         code = main(["inject", "--url", "http://127.0.0.1:1",

@@ -215,6 +215,13 @@ class TestValidation:
         ({"things": [SYSTEM], "devices": {"controllers": [
             {"thing": "FDT:sys", "node": "ems"},
             {"thing": "FDT:sys", "node": "ems"}]}}, "duplicate controller"),
+        ({"things": [SUN, dict(PANEL, source="FDT:sun"),
+                     dict(PANEL, name="FDT:panel-2", source="FDT:sun")]},
+         "'FDT:panel-2': a second solar field"),
+        ({"things": [SYSTEM, dict(SYSTEM, name="FDT:sys-2")]},
+         "'FDT:sys-2': a second storage"),
+        ({"things": [TURBINE, dict(TURBINE, name="FDT:turbine-2")]},
+         "'FDT:turbine-2': a second turbine"),
     ], ids=["ems-key", "turnout-key", "ems-not-object", "tcp-transport",
             "ems-value-type", "turnout-value-type", "historian-key",
             "top-level-key", "clock-key", "broker-key", "ems-zero-timer",
@@ -229,7 +236,8 @@ class TestValidation:
             "two-cabinets-one-node", "thing-name-type", "feature-type",
             "property-type", "source-csv-type", "mode-type", "inputs-type",
             "policy-missing-dst", "policy-verdict", "policy-not-list",
-            "policy-segment", "duplicate-controller"])
+            "policy-segment", "duplicate-controller", "second-solar",
+            "second-storage", "second-turbine"])
     def test_input_error_exits_2(self, tmp_path, capsys, section, key):
         path = minimal(tmp_path, lambda r: r.update(section))
         out = tmp_path / "out"
