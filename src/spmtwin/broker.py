@@ -1,11 +1,12 @@
 """Field-layer twin-state broker.
 
 Holds the latest reported state of every thing (thing -> features ->
-properties), serves scalar property reads/writes, and forwards change events
-to subscribers in revision order. An HTTP front end exposes the property
-paths under ``/api/2/things``; it hands each request to a callable and never
-holds the broker. During a run that callable is the runner's, which delivers
-the request through the fabric as management -> broker on the simulation
+properties), serves scalar property reads/writes, and calls back each
+matching subscriber with every change event, in revision order, under the
+broker's one re-entrant lock. An HTTP front end exposes the property paths
+under ``/api/2/things``; it hands each request to a callable and never holds
+the broker. During a run that callable is the runner's, which delivers the
+request through the fabric as management -> broker on the simulation
 thread, so the firewall checks external traffic as it checks any other.
 """
 
@@ -15,8 +16,7 @@ import json
 import math
 import re
 import threading
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .httpapi import JsonHandler, JsonHttpServer
@@ -44,10 +44,6 @@ class ValidationError(BrokerError):
     pass
 
 
-class SubscriberLagged(BrokerError):
-    """The subscriber's buffer overflowed; it has been disconnected."""
-
-
 @dataclass(frozen=True)
 class ChangeEvent:
     thing_id: str
@@ -61,33 +57,22 @@ class ChangeEvent:
 
 @dataclass
 class ThingState:
-    thing_id: str
     features: dict[str, dict[str, Scalar]]
     revision: int = 0
     last_modified: float = 0.0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 class Subscription:
-    """Bounded, ordered event stream for one path filter.
+    """A callback for the change events that match one path filter:
+    ``thing``, ``thing/feature`` or ``thing/feature/property``, with ``*``
+    wildcards per segment."""
 
-    Filters are ``thing``, ``thing/feature`` or ``thing/feature/property``
-    with ``*`` wildcards per segment. Overflow disconnects the subscriber
-    with an explicit lag error instead of dropping events silently.
-    """
-
-    def __init__(self, path_filter: str, maxlen: int = 65536,
-                 callback: Callable[[ChangeEvent], None] | None = None):
+    def __init__(self, path_filter: str, callback: Callable[[ChangeEvent], None]):
         parts = path_filter.split("/")
         if not 1 <= len(parts) <= 3:
             raise ValidationError(f"bad path filter {path_filter!r}")
         # (thing, feature, property); an omitted segment matches any
         self._parts = tuple(parts + ["*"] * (3 - len(parts)))
-        self._queue: deque[ChangeEvent] = deque()
-        self._maxlen = maxlen
-        self._cond = threading.Condition()
-        self._lagged = False
-        self.closed = False
         self.callback = callback
 
     def matches(self, thing_id: str, feature: str, prop: str) -> bool:
@@ -96,100 +81,64 @@ class Subscription:
                 and (p == "*" or p == prop))
 
     def _offer(self, event: ChangeEvent) -> None:
-        if self.callback is not None:
-            self.callback(event)
-            return
-        with self._cond:
-            if self.closed:
-                return
-            if len(self._queue) >= self._maxlen:
-                self._lagged = True
-                self.closed = True
-                self._cond.notify_all()
-                return
-            self._queue.append(event)
-            self._cond.notify_all()
-
-    def get(self, timeout: float | None = None) -> ChangeEvent | None:
-        """Next event, or None on timeout; raises once lagged."""
-        with self._cond:
-            if not self._queue and not self._cond.wait_for(
-                lambda: self._queue or self.closed, timeout
-            ):
-                return None
-            if self._lagged and not self._queue:
-                raise SubscriberLagged("event buffer overflowed")
-            if not self._queue:
-                return None
-            return self._queue.popleft()
-
-    def drain(self) -> list[ChangeEvent]:
-        with self._cond:
-            if self._lagged:
-                raise SubscriberLagged("event buffer overflowed")
-            events = list(self._queue)
-            self._queue.clear()
-            return events
+        self.callback(event)
 
 
 class Broker:
-    """In-memory latest-state store with per-thing serialized writes."""
+    """In-memory latest-state store. One re-entrant lock guards the things
+    and the delivery of their events, so a subscriber sees each thing's
+    revisions gap-free and in order, and its callback may read any thing."""
 
     def __init__(self, time_fn: Callable[[], float] = lambda: 0.0):
+        self._lock = threading.RLock()
         self._things: dict[str, ThingState] = {}
-        self._registry_lock = threading.Lock()
-        self._subscriptions: list[Subscription] = []
+        # replaced, never changed in place: a delivery iterates the tuple it
+        # started with while a callback unsubscribes
+        self._subscriptions: tuple[Subscription, ...] = ()
         self._time_fn = time_fn
 
     # ── things ────────────────────────────────────────────────────────
 
     def create_thing(self, thing_id: str,
-                     features: dict[str, dict[str, Scalar]] | None = None) -> ThingState:
+                     features: dict[str, dict[str, Scalar]] | None = None) -> None:
         if not THING_ID_RE.match(thing_id):
-            raise ValidationError(
-                f"thing id {thing_id!r} must match 'namespace:name'"
-            )
+            raise ValidationError(f"thing id {thing_id!r} must match 'namespace:name'")
         features = features or {}
         for fname, props in features.items():
             for pname, value in props.items():
                 _check_scalar(thing_id, fname, pname, value)
-        with self._registry_lock:
+        with self._lock:
             if thing_id in self._things:
                 raise Conflict(f"thing {thing_id!r} already exists")
-            state = ThingState(thing_id, {f: dict(p) for f, p in features.items()},
-                               revision=0, last_modified=self._time_fn())
-            self._things[thing_id] = state
-        return state
+            self._things[thing_id] = ThingState(
+                {f: dict(p) for f, p in features.items()},
+                last_modified=self._time_fn())
 
     def list_things(self) -> list[str]:
-        with self._registry_lock:
+        with self._lock:
             return sorted(self._things)
 
     def _thing(self, thing_id: str) -> ThingState:
-        with self._registry_lock:
-            try:
-                return self._things[thing_id]
-            except KeyError:
-                raise NotFound(f"unknown thing {thing_id!r}") from None
+        """The thing's state; the caller holds the lock."""
+        try:
+            return self._things[thing_id]
+        except KeyError:
+            raise NotFound(f"unknown thing {thing_id!r}") from None
 
     # ── properties ────────────────────────────────────────────────────
 
     def put_property(self, thing_id: str, feature: str, prop: str, value: Scalar) -> int:
         _check_scalar(thing_id, feature, prop, value)
-        thing = self._thing(thing_id)
-        with thing.lock:
+        with self._lock:
+            thing = self._thing(thing_id)
             props = thing.features.setdefault(feature, {})
             old = props.get(prop)
             props[prop] = value
             thing.revision += 1
             thing.last_modified = self._time_fn()
-            # deliver under the thing lock so per-thing revision order is
-            # preserved in every subscriber queue; an event is built only
-            # for a write that some subscription wants
-            with self._registry_lock:
-                subs = list(self._subscriptions)
+            # an event is built only for a write that some subscription wants
             event = None
-            for sub in subs:
+            for sub in self._subscriptions:
                 if sub.matches(thing_id, feature, prop):
                     if event is None:
                         event = ChangeEvent(thing_id, feature, prop, old, value,
@@ -198,31 +147,26 @@ class Broker:
             return thing.revision
 
     def get_property(self, thing_id: str, feature: str, prop: str) -> Scalar:
-        thing = self._thing(thing_id)
-        with thing.lock:
+        with self._lock:
             try:
-                return thing.features[feature][prop]
+                return self._thing(thing_id).features[feature][prop]
             except KeyError:
-                raise NotFound(
-                    f"unknown path {thing_id}/{feature}/{prop}"
-                ) from None
+                raise NotFound(f"unknown path {thing_id}/{feature}/{prop}") from None
 
     def revision(self, thing_id: str) -> int:
-        return self._thing(thing_id).revision
+        with self._lock:
+            return self._thing(thing_id).revision
 
     def subscribe(self, path_filter: str,
-                  callback: Callable[[ChangeEvent], None] | None = None,
-                  maxlen: int = 65536) -> Subscription:
-        sub = Subscription(path_filter, maxlen=maxlen, callback=callback)
-        with self._registry_lock:
-            self._subscriptions.append(sub)
+                  callback: Callable[[ChangeEvent], None]) -> Subscription:
+        sub = Subscription(path_filter, callback)
+        with self._lock:
+            self._subscriptions += (sub,)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
-        with self._registry_lock:
-            if sub in self._subscriptions:
-                self._subscriptions.remove(sub)
-        sub.closed = True
+        with self._lock:
+            self._subscriptions = tuple(s for s in self._subscriptions if s is not sub)
 
     # ── structured request handler (shared by HTTP and fabric paths) ──
 
@@ -238,8 +182,7 @@ class Broker:
         thing_id, feature, prop = m.groups()
         try:
             if method == "GET":
-                return {"status": 200,
-                        "body": self.get_property(thing_id, feature, prop)}
+                return {"status": 200, "body": self.get_property(thing_id, feature, prop)}
             if method == "PUT":
                 self.put_property(thing_id, feature, prop, request.get("body"))
                 return {"status": 204, "body": None}
@@ -251,11 +194,9 @@ class Broker:
 
 
 def _check_scalar(thing_id: str, feature: str, prop: str, value) -> None:
-    if not isinstance(value, (int, float, bool, str)) or value is None:
-        raise ValidationError(
-            f"{thing_id}/{feature}/{prop}: values must be scalars, "
-            f"got {type(value).__name__}"
-        )
+    if not isinstance(value, (int, float, bool, str)):
+        raise ValidationError(f"{thing_id}/{feature}/{prop}: values must be "
+                              f"scalars, got {type(value).__name__}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(
             f"{thing_id}/{feature}/{prop}: numbers must be finite, got {value}")
@@ -265,14 +206,14 @@ def _check_scalar(thing_id: str, feature: str, prop: str, value) -> None:
 
 
 class _BrokerHandler(JsonHandler):
-    def _respond(self, result: dict) -> None:
+    def _respond(self, request: dict) -> None:
+        result = self.server.handle(request)
         self.send_json(result["status"], result["body"])
 
     def do_GET(self):
         # read a body too, or keep-alive parses it as the next request
-        if self.read_body() is None:
-            return
-        self._respond(self.server.handle({"method": "GET", "path": self.path}))
+        if self.read_body() is not None:
+            self._respond({"method": "GET", "path": self.path})
 
     def do_PUT(self):
         raw = self.read_body()
@@ -283,8 +224,7 @@ class _BrokerHandler(JsonHandler):
         except json.JSONDecodeError:
             self.send_json(400, {"error": "invalid JSON body"})
             return
-        self._respond(self.server.handle(
-            {"method": "PUT", "path": self.path, "body": body}))
+        self._respond({"method": "PUT", "path": self.path, "body": body})
 
 
 class BrokerHttpServer(JsonHttpServer):

@@ -12,7 +12,7 @@ from typing import Callable
 
 from .modbus import RegisterFile
 from .simcore import (
-    CallbackRegistry,
+    CALLBACKS,
     InterpolationTable,
     LinearStateSpace,
     interpolate,
@@ -191,14 +191,13 @@ class SolarController:
     """Solar field controller: radiance lookup piped through the configured
     surface callback."""
 
-    def __init__(self, radiance: InterpolationTable, registry: CallbackRegistry,
-                 callback_name: str, surface_m2: float, efficiency: float,
+    def __init__(self, radiance: InterpolationTable, callback_name: str,
+                 surface_m2: float, efficiency: float,
                  year_offset_s: float = 0.0, year_len_s: float = 366 * 86400.0):
-        if callback_name not in registry:
+        if callback_name not in CALLBACKS:
             raise ValueError(f"unknown callback {callback_name!r}")
         self.radiance = radiance
-        self.registry = registry
-        self.callback_name = callback_name
+        self.callback = CALLBACKS[callback_name]
         self.surface_m2 = surface_m2
         self.efficiency = efficiency
         self.year_offset_s = year_offset_s
@@ -210,9 +209,7 @@ class SolarController:
 
     def power_w(self, sim_time: float) -> float:
         y = self.radiance_at(sim_time)
-        return self.registry.eval(
-            self.callback_name, (y, self.surface_m2, self.efficiency)
-        )
+        return float(self.callback(y, self.surface_m2, self.efficiency))
 
     def telemetry(self, sim_time: float) -> dict:
         return {"power": self.power_w(sim_time)}

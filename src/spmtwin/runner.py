@@ -66,6 +66,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from datetime import timedelta
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -104,7 +105,6 @@ from .scenario import (
 )
 from .simcore import (
     SimClock,
-    builtin_registry,
     load_radiance_csv,
     year_seconds,
 )
@@ -271,12 +271,15 @@ class Runner:
         self.fabric.register_handler(
             s.broker_node, "http", self.broker.handle_request)
 
-        registry = builtin_registry()
+        start = s.start_time
         year_offset = (
-            s.start_time
-            - s.start_time.replace(month=1, day=1, hour=0, minute=0, second=0)
+            start - start.replace(month=1, day=1, hour=0, minute=0, second=0)
         ).total_seconds()
-        year_len = year_seconds(s.start_time.year)
+        year_len = year_seconds(start.year)
+        # hours into the week (0 = Monday 00:00) at the start, for turnout
+        monday = (start - timedelta(days=start.weekday())).replace(
+            hour=0, minute=0, second=0, microsecond=0)
+        self._week_offset_h = (start - monday).total_seconds() / 3600.0
 
         # things -> physical models and broker entries
         self.solar: dict[str, SolarController] = {}
@@ -294,8 +297,7 @@ class Runner:
                 self.broker.create_thing(spec.name, {spec.feature: {spec.prop: 0.0}})
             elif isinstance(spec, CallbackThingSpec):
                 self.solar[spec.name] = SolarController(
-                    radiance_tables[spec.source_thing], registry,
-                    spec.callback_name,
+                    radiance_tables[spec.source_thing], spec.callback_name,
                     spec.surface_m2, spec.efficiency,
                     year_offset_s=year_offset, year_len_s=year_len)
                 self.broker.create_thing(spec.name, {spec.feature: {spec.prop: 0.0}})
@@ -543,11 +545,8 @@ class Runner:
     # ── periodic tasks ────────────────────────────────────────────────
 
     def _task_occupancy(self, t: float) -> None:
-        s = self.scenario
-        hour_of_week = (s.start_time.weekday() * 24.0
-                        + s.start_time.hour + s.start_time.minute / 60.0
-                        + t / 3600.0)
-        persons = occupancy.turnout_at(self.population.model, hour_of_week)
+        persons = occupancy.turnout_at(self.population.model,
+                                       self._week_offset_h + t / 3600.0)
         self.population.sync(persons)
         self.broker.put_property(TURNOUT_THING, "campus", "persons",
                                  float(persons))
@@ -753,9 +752,14 @@ class Runner:
         try:
             self.broker_http = BrokerHttpServer(self.queue_broker_request,
                                                 port=s.broker_http_port)
-            self.historian_http = HistorianHttpServer(
-                self.historian, port=s.historian_http_port,
-                command_hook=self.inject)
+            try:
+                self.historian_http = HistorianHttpServer(
+                    self.historian, port=s.historian_http_port,
+                    command_hook=self.inject)
+            except OSError:
+                # bound but never served: shutdown() would wait forever
+                self.broker_http.server_close()
+                raise
         except OSError as exc:
             raise StartupError(f"cannot bind service port: {exc}") from exc
         self.broker_http.start()

@@ -22,12 +22,12 @@ from .devices import StorageController, TurbineController
 from .ems import EmsConfig
 from .occupancy import TurnoutModel
 from .simcore import (
+    CALLBACKS,
     NEAREST,
     ConfigurationError,
     InterpolationTable,
     LinearStateSpace,
     SimClock,
-    builtin_registry,
 )
 
 
@@ -454,7 +454,6 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioError(f"dangling node reference {required!r}")
 
     thing_names = set()
-    registry = builtin_registry()
     single: dict[str, str] = {}   # kind -> its thing: a run takes one of each
     for spec in s.things:
         where = f"thing {spec.name!r}"
@@ -481,7 +480,7 @@ def validate_scenario(s: Scenario) -> None:
             _check(where, lambda: InterpolationTable([(0.0, 0.0)], spec.mode))
         else:
             kind = "solar field"
-            if spec.callback_name not in registry:
+            if spec.callback_name not in CALLBACKS:
                 raise ScenarioError(
                     f"{where}: unknown callbackName {spec.callback_name!r}")
         if kind and single.setdefault(kind, spec.name) != spec.name:

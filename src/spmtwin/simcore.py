@@ -2,8 +2,8 @@
 
 Three modelling methods are provided: interpolation over finite datasets,
 linear state-space stepping (a cached closed-form propagator equal to
-fixed-step RK4 with sub-step ``dt``), and a named callback registry for
-closed-form pipelines such as the solar surface model.
+fixed-step RK4 with sub-step ``dt``), and named callbacks (:data:`CALLBACKS`)
+for closed-form pipelines such as the solar surface model.
 """
 
 from __future__ import annotations
@@ -210,27 +210,7 @@ class LinearStateSpace:
         return [float(v) for v in sol]
 
 
-# ── Callback registry ──────────────────────────────────────────────────────
-
-
-class CallbackRegistry:
-    """Named, pure callback functions bound at configuration time."""
-
-    def __init__(self):
-        self._entries: dict[str, Callable[..., float]] = {}
-
-    def register(self, name: str, fn: Callable[..., float]) -> None:
-        if name in self._entries:
-            raise ConfigurationError(f"callback {name!r} already registered")
-        self._entries[name] = fn
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def eval(self, name: str, args: Sequence) -> float:
-        if name not in self._entries:
-            raise ConfigurationError(f"unknown callback {name!r}")
-        return float(self._entries[name](*args))
+# ── Callbacks ──────────────────────────────────────────────────────────────
 
 
 def solar_surface(radiance_w_msq: float, surface_m2: float, efficiency: float) -> float:
@@ -238,12 +218,12 @@ def solar_surface(radiance_w_msq: float, surface_m2: float, efficiency: float) -
     return radiance_w_msq * surface_m2 * efficiency
 
 
-def builtin_registry() -> CallbackRegistry:
-    reg = CallbackRegistry()
-    reg.register("solar-surface", solar_surface)
-    # configuration files may bind the historical alias for the same pipeline
-    reg.register("getSolarSurfaceInterpolant", solar_surface)
-    return reg
+# the closed-form pipelines a scenario's ``callbackName`` may bind;
+# "getSolarSurfaceInterpolant" is the historical alias of "solar-surface"
+CALLBACKS: dict[str, Callable[..., float]] = {
+    "solar-surface": solar_surface,
+    "getSolarSurfaceInterpolant": solar_surface,
+}
 
 
 # ── Radiance ingestion ─────────────────────────────────────────────────────

@@ -13,7 +13,6 @@ from spmtwin.broker import (
     BrokerHttpServer,
     Conflict,
     NotFound,
-    SubscriberLagged,
     ValidationError,
 )
 
@@ -88,49 +87,75 @@ class TestProperties:
         t = [0.0]
         broker = Broker(time_fn=lambda: t[0])
         broker.create_thing("FDT:a", {"f": {"p": 0}})
-        sub = broker.subscribe("FDT:a/f/p")
+        events = []
+        broker.subscribe("FDT:a/f/p", callback=events.append)
         t[0] = 123.4
         broker.put_property("FDT:a", "f", "p", 1)
-        assert sub.get(timeout=1).timestamp == 123.4
+        assert [e.timestamp for e in events] == [123.4]
 
 
 class TestSubscriptions:
     def test_filtering_and_order(self):
         broker = make_broker()
         broker.create_thing("FDT:b", {"f": {"p": 0, "q": 0}})
-        all_sub = broker.subscribe("FDT:b")
-        prop_sub = broker.subscribe("FDT:b/f/p")
-        star_sub = broker.subscribe("*/f/q")
+        all_events, prop_events, star_events = [], [], []
+        broker.subscribe("FDT:b", callback=all_events.append)
+        broker.subscribe("FDT:b/f/p", callback=prop_events.append)
+        broker.subscribe("*/f/q", callback=star_events.append)
         broker.put_property("FDT:b", "f", "p", 1)
         broker.put_property("FDT:b", "f", "q", 2)
         broker.put_property("FDT:solar-panel-1", "panel", "power", 3)
-        assert [e.new for e in all_sub.drain()] == [1, 2]
-        assert [e.new for e in prop_sub.drain()] == [1]
-        assert [e.new for e in star_sub.drain()] == [2]
+        assert [e.new for e in all_events] == [1, 2]
+        assert [e.new for e in prop_events] == [1]
+        assert [e.new for e in star_events] == [2]
 
     def test_old_and_new_values(self):
         broker = make_broker()
-        sub = broker.subscribe("FDT:solar-panel-1/panel/power")
+        events = []
+        broker.subscribe("FDT:solar-panel-1/panel/power", callback=events.append)
         broker.put_property("FDT:solar-panel-1", "panel", "power", 7)
-        event = sub.get(timeout=1)
+        (event,) = events
         assert (event.old, event.new) == (0.0, 7)
-
-    def test_overflow_disconnects_with_lag_error(self):
-        broker = make_broker()
-        sub = broker.subscribe("FDT:solar-panel-1", maxlen=5)
-        for i in range(6):
-            broker.put_property("FDT:solar-panel-1", "panel", "power", i)
-        for _ in range(5):
-            sub.get(timeout=1)
-        with pytest.raises(SubscriberLagged):
-            sub.get(timeout=1)
 
     def test_unsubscribe_stops_delivery(self):
         broker = make_broker()
-        sub = broker.subscribe("FDT:solar-panel-1")
+        events = []
+        sub = broker.subscribe("FDT:solar-panel-1", callback=events.append)
         broker.unsubscribe(sub)
         broker.put_property("FDT:solar-panel-1", "panel", "power", 1)
-        assert sub.closed
+        assert events == []
+
+    def test_callback_unsubscribing_itself_during_delivery(self):
+        broker = make_broker()
+        first, second = [], []
+
+        def once(event):
+            first.append(event.new)
+            broker.unsubscribe(sub)
+
+        sub = broker.subscribe("FDT:solar-panel-1", callback=once)
+        broker.subscribe("FDT:solar-panel-1", callback=second.append)
+        broker.put_property("FDT:solar-panel-1", "panel", "power", 1)
+        broker.put_property("FDT:solar-panel-1", "panel", "power", 2)
+        # the subscriber after it still gets the event being delivered
+        assert first == [1]
+        assert [e.new for e in second] == [1, 2]
+
+    def test_callback_reads_the_notified_thing_and_another(self):
+        broker = make_broker()
+        broker.create_thing("FDT:other", {"f": {"p": "x"}})
+        reads = []
+        broker.subscribe("FDT:solar-panel-1", callback=lambda ev: reads.append((
+            broker.get_property(ev.thing_id, ev.feature, ev.prop),
+            broker.revision(ev.thing_id),
+            broker.get_property("FDT:other", "f", "p"))))
+        # in a thread: a lock that a callback cannot take again hangs here
+        writer = threading.Thread(target=broker.put_property, daemon=True,
+                                  args=("FDT:solar-panel-1", "panel", "power", 5))
+        writer.start()
+        writer.join(timeout=5)
+        assert not writer.is_alive()
+        assert reads == [(5, 1, "x")]
 
     def test_callback_subscription(self):
         broker = make_broker()
@@ -144,7 +169,8 @@ class TestConcurrency:
     def test_16_writers_1000_writes_gap_free_and_ordered(self):
         broker = Broker()
         broker.create_thing("FDT:hot", {"f": {"p": 0}})
-        sub = broker.subscribe("FDT:hot/f/p", maxlen=20000)
+        events = []
+        broker.subscribe("FDT:hot/f/p", callback=events.append)
 
         def writer(worker: int):
             for i in range(1000):
@@ -157,13 +183,38 @@ class TestConcurrency:
             t.join()
 
         assert broker.revision("FDT:hot") == 16000
-        events = sub.drain()
         assert len(events) == 16000
         # revisions are gap-free and delivered in revision order
         assert [e.revision for e in events] == list(range(1, 16001))
         # each event chains old -> new against its predecessor
         for prev, cur in zip(events, events[1:]):
             assert cur.old == prev.new
+
+    def test_16_writers_on_16_things_under_one_wildcard_subscriber(self):
+        broker = Broker()
+        things = [f"FDT:t{w}" for w in range(16)]
+        for thing in things:
+            broker.create_thing(thing, {"f": {"p": -1}})
+        events = []
+        broker.subscribe("*", callback=events.append)
+
+        def writer(thing: str):
+            for i in range(1000):
+                broker.put_property(thing, "f", "p", i)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in things]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+        assert len(events) == 16000
+        for thing in things:
+            mine = [e for e in events if e.thing_id == thing]
+            # gap-free, in revision order, each chaining old -> new
+            assert [e.revision for e in mine] == list(range(1, 1001))
+            assert [(e.old, e.new) for e in mine] \
+                == [(i - 1, i) for i in range(1000)]
 
 
 class TestRequestHandler:

@@ -15,7 +15,6 @@ from spmtwin.devices import (
 from spmtwin.simcore import (
     InterpolationTable,
     LinearStateSpace,
-    builtin_registry,
 )
 
 STORAGE = dict(A=[[0.0]], B=[[0.12667, -0.14]])
@@ -173,8 +172,7 @@ class TestSolarController:
     def make(self) -> SolarController:
         table = InterpolationTable([(0.0, 0.0), (43200.0, 1000.0),
                                     (86400.0, 0.0)], mode="linear-bracketing")
-        return SolarController(table, builtin_registry(),
-                               "getSolarSurfaceInterpolant",
+        return SolarController(table, "getSolarSurfaceInterpolant",
                                surface_m2=504.0, efficiency=0.16,
                                year_offset_s=0.0, year_len_s=86400.0)
 
@@ -191,4 +189,4 @@ class TestSolarController:
     def test_unknown_callback_rejected(self):
         table = InterpolationTable([(0.0, 0.0)])
         with pytest.raises(ValueError):
-            SolarController(table, builtin_registry(), "nope", 1.0, 1.0)
+            SolarController(table, "nope", 1.0, 1.0)

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the hot primitives: the per-sample poll path (a
 Modbus read on the general path and on a prepared request), model stepping,
-broker writes and the EMS decision.
+broker writes and reads, and the EMS decision.
 
 Each bench times one hot primitive with a fixed, small number of rounds (no
 calibration), so the file stays fast inside the normal test run, and asserts
@@ -168,6 +168,17 @@ def test_put_property_with_callback_subscribers(benchmark, subscribers):
     assert revision >= ROUNDS * ITERATIONS
     assert broker.get_property("FDT:t", "f", "p") == revision - 1
     assert received[0] == subscribers * revision
+
+
+def test_broker_get_through_handle_request(benchmark):
+    # the request a historian broker read delivers to the broker
+    broker = Broker()
+    broker.create_thing("FDT:t", {"f": {"p": 42.5}})
+    request = {"method": "GET", "body": None,
+               "path": "/api/2/things/FDT:t/features/f/properties/p"}
+    reply = benchmark.pedantic(broker.handle_request, args=(request,),
+                               rounds=ROUNDS, iterations=ITERATIONS)
+    assert reply == {"status": 200, "body": 42.5}
 
 
 def test_ems_tick(benchmark):

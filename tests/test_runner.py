@@ -27,7 +27,7 @@ from spmtwin.runner import (
     StartupError,
     run_scenario,
 )
-from spmtwin.scenario import load_scenario
+from spmtwin.scenario import TURNOUT_THING, load_scenario
 
 
 def customized(tmp_path, scenario_dir, mutate=None, **top_level) -> str:
@@ -79,6 +79,21 @@ def samples(out) -> list[tuple[float, str, float]]:
 
 
 class TestShortRuns:
+    def test_turnout_counts_the_seconds_of_the_start_time(self, tmp_path,
+                                                         scenario_dir):
+        def turnout(start_time, t):
+            path = customized(tmp_path, scenario_dir, start_time=start_time)
+            runner = Runner(load_scenario(path), pace=False)
+            runner._task_occupancy(t)
+            return runner.broker.get_property(TURNOUT_THING, "campus",
+                                              "persons")
+
+        # a start 30 s later is 30 s further along the morning's rise
+        assert turnout("2016-06-06T09:00:30", 60.0) == pytest.approx(605.0)
+        for t in (0.0, 60.0, 1770.0, 86400.0):
+            assert turnout("2016-06-06T09:00:30", t) == pytest.approx(
+                turnout("2016-06-06T09:00:00", t + 30.0), rel=1e-12)
+
     def test_zero_duration_produces_empty_artifacts(self, tmp_path, scenario_dir):
         artifacts = run_short(tmp_path, scenario_dir, duration=0)
         assert artifacts.completed
@@ -1131,6 +1146,21 @@ class TestStreamedArtifacts:
             with pytest.raises(StartupError):
                 Runner(load_scenario(path), pace=False).run(out_dir=str(out))
         assert not out.exists()
+
+    def test_taken_historian_port_closes_the_bound_broker_socket(
+            self, tmp_path, scenario_dir):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            path = customized(
+                tmp_path, scenario_dir, duration_s=600,
+                mutate=lambda raw: raw["historian"].update(http_port=port))
+            runner = Runner(load_scenario(path), pace=False)
+            with pytest.raises(StartupError, match="cannot bind"):
+                runner.run()
+        assert runner.broker_http.socket.fileno() == -1
+        assert runner._servers == []
 
 
 # One unpaced run in a fresh process, into the out dir given, or into none

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from spmtwin.simcore import (
     LINEAR,
     NEAREST,
-    CallbackRegistry,
+    CALLBACKS,
     ConfigurationError,
     InterpolationTable,
     LinearStateSpace,
     SimClock,
-    builtin_registry,
     interpolate,
     load_radiance_csv,
     solar_surface,
@@ -275,19 +274,13 @@ class TestCallbacks:
         assert solar_surface(1000.0, 504.0, 0.16) == pytest.approx(80640.0)
 
     def test_builtin_registry_names(self):
-        reg = builtin_registry()
-        assert "solar-surface" in reg
-        assert "getSolarSurfaceInterpolant" in reg
-        assert reg.eval("getSolarSurfaceInterpolant",
-                        (1000.0, 504.0, 0.16)) == pytest.approx(80640.0)
+        assert CALLBACKS == {"solar-surface": solar_surface,
+                             "getSolarSurfaceInterpolant": solar_surface}
+        assert CALLBACKS["getSolarSurfaceInterpolant"](
+            1000.0, 504.0, 0.16) == pytest.approx(80640.0)
 
-    def test_unknown_and_duplicate_names(self):
-        reg = CallbackRegistry()
-        with pytest.raises(ConfigurationError):
-            reg.eval("missing", (1.0,))
-        reg.register("f", lambda x: x)
-        with pytest.raises(ConfigurationError):
-            reg.register("f", lambda x: x)
+    def test_unknown_name(self):
+        assert "missing" not in CALLBACKS
 
 
 # ── radiance ingestion ───────────────────────────────────────────────
