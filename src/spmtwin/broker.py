@@ -3,11 +3,12 @@
 Holds the latest reported state of every thing (thing -> features ->
 properties), serves scalar property reads/writes, and calls back each
 matching subscriber with every change event, in revision order, under the
-broker's one re-entrant lock. An HTTP front end exposes the property paths
-under ``/api/2/things``; it hands each request to a callable and never holds
-the broker. During a run that callable is the runner's, which delivers the
-request through the fabric as management -> broker on the simulation
-thread, so the firewall checks external traffic as it checks any other.
+broker's one re-entrant lock. A request is ``{method, thing, feature, prop,
+body}``; a ``GET`` with no ``thing`` lists the things. Only the HTTP front
+end reads ``/api/2/things`` paths: it answers an unknown one with 404 and
+hands the rest to a callable, never holding the broker. In a run that
+callable delivers each request through the fabric as management -> broker
+on the simulation thread, so the firewall checks it as any other traffic.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Callable
 from .httpapi import JsonHandler, JsonHttpServer
 
 THING_ID_RE = re.compile(r"^[A-Za-z0-9_-]+:[A-Za-z0-9_-]+$")
-PROPERTY_PATH_RE = re.compile(
-    r"^/api/2/things/([^/]+)/features/([^/]+)/properties/([^/]+)$")
+PROPERTY_PATH_RE = re.compile(r"^/api/2/things(?:/(?P<thing>[^/]+)/features/"
+                              r"(?P<feature>[^/]+)/properties/(?P<prop>[^/]+))?$")
 
 Scalar = int | float | bool | str
 
@@ -171,15 +172,13 @@ class Broker:
     # ── structured request handler (shared by HTTP and fabric paths) ──
 
     def handle_request(self, request: dict) -> dict:
-        """Process a {method, path, body} request; returns {status, body}."""
+        """Process a {method, thing, feature, prop, body} request, or a
+        ``GET`` without ``thing`` for the thing list; returns {status, body}."""
         method = request.get("method", "GET")
-        path = request.get("path", "")
-        if method == "GET" and path == "/api/2/things":
+        thing_id = request.get("thing")
+        if method == "GET" and thing_id is None:
             return {"status": 200, "body": self.list_things()}
-        m = PROPERTY_PATH_RE.match(path)
-        if not m:
-            return {"status": 404, "body": {"error": "unknown path"}}
-        thing_id, feature, prop = m.groups()
+        feature, prop = request.get("feature"), request.get("prop")
         try:
             if method == "GET":
                 return {"status": 200, "body": self.get_property(thing_id, feature, prop)}
@@ -206,14 +205,19 @@ def _check_scalar(thing_id: str, feature: str, prop: str, value) -> None:
 
 
 class _BrokerHandler(JsonHandler):
-    def _respond(self, request: dict) -> None:
-        result = self.server.handle(request)
+    def _respond(self, method: str, body=None) -> None:
+        m = PROPERTY_PATH_RE.match(self.path)
+        if m is None or not (m["thing"] or method == "GET"):  # list: GET only
+            self.send_json(404, {"error": "unknown path"})
+            return
+        fields = m.groupdict() if m["thing"] else {}
+        result = self.server.handle({"method": method, **fields, "body": body})
         self.send_json(result["status"], result["body"])
 
     def do_GET(self):
         # read a body too, or keep-alive parses it as the next request
         if self.read_body() is not None:
-            self._respond({"method": "GET", "path": self.path})
+            self._respond("GET")
 
     def do_PUT(self):
         raw = self.read_body()
@@ -224,12 +228,12 @@ class _BrokerHandler(JsonHandler):
         except json.JSONDecodeError:
             self.send_json(400, {"error": "invalid JSON body"})
             return
-        self._respond({"method": "PUT", "path": self.path, "body": body})
+        self._respond("PUT", body)
 
 
 class BrokerHttpServer(JsonHttpServer):
     def __init__(self, handle: Callable[[dict], dict],
                  host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _BrokerHandler)
-        # {method, path, body} -> {status, body}, as Broker.handle_request
+        # a structured request -> {status, body}, as Broker.handle_request
         self.handle = handle

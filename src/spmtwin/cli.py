@@ -15,8 +15,6 @@ import argparse
 import json
 import logging
 import sys
-import urllib.error
-import urllib.request
 
 from .runner import RunAbort, Runner, StartupError
 from .scenario import ScenarioError, load_scenario, validate_scenario
@@ -108,6 +106,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    import urllib.error         # here: no other verb makes an HTTP request
+    import urllib.request
     body = json.dumps(
         {"target": args.target, "value": _parse_value(args.value)}).encode()
     request = urllib.request.Request(

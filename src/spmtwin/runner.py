@@ -437,12 +437,10 @@ class Runner:
 
     def _broker_request(self, src: str, method: str, thing: str,
                         feature: str, prop: str, body=None) -> dict:
-        """Deliver ``method`` on one thing property, ``src`` -> broker."""
+        """Deliver a structured ``method`` request on one property, src -> broker."""
         return self.fabric.deliver(src, self.scenario.broker_node, "http", {
-            "method": method,
-            "path": f"/api/2/things/{thing}/features/{feature}/properties/{prop}",
-            "body": body,
-        })
+            "method": method, "thing": thing, "feature": feature,
+            "prop": prop, "body": body})
 
     def _read_broker(self, thing: str, feature: str, prop: str):
         result = self._broker_request(self.scenario.historian_node, "GET",
@@ -712,13 +710,15 @@ class Runner:
 
     def queue_broker_request(self, request: dict,
                              timeout: float = 30.0) -> dict:
-        """Serve one broker HTTP request as a management -> broker delivery
-        made by the run loop; the broker HTTP server calls this. A refusal
-        by the firewall is 403, a run that ended or a timeout is 503."""
+        """Serve one structured request from the broker HTTP server as a
+        management -> broker delivery made by the run loop. A refusal by the
+        firewall is 403, a run that ended or a timeout is 503."""
+        what = (f"{request['thing']}/{request['feature']}/{request['prop']}"
+                if "thing" in request else "thing list")
         try:
             return self._queue_delivery(
                 self.scenario.broker_node, "http", request, timeout,
-                f"broker request {request.get('path')!r}")
+                f"broker {request['method']} of {what!r}")
         except netfabric.Blocked as exc:
             return {"status": 403, "body": {"error": str(exc)}}
         except CommandFailure as exc:

@@ -1,7 +1,6 @@
 import http.client
 import json
 import threading
-import urllib.error
 import urllib.request
 
 import pytest
@@ -21,6 +20,11 @@ def make_broker(**kwargs) -> Broker:
     broker = Broker(**kwargs)
     broker.create_thing("FDT:solar-panel-1", {"panel": {"power": 0.0}})
     return broker
+
+
+# the structured request fields that name make_broker's one property
+PANEL_POWER = {"thing": "FDT:solar-panel-1", "feature": "panel",
+               "prop": "power"}
 
 
 class TestThings:
@@ -54,10 +58,8 @@ class TestThings:
             broker.put_property("FDT:solar-panel-1", "panel", "power", value)
         assert broker.get_property("FDT:solar-panel-1", "panel", "power") == 0.0
         assert broker.revision("FDT:solar-panel-1") == 0
-        reply = broker.handle_request({
-            "method": "PUT", "body": value,
-            "path": "/api/2/things/FDT:solar-panel-1/features/panel"
-                    "/properties/power"})
+        reply = broker.handle_request({"method": "PUT", **PANEL_POWER,
+                                       "body": value})
         assert reply["status"] == 400
 
 
@@ -220,30 +222,25 @@ class TestConcurrency:
 class TestRequestHandler:
     def test_structured_get_put(self):
         broker = make_broker()
-        put = broker.handle_request({
-            "method": "PUT",
-            "path": "/api/2/things/FDT:solar-panel-1/features/panel/properties/power",
-            "body": 55.0,
-        })
+        put = broker.handle_request({"method": "PUT", **PANEL_POWER,
+                                     "body": 55.0})
         assert put["status"] == 204
-        get = broker.handle_request({
-            "method": "GET",
-            "path": "/api/2/things/FDT:solar-panel-1/features/panel/properties/power",
-        })
+        get = broker.handle_request({"method": "GET", **PANEL_POWER})
         assert (get["status"], get["body"]) == (200, 55.0)
+        delete = broker.handle_request({"method": "DELETE", **PANEL_POWER})
+        assert delete["status"] == 400
+        assert "DELETE" in delete["body"]["error"]
+        assert broker.get_property("FDT:solar-panel-1", "panel", "power") == 55.0
 
     def test_unknown_paths(self):
         broker = make_broker()
-        assert broker.handle_request({"method": "GET", "path": "/nope"})["status"] == 404
         missing = broker.handle_request({
-            "method": "GET",
-            "path": "/api/2/things/FDT:x/features/f/properties/p",
-        })
+            "method": "GET", "thing": "FDT:x", "feature": "f", "prop": "p"})
         assert missing["status"] == 404
 
     def test_list_things_endpoint(self):
         broker = make_broker()
-        result = broker.handle_request({"method": "GET", "path": "/api/2/things"})
+        result = broker.handle_request({"method": "GET"})
         assert result == {"status": 200, "body": ["FDT:solar-panel-1"]}
 
 
@@ -312,17 +309,35 @@ class TestHttpServer:
             server.shutdown()
             server.server_close()
 
-    def test_http_404(self):
+    @pytest.mark.parametrize("method, path, reaches_broker", [
+        ("GET", "/api/2/things/FDT:x/features/f/properties/p", True),
+        ("GET", "/nope", False),
+        ("GET", "/api/2/things/FDT:solar-panel-1/features/panel"
+                "/properties/power/extra", False),
+        ("GET", "/api/2/things//features/f/properties/p", False),
+        ("PUT", "/api/2/things", False),
+    ], ids=["unknown-thing", "unknown-path", "trailing-segment",
+            "empty-segment", "put-on-list"])
+    def test_http_404(self, method, path, reaches_broker):
         broker = make_broker()
-        server = BrokerHttpServer(broker.handle_request)
+        calls = []
+
+        def handle(request):
+            calls.append(request)
+            return broker.handle_request(request)
+
+        server = BrokerHttpServer(handle)
         server.start()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=2)
         try:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{server.port}"
-                    "/api/2/things/FDT:x/features/f/properties/p")
-            assert err.value.code == 404
+            conn.request(method, path, body=b"1.0")
+            resp = conn.getresponse()
+            assert resp.status == 404
+            assert "error" in json.loads(resp.read())
+            # only a matched path becomes a request; the rest stop at the edge
+            assert len(calls) == (1 if reaches_broker else 0)
         finally:
+            conn.close()
             server.shutdown()
             server.server_close()
 

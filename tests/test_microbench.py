@@ -174,11 +174,24 @@ def test_broker_get_through_handle_request(benchmark):
     # the request a historian broker read delivers to the broker
     broker = Broker()
     broker.create_thing("FDT:t", {"f": {"p": 42.5}})
-    request = {"method": "GET", "body": None,
-               "path": "/api/2/things/FDT:t/features/f/properties/p"}
+    request = {"method": "GET", "thing": "FDT:t", "feature": "f", "prop": "p",
+               "body": None}
     reply = benchmark.pedantic(broker.handle_request, args=(request,),
                                rounds=ROUNDS, iterations=ITERATIONS)
     assert reply == {"status": 200, "body": 42.5}
+
+
+def test_broker_put_through_handle_request(benchmark):
+    # the request a controller's telemetry publish delivers to the broker
+    broker = Broker()
+    broker.create_thing("FDT:t", {"f": {"p": 0.0}})
+    request = {"method": "PUT", "thing": "FDT:t", "feature": "f", "prop": "p",
+               "body": 42.5}
+    reply = benchmark.pedantic(broker.handle_request, args=(request,),
+                               rounds=ROUNDS, iterations=ITERATIONS)
+    assert reply == {"status": 204, "body": None}
+    assert broker.revision("FDT:t") >= ROUNDS * ITERATIONS
+    assert broker.get_property("FDT:t", "f", "p") == 42.5
 
 
 def test_ems_tick(benchmark):

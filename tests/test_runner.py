@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from spmtwin import broker as broker_mod
 from spmtwin import ems, modbus, netfabric
 from spmtwin import runner as runner_mod
 from spmtwin.cli import (EXIT_INTERRUPTED, EXIT_INVALID, EXIT_OK,
@@ -363,10 +364,10 @@ class TestInjectionAndServers:
         start = time.monotonic()
         with pytest.raises(CommandFailure, match="run has ended"):
             runner.inject("modbus:cab-a/coil/100", False, timeout=5.0)
-        reply = runner.queue_broker_request(
-            {"method": "GET", "path": "/api/2/things"}, timeout=5.0)
+        reply = runner.queue_broker_request({"method": "GET"}, timeout=5.0)
         assert reply["status"] == 503
         assert "run has ended" in reply["body"]["error"]
+        assert "thing list" in reply["body"]["error"]
         assert time.monotonic() - start < 0.5
         assert runner._injected == []
 
@@ -385,11 +386,12 @@ class TestInjectionAndServers:
         path = customized(tmp_path, scenario_dir, duration_s=60)
         runner = Runner(load_scenario(path), pace=False)
         reply = runner.queue_broker_request(
-            {"method": "PUT",
-             "path": property_path("FDT:campus-turnout", "campus", "note"),
-             "body": "drill"}, timeout=0.05)
+            {"method": "PUT", "thing": "FDT:campus-turnout",
+             "feature": "campus", "prop": "note", "body": "drill"},
+            timeout=0.05)
         assert reply["status"] == 503
         assert "timed out" in reply["body"]["error"]
+        assert "FDT:campus-turnout/campus/note" in reply["body"]["error"]
         assert runner._injected == []
         delivered = runner.fabric.delivered_count
         runner._drain_injections()
@@ -549,7 +551,7 @@ class TestBrokerHttpThroughFabric:
         deliver = runner.fabric.deliver
 
         def recording(src, dst, service, payload):
-            sent.append((src, dst, service))
+            sent.append((src, dst, service, payload))
             return deliver(src, dst, service, payload)
 
         runner.fabric.deliver = recording
@@ -560,10 +562,44 @@ class TestBrokerHttpThroughFabric:
         assert (status, body) == (204, None)
         assert runner.broker.get_property(
             "FDT:campus-turnout", "campus", "note") == "drill"
-        assert sent.count(("ops", "broker", "http")) == 1
+        puts = [s[3] for s in sent if s[:3] == ("ops", "broker", "http")]
+        assert len(puts) == 1
+        # the edge parsed the path; the fabric carries the structured request
+        assert puts[0] == {"method": "PUT", "thing": "FDT:campus-turnout",
+                           "feature": "campus", "prop": "note",
+                           "body": "drill"}
         assert runner.fabric.delivered_count \
             == unpaced.fabric.delivered_count + 1
         assert runner.fabric.blocked_count == 0
+
+    def test_bad_paths_are_404_at_the_edge_and_never_delivered(
+            self, tmp_path, scenario_dir):
+        path = customized(tmp_path, scenario_dir, duration_s=1200)
+        unpaced = Runner(load_scenario(path), pace=False)
+        unpaced.run()
+        runner = paced(tmp_path, scenario_dir)
+        replies, _, _ = during_run(runner, lambda: [
+            broker_request(runner, "GET", "/nope"),
+            broker_request(runner, "PUT", "/api/2/things", "drill")])
+        assert [status for status, _ in replies] == [404, 404]
+        assert runner.fabric.delivered_count == unpaced.fabric.delivered_count
+        assert runner.fabric.blocked_count == 0
+
+    def test_a_run_never_parses_a_path(self, tmp_path, scenario_dir,
+                                       monkeypatch):
+        class Unmatchable:
+            def match(self, path):
+                raise AssertionError(f"path {path!r} parsed during a run")
+
+        path = customized(tmp_path, scenario_dir, duration_s=1200)
+        plain = Runner(load_scenario(path), pace=False)
+        plain.run()
+        monkeypatch.setattr(broker_mod, "PROPERTY_PATH_RE", Unmatchable())
+        runner = Runner(load_scenario(path), pace=False)
+        runner.run()
+        assert runner.artifacts.completed
+        assert runner.artifacts.publish_errors == 0
+        assert runner.fabric.delivered_count == plain.fabric.delivered_count
 
     def test_command_put_runs_on_the_simulation_thread(self, tmp_path,
                                                        scenario_dir):
