@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from .rng import Generator
 
 HOURS_PER_WEEK = 168.0
 
@@ -35,7 +35,7 @@ class TurnoutModel:
             raise ValueError("schedule values must be non-negative")
         self.schedule = sorted(self.schedule)
 
-    def cluster_load_w(self, rng: np.random.Generator) -> float:
+    def cluster_load_w(self, rng: Generator) -> float:
         """One cluster's load in W: C times a per-person draw from
         N(mu, sigma) truncated at 0; mu itself, with no draw, when sigma is
         0."""
@@ -68,7 +68,7 @@ def cluster_count(model: TurnoutModel, persons: float) -> int:
     return int(math.ceil(persons / model.cluster_size)) if persons > 0 else 0
 
 
-def building_load(model: TurnoutModel, persons: float, rng: np.random.Generator) -> float:
+def building_load(model: TurnoutModel, persons: float, rng: Generator) -> float:
     """E in kW: base load plus one truncated-normal C*P_i term per cluster."""
     if persons < 0:
         raise ValueError("persons must be >= 0")
@@ -106,7 +106,7 @@ class ClientPopulation:
     """
 
     def __init__(self, model: TurnoutModel, buildings: list[str],
-                 rng: np.random.Generator):
+                 rng: Generator):
         if not buildings:
             raise ValueError("at least one building required")
         self.model = model

@@ -70,10 +70,8 @@ from datetime import timedelta
 from functools import partial
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import ems as ems_mod
-from . import modbus, netfabric, occupancy
+from . import modbus, netfabric, occupancy, rng
 from .broker import Broker, BrokerHttpServer, ChangeEvent
 from .devices import (
     CONSUMPTION_REGISTER,
@@ -241,7 +239,7 @@ class Runner:
         self.scenario = scenario
         self.pace = pace
         self.clock = SimClock(scale=scenario.clock_scale)
-        self.rng = np.random.default_rng(scenario.seed)
+        self.rng = rng.Generator(scenario.seed)
         self.fabric = netfabric.Fabric(scenario.policy)
         self._heap: list = []
         self._seq = 0

@@ -9,13 +9,12 @@ for closed-form pipelines such as the solar surface model.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
-
-import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -102,6 +101,11 @@ def interpolate(table: InterpolationTable, x: float) -> float:
 
 # ── Linear state-space ─────────────────────────────────────────────────────
 
+def _matmul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
 # step horizons cached per system; a run steps each system with one horizon,
 # its controller's publish period
 _PROPAGATOR_CACHE_SIZE = 4
@@ -164,19 +168,21 @@ class LinearStateSpace:
         if rows is not None:
             return rows
         n, m = self._n, self._m
-        Z = np.zeros((n + m, n + m))
-        Z[:n, :n], Z[:n, n:] = self.A, self.B
-        prop = np.eye(n + m)
+        Z = [row + brow for row, brow in zip(self.A, self.B)]
+        Z += [[0.0] * (n + m) for _ in range(m)]
+        eye = [[float(i == j) for j in range(n + m)] for i in range(n + m)]
+        prop = eye
         remaining = dt
         while remaining > 1e-12:
             h = min(self.dt, remaining)
-            term = sub = np.eye(n + m)
+            term = sub = eye
             for k in range(1, 5):
-                term = term @ Z * (h / k)
-                sub = sub + term
-            prop = sub @ prop
+                c = h / k
+                term = [[v * c for v in row] for row in _matmul(term, Z)]
+                sub = [list(map(add, r, t)) for r, t in zip(sub, term)]
+            prop = _matmul(sub, prop)
             remaining -= h
-        rows = prop[:n].tolist()
+        rows = prop[:n]
         if len(self._propagators) >= _PROPAGATOR_CACHE_SIZE:
             del self._propagators[next(iter(self._propagators))]
         self._propagators[dt] = rows
@@ -196,18 +202,28 @@ class LinearStateSpace:
         return list(self.x)
 
     def steady_state(self, u: Sequence[float]) -> list[float]:
-        """Solve A x* + B u = 0; raises for singular A."""
+        """Solve A x* + B u = 0 by Gaussian elimination with partial
+        pivoting, as LAPACK ``gesv`` does; raises for singular A."""
         if len(u) != self._m:
             raise ConfigurationError("input length does not match B columns")
-        A = np.array(self.A, dtype=float)
-        rhs = -np.array(self.B, dtype=float) @ np.array(u, dtype=float)
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigurationError("no unique steady state: A is singular") from exc
-        if not np.all(np.isfinite(sol)):
+        n = self._n
+        # the augmented rows [A | -B u]
+        rows = [[*a, -sum(map(mul, b, u))] for a, b in zip(self.A, self.B)]
+        for k in range(n):
+            p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+            if rows[p][k] == 0.0:
+                raise ConfigurationError("no unique steady state: A is singular")
+            rows[k], rows[p] = rows[p], rows[k]
+            for i in range(k + 1, n):
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+        x = [0.0] * n
+        for k in reversed(range(n)):
+            x[k] = (rows[k][n] - sum(map(mul, rows[k][k + 1:n], x[k + 1:]))) \
+                / rows[k][k]
+        if not all(map(math.isfinite, x)):
             raise ConfigurationError("no unique steady state: A is singular")
-        return [float(v) for v in sol]
+        return x
 
 
 # ── Callbacks ──────────────────────────────────────────────────────────────

@@ -1,6 +1,7 @@
 """Micro-benchmarks of the hot primitives: the per-sample poll path (a
 Modbus read on the general path and on a prepared request), model stepping,
-broker writes and reads, and the EMS decision.
+seeding the generator and drawing a cluster's load, broker writes and
+reads, and the EMS decision.
 
 Each bench times one hot primitive with a fixed, small number of rounds (no
 calibration), so the file stays fast inside the normal test run, and asserts
@@ -20,6 +21,8 @@ from spmtwin.broker import Broker
 from spmtwin.ems import IDLE, START, ActionSet, EmsConfig, Measurements, ems_tick
 from spmtwin.historian import BrokerSource, Datapoint, Historian, ModbusSource
 from spmtwin.netfabric import Fabric
+from spmtwin.occupancy import TurnoutModel
+from spmtwin.rng import Generator
 from spmtwin.scenario import parse_policy
 from spmtwin.simcore import LinearStateSpace
 
@@ -146,6 +149,21 @@ def test_turbine_step(benchmark):
                            iterations=ITERATIONS)
     # 1,000 steps are 10,000 s: far past the 30 s settling time
     assert x == pytest.approx(system.steady_state(u), rel=1e-9)
+
+
+def test_generator_seed(benchmark):
+    rng = benchmark.pedantic(Generator, args=(42,), rounds=ROUNDS,
+                             iterations=ITERATIONS)
+    assert rng.normal(25.0, 5.0) == Generator(42).normal(25.0, 5.0)
+
+
+def test_cluster_load_draw(benchmark):
+    # the plant's turnout model: clusters of 10 persons at N(25 W, 5 W)
+    model = TurnoutModel(cluster_size=10, mu_w=25.0, sigma_w=5.0)
+    rng = Generator(42)
+    load_w = benchmark.pedantic(model.cluster_load_w, args=(rng,),
+                                rounds=ROUNDS, iterations=ITERATIONS)
+    assert 0.0 < load_w < 10 * (25.0 + 10 * 5.0)
 
 
 @pytest.mark.parametrize("subscribers", [0, 10, 100])

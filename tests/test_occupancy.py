@@ -11,6 +11,7 @@ from spmtwin.occupancy import (
     load_schedule_csv,
     turnout_at,
 )
+from spmtwin.rng import Generator
 
 SCHEDULE = [(0.0, 0.0), (8.0, 400.0), (12.0, 1200.0), (18.0, 0.0)]
 
@@ -55,12 +56,12 @@ class TestBuildingLoad:
     def test_sigma_zero_formula_exact(self):
         # T=100: 10 clusters x 10 persons x 25 W = 2.5 kW variable + 1.5 base
         m = model(sigma_w=0.0)
-        rng = np.random.default_rng(0)
+        rng = Generator(0)
         assert building_load(m, 100, rng) == pytest.approx(4.0, abs=1e-12)
 
     def test_monte_carlo_mean_within_one_percent(self):
         m = model()
-        rng = np.random.default_rng(7)
+        rng = Generator(7)
         # truncation at 0 is negligible at mu=5 sigma, so the analytic mean
         # is base + clusters * C * mu
         draws = [building_load(m, 100, rng) for _ in range(10000)]
@@ -69,28 +70,28 @@ class TestBuildingLoad:
 
     def test_negative_draws_truncate_to_zero(self):
         m = model(mu_w=0.0, sigma_w=5.0)
-        rng = np.random.default_rng(1)
+        rng = Generator(1)
         loads = [building_load(m, 10, rng) - m.base_load_kw for _ in range(1000)]
         assert all(v >= 0.0 for v in loads)
 
     def test_seeded_reproducibility(self):
         m = model()
-        a = [building_load(m, 50, np.random.default_rng(42)) for _ in range(1)]
-        b = [building_load(m, 50, np.random.default_rng(42)) for _ in range(1)]
+        a = [building_load(m, 50, Generator(42)) for _ in range(1)]
+        b = [building_load(m, 50, Generator(42)) for _ in range(1)]
         assert a == b
 
     @given(persons=st.floats(min_value=0, max_value=5000))
     @settings(max_examples=200)
     def test_load_at_least_base(self, persons):
         m = model()
-        rng = np.random.default_rng(3)
+        rng = Generator(3)
         assert building_load(m, persons, rng) >= m.base_load_kw
 
 
 class TestClientPopulation:
     def make(self, seed=42) -> ClientPopulation:
         return ClientPopulation(model(), ["a", "b", "c"],
-                                np.random.default_rng(seed))
+                                Generator(seed))
 
     def test_sync_spawns_ceil_t_over_c(self):
         pop = self.make()

@@ -1283,6 +1283,24 @@ class TestCli:
         assert ("done: 4 control ticks, 0 blocked deliveries, 0 skipped "
                 "ticks (stale 0, no data 0, blocked 0)\n") in capsys.readouterr().out
 
+    def test_run_needs_no_site_packages(self, tmp_path, scenario_path):
+        # -S with PYTHONPATH=src leaves only the standard library and the
+        # twin importable: no numpy, nor anything else installed
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                           "src")
+        args = ["run", scenario_path, "--no-pace", "--duration", "3600",
+                "--quiet", "--out"]
+        bare = subprocess.run(
+            [sys.executable, "-S", "-m", "spmtwin.cli", *args,
+             str(tmp_path / "bare")],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert bare.returncode == EXIT_OK, bare.stderr
+        assert main([*args, str(tmp_path / "full")]) == EXIT_OK
+        for name in ("datapoints.csv", "ems_ticks.csv", "summary.csv"):
+            assert (tmp_path / "bare" / name).read_bytes() \
+                == (tmp_path / "full" / name).read_bytes()
+
     def test_run_without_out_prints_the_same_and_writes_nothing(
             self, tmp_path, scenario_path, capsys, monkeypatch):
         args = ["run", scenario_path, "--duration", "300", "--no-pace",
