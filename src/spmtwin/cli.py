@@ -93,7 +93,13 @@ def cmd_run(args) -> int:
     if not args.quiet:
         print(f"running {scenario.name}: {scenario.duration_s:.0f}s simulated "
               f"at 1:{scenario.clock_scale:g}, seed {scenario.seed}")
-    artifacts = runner.run(out_dir=args.out)
+
+    def say_where():     # `spmtwin inject --url` takes the historian URL
+        print(f"listening: broker {runner.broker_http.url}, "
+              f"historian {runner.historian_http.url}", flush=True)
+
+    artifacts = runner.run(out_dir=args.out,
+                           on_listening=None if args.quiet else say_where)
     if not args.quiet:
         print(f"done: {len(artifacts.ems_ticks)} control ticks, "
               f"{artifacts.blocked_count} blocked deliveries, "

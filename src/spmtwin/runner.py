@@ -95,6 +95,7 @@ from .historian import (
     SampleSink,
     format_value,
 )
+from .httpapi import serve
 from .scenario import (
     TURNOUT_THING,
     CallbackThingSpec,
@@ -748,33 +749,32 @@ class Runner:
     def _start_servers(self) -> None:
         s = self.scenario
         try:
-            self.broker_http = BrokerHttpServer(self.queue_broker_request,
-                                                port=s.broker_http_port)
+            self.broker_http = broker = BrokerHttpServer(
+                self.queue_broker_request, port=s.broker_http_port)
             try:
                 self.historian_http = HistorianHttpServer(
                     self.historian, port=s.historian_http_port,
                     command_hook=self.inject)
             except OSError:
-                # bound but never served: shutdown() would wait forever
-                self.broker_http.server_close()
+                # bound but not yet in _servers, so no _stop_servers closes it
+                broker.server_close()
                 raise
         except OSError as exc:
             raise StartupError(f"cannot bind service port: {exc}") from exc
-        self.broker_http.start()
-        self.historian_http.start()
         self._servers = [self.broker_http, self.historian_http]
+        self._stop_accepting = serve(self._servers)
 
     def _stop_servers(self) -> None:
+        self._stop_accepting()
         # ordered shutdown: historian -> broker
         for server in reversed(self._servers):
-            try:
-                server.shutdown()
-                server.server_close()
-            except Exception:
-                pass
+            server.server_close()
         self._servers = []
 
-    def run(self, out_dir: str | None = None) -> RunArtifacts:
+    def run(self, out_dir: str | None = None,
+            on_listening: Callable[[], None] | None = None) -> RunArtifacts:
+        """Run the scenario to its end; ``on_listening`` is called once the
+        HTTP servers listen, before the first event."""
         s = self.scenario
         self._start_servers()
         try:
@@ -796,6 +796,8 @@ class Runner:
             tasks += [(s.poll_period_s, PHASE_DERIVED, self.historian.poll_derived),
                       (s.ems.timer_period_s, PHASE_EMS, self._task_ems)]
             self._schedule_periodic(tasks)
+            if on_listening is not None:
+                on_listening()
 
             wall_start = time.monotonic()
             while self._heap and self._heap[0][0] <= s.duration_s:

@@ -3,6 +3,8 @@ import http.client
 import json
 import logging
 import os
+import re
+import signal
 import socket
 import subprocess
 import sys
@@ -29,6 +31,8 @@ from spmtwin.runner import (
     run_scenario,
 )
 from spmtwin.scenario import TURNOUT_THING, load_scenario
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def customized(tmp_path, scenario_dir, mutate=None, **top_level) -> str:
@@ -429,11 +433,20 @@ class TestInjectionAndServers:
 
     def test_servers_stop_quickly(self, scenario_path):
         runner = Runner(load_scenario(scenario_path), pace=False)
+        before = set(threading.enumerate())
         for _ in range(3):
             runner._start_servers()
+            # a keep-alive client, still connected when the servers stop
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", runner.historian_http.port, timeout=2)
+            conn.request("GET", "/datapoint/getAll")
+            assert conn.getresponse().read()
             start = time.monotonic()
             runner._stop_servers()
-            assert time.monotonic() - start < 0.25
+            assert time.monotonic() - start < 0.05
+            conn.close()
+            # neither the accepting thread nor the connection's is left
+            assert set(threading.enumerate()) <= before
 
     def test_historian_http_is_live_during_run(self, tmp_path, scenario_dir):
         import urllib.request
@@ -1220,9 +1233,8 @@ print(json.dumps({"hwm_kb": hwm_kb, "nodes": len(runner.fabric._nodes),
 
 @pytest.mark.slow
 def test_memory_flat_from_a_week_to_a_month(tmp_path, scenario_path):
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
     def run(days, out):
         done = subprocess.run(
@@ -1286,20 +1298,66 @@ class TestCli:
     def test_run_needs_no_site_packages(self, tmp_path, scenario_path):
         # -S with PYTHONPATH=src leaves only the standard library and the
         # twin importable: no numpy, nor anything else installed
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                           "src")
         args = ["run", scenario_path, "--no-pace", "--duration", "3600",
                 "--quiet", "--out"]
         bare = subprocess.run(
             [sys.executable, "-S", "-m", "spmtwin.cli", *args,
              str(tmp_path / "bare")],
             capture_output=True, text=True, timeout=300,
-            env=dict(os.environ, PYTHONPATH=src))
+            env=dict(os.environ, PYTHONPATH=SRC))
         assert bare.returncode == EXIT_OK, bare.stderr
         assert main([*args, str(tmp_path / "full")]) == EXIT_OK
         for name in ("datapoints.csv", "ems_ticks.csv", "summary.csv"):
             assert (tmp_path / "bare" / name).read_bytes() \
                 == (tmp_path / "full" / name).read_bytes()
+
+    def test_a_run_loads_no_http_client_email_or_ssl(self, scenario_path):
+        child = ("import sys; from spmtwin.cli import main; "
+                 "main(sys.argv[1:]); print(*sorted(sys.modules))")
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", child, "run", scenario_path,
+             "--no-pace", "--duration", "600", "--quiet"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        assert done.returncode == EXIT_OK, done.stderr
+        loaded = done.stdout.split()
+        assert "spmtwin.httpapi" in loaded
+        assert [m for m in loaded if m.split(".")[0]
+                in ("http", "email", "ssl", "_ssl")] == []
+
+    def test_run_prints_where_its_apis_listen(self, scenario_path):
+        import urllib.request
+
+        env = dict(os.environ, PYTHONPATH=SRC)
+        run = subprocess.Popen(
+            [sys.executable, "-m", "spmtwin.cli", "run", scenario_path,
+             "--duration", "3600", "--scale", "60"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            assert run.stdout.readline().startswith("running ")
+            listening = re.fullmatch(
+                r"listening: broker (http://\S+), historian (http://\S+)\n",
+                run.stdout.readline())
+            assert listening
+            broker_url, historian_url = listening.groups()
+            with urllib.request.urlopen(broker_url + "/api/2/things") as resp:
+                assert "FDT:energy-store-1" in json.load(resp)
+            inject = subprocess.run(
+                [sys.executable, "-m", "spmtwin.cli", "inject", "--url",
+                 historian_url, "--target", "modbus:cab-a/coil/101",
+                 "--value", "true"],
+                capture_output=True, text=True, timeout=60, env=env)
+            assert inject.returncode == EXIT_OK, inject.stderr
+            assert json.loads(inject.stdout)["ok"]
+        finally:
+            run.send_signal(signal.SIGINT)
+            run.wait(timeout=60)
+        assert run.returncode == EXIT_INTERRUPTED
+
+    def test_quiet_run_prints_nothing(self, scenario_path, capsys):
+        assert main(["run", scenario_path, "--duration", "300", "--no-pace",
+                     "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
 
     def test_run_without_out_prints_the_same_and_writes_nothing(
             self, tmp_path, scenario_path, capsys, monkeypatch):

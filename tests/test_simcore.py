@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spmtwin import simcore
 from spmtwin.simcore import (
     LINEAR,
     NEAREST,
@@ -250,6 +251,14 @@ class TestLinearStateSpace:
         out[0] = -1.0
         assert sys.x[0] != -1.0
         assert all(type(v) is float for v in sys.x)
+
+    def test_sums_fold_left_to_right_on_every_python(self):
+        # naively 1e16 + 1.0 rounds back to 1e16, so the fold reads 0.0;
+        # the compensated sum() of Python 3.12+ would read 1.0
+        assert simcore._dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+        sys = LinearStateSpace(A=[[-1.0]], B=[[1.0, 1.0]], x=[1.0])
+        sys._propagators[10.0] = [[1e16, 1.0, -1e16]]   # over [x, u0, u1]
+        assert sys.step((1.0, 1.0), 10.0) == [0.0]
 
     @given(
         a=st.floats(min_value=-2.0, max_value=-0.01),
