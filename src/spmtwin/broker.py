@@ -4,11 +4,12 @@ Holds the latest reported state of every thing (thing -> features ->
 properties), serves scalar property reads/writes, and calls back each
 matching subscriber with every change event, in revision order, under the
 broker's one re-entrant lock. A request is ``{method, thing, feature, prop,
-body}``; a ``GET`` with no ``thing`` lists the things. Only the HTTP front
-end reads ``/api/2/things`` paths: it answers an unknown one with 404 and
-hands the rest to a callable, never holding the broker. In a run that
-callable delivers each request through the fabric as management -> broker
-on the simulation thread, so the firewall checks it as any other traffic.
+body}``; a ``GET`` with no ``thing`` lists the things. Only the HTTP
+routes of :func:`http_routes` read ``/api/2/things`` paths: they answer an
+unknown one with 404 and hand the rest to a callable, never holding the
+broker. In a run that callable delivers each request through the fabric as
+management -> broker on the simulation thread, so the firewall checks it as
+any other traffic.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import re
 import threading
 from dataclasses import dataclass
 from typing import Callable
-
-from .httpapi import JsonHandler, JsonHttpServer
 
 THING_ID_RE = re.compile(r"^[A-Za-z0-9_-]+:[A-Za-z0-9_-]+$")
 PROPERTY_PATH_RE = re.compile(r"^/api/2/things(?:/(?P<thing>[^/]+)/features/"
@@ -201,39 +200,28 @@ def _check_scalar(thing_id: str, feature: str, prop: str, value) -> None:
             f"{thing_id}/{feature}/{prop}: numbers must be finite, got {value}")
 
 
-# ── HTTP front end ─────────────────────────────────────────────────────────
+# ── HTTP routes ────────────────────────────────────────────────────────────
 
 
-class _BrokerHandler(JsonHandler):
-    def _respond(self, method: str, body=None) -> None:
-        m = PROPERTY_PATH_RE.match(self.path)
+def http_routes(handle: Callable[[dict], dict]
+                ) -> dict[str, Callable[[str, bytes], tuple[int, object]]]:
+    """The broker's HTTP API as routes by method, for a ``JsonHttpServer``.
+    ``handle`` serves a structured request and returns {status, body}, as
+    :meth:`Broker.handle_request` does."""
+
+    def respond(method: str, path: str, body=None) -> tuple[int, object]:
+        m = PROPERTY_PATH_RE.match(path)
         if m is None or not (m["thing"] or method == "GET"):  # list: GET only
-            self.send_json(404, {"error": "unknown path"})
-            return
+            return 404, {"error": "unknown path"}
         fields = m.groupdict() if m["thing"] else {}
-        result = self.server.handle({"method": method, **fields, "body": body})
-        self.send_json(result["status"], result["body"])
+        result = handle({"method": method, **fields, "body": body})
+        return result["status"], result["body"]
 
-    def do_GET(self):
-        # read a body too, or keep-alive parses it as the next request
-        if self.read_body() is not None:
-            self._respond("GET")
-
-    def do_PUT(self):
-        raw = self.read_body()
-        if raw is None:
-            return
+    def put(path: str, raw: bytes) -> tuple[int, object]:
         try:
             body = json.loads(raw) if raw else None
-        except json.JSONDecodeError:
-            self.send_json(400, {"error": "invalid JSON body"})
-            return
-        self._respond("PUT", body)
+        except ValueError:      # not JSON, or not UTF-8 at all
+            return 400, {"error": "invalid JSON body"}
+        return respond("PUT", path, body)
 
-
-class BrokerHttpServer(JsonHttpServer):
-    def __init__(self, handle: Callable[[dict], dict],
-                 host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _BrokerHandler)
-        # a structured request -> {status, body}, as Broker.handle_request
-        self.handle = handle
+    return {"GET": lambda path, raw: respond("GET", path), "PUT": put}

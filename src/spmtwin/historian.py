@@ -11,6 +11,9 @@ In a run, the sample log is a :class:`SampleSink` that writes each sample's
 :data:`BUFFER_ROWS` rows, so memory does not grow with the run's length; a
 run without an output directory writes the rows to ``os.devnull``. A
 historian on its own keeps a list of ``(t, xid, value)``.
+
+:func:`http_routes` is its HTTP API as a table of routes: ``getAll`` and
+``latest`` are read on the server's thread, and a command goes to a hook.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import logging
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
-
-from .httpapi import JsonHandler, JsonHttpServer
 
 log = logging.getLogger(__name__)
 
@@ -320,56 +321,39 @@ class SampleSink(CsvSink):
 # ── HTTP API ───────────────────────────────────────────────────────────────
 
 
-class _HistorianHandler(JsonHandler):
-    def do_GET(self):
-        # read a body too, or keep-alive parses it as the next request
-        if self.read_body() is None:
-            return
-        hist = self.server.historian
-        if self.path == "/datapoint/getAll":
-            self.send_json(200, hist.get_all())
-            return
-        parts = self.path.strip("/").split("/")
+def http_routes(historian: Historian,
+                command_hook: Callable[[str, object], dict]
+                ) -> dict[str, Callable[[str, bytes], tuple[int, object]]]:
+    """The datapoint API and ``POST /command`` as routes by method, for a
+    ``JsonHttpServer``. In a run, ``command_hook`` makes each command on the
+    simulation thread, through the runner's scheduler and the fabric, never
+    from a server thread."""
+
+    def get(path: str, _raw: bytes) -> tuple[int, object]:
+        if path == "/datapoint/getAll":
+            return 200, historian.get_all()
+        parts = path.strip("/").split("/")
         if len(parts) == 3 and parts[0] == "datapoint" and parts[2] == "latest":
             try:
-                t, v = hist.get_latest(parts[1])
+                t, v = historian.get_latest(parts[1])
             except UnknownDatapoint as exc:
-                self.send_json(404, {"error": str(exc)})
+                return 404, {"error": str(exc)}
             except NoData as exc:
-                self.send_json(409, {"error": str(exc)})
-            else:
-                self.send_json(200, {"timestamp": t, "value": v})
-            return
-        self.send_json(404, {"error": "unknown path"})
+                return 409, {"error": str(exc)}
+            return 200, {"timestamp": t, "value": v}
+        return 404, {"error": "unknown path"}
 
-    def do_POST(self):
-        # read the body even for a 404, or keep-alive parses it as a request
-        raw = self.read_body()
-        if raw is None:
-            return
-        if self.path != "/command":
-            self.send_json(404, {"error": "unknown path"})
-            return
+    def post(path: str, raw: bytes) -> tuple[int, object]:
+        if path != "/command":
+            return 404, {"error": "unknown path"}
         try:
             body = json.loads(raw)
             target, value = body["target"], body["value"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            self.send_json(400, {"error": "body must be {target, value}"})
-            return
+        except (ValueError, KeyError, TypeError):  # ValueError: not JSON
+            return 400, {"error": "body must be {target, value}"}
         try:
-            ack = self.server.command_hook(target, value)
+            return 200, command_hook(target, value)
         except CommandFailure as exc:
-            self.send_json(502, {"error": str(exc)})
-            return
-        self.send_json(200, ack)
+            return 502, {"error": str(exc)}
 
-
-class HistorianHttpServer(JsonHttpServer):
-    def __init__(self, historian: Historian,
-                 command_hook: Callable[[str, object], dict],
-                 host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _HistorianHandler)
-        self.historian = historian
-        # commands run on the simulation thread, through the runner's
-        # scheduler and the fabric, never from this server's threads
-        self.command_hook = command_hook
+    return {"GET": get, "POST": post}

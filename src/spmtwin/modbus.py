@@ -51,11 +51,6 @@ PREPARED_READS = 1024
 # request
 _prepared: dict[bytes, tuple[bytes, int, int]] = {}
 
-# builds a Pdu or MbapFrame from all its fields without the NamedTuple's
-# generated Python __new__: the same tuple, for less work per frame on the
-# general path (coil writes, a request the first time it is served)
-_new_tuple = tuple.__new__
-
 
 class EncodingError(ValueError):
     """Frame cannot be serialized to valid Modbus/TCP bytes."""
@@ -118,8 +113,7 @@ def decode_frame(data: bytes) -> tuple[MbapFrame, int]:
     total = 6 + length
     if len(data) < total:
         raise NeedMoreBytes
-    pdu = _new_tuple(Pdu, (data[7], bytes(data[8:total])))
-    return _new_tuple(MbapFrame, (txn, unit, pdu, proto)), total
+    return MbapFrame(txn, unit, Pdu(data[7], bytes(data[8:total])), proto), total
 
 
 # ── Request builders / response parsers ────────────────────────────────────
@@ -270,5 +264,5 @@ def serve_frame_bytes(rf: RegisterFile, data: bytes) -> bytes:
                 read_reply_header(frame.transaction_id, frame.unit_id,
                                   pdu.function_code),
                 pdu.function_code, address)
-    return encode_frame(_new_tuple(
-        MbapFrame, (frame.transaction_id, frame.unit_id, response, 0)))
+    return encode_frame(
+        MbapFrame(frame.transaction_id, frame.unit_id, response))

@@ -34,10 +34,13 @@ artifacts are the same bytes as with a sample and a scan every period.
 
 One thread owns the plant: the thread that calls :meth:`Runner.run` is the
 only one that touches the fabric, the devices, the register files and the
-historian's registry, none of which takes a lock. The HTTP servers' threads
-only queue fabric deliveries from the management node (operator commands to
-the historian, requests to the broker) and wait; the run loop makes them
-between two events.
+historian's registry, none of which takes a lock. The HTTP servers are two
+``JsonHttpServer``s over the broker's and the historian's route tables. The
+routes that change the plant only queue fabric deliveries from the
+management node (operator commands to the historian, requests to the
+broker) and wait; the run loop makes them between two events. The
+historian's ``GET`` routes still read its latest samples on the server's
+thread.
 
 Every run writes each sample and EMS tick as it comes, through the sinks
 :meth:`RunArtifacts.open_sinks` opens once the servers listen (a run that
@@ -72,7 +75,7 @@ from typing import Callable, NamedTuple
 
 from . import ems as ems_mod
 from . import modbus, netfabric, occupancy, rng
-from .broker import Broker, BrokerHttpServer, ChangeEvent
+from .broker import Broker, ChangeEvent, http_routes as broker_routes
 from .devices import (
     CONSUMPTION_REGISTER,
     MASTER_COIL,
@@ -90,12 +93,12 @@ from .historian import (
     Datapoint,
     Historian,
     HistorianError,
-    HistorianHttpServer,
     ModbusSource,
     SampleSink,
     format_value,
+    http_routes as historian_routes,
 )
-from .httpapi import serve
+from .httpapi import JsonHttpServer, serve
 from .scenario import (
     TURNOUT_THING,
     CallbackThingSpec,
@@ -749,12 +752,13 @@ class Runner:
     def _start_servers(self) -> None:
         s = self.scenario
         try:
-            self.broker_http = broker = BrokerHttpServer(
-                self.queue_broker_request, port=s.broker_http_port)
+            self.broker_http = broker = JsonHttpServer(
+                ("127.0.0.1", s.broker_http_port),
+                broker_routes(self.queue_broker_request))
             try:
-                self.historian_http = HistorianHttpServer(
-                    self.historian, port=s.historian_http_port,
-                    command_hook=self.inject)
+                self.historian_http = JsonHttpServer(
+                    ("127.0.0.1", s.historian_http_port),
+                    historian_routes(self.historian, self.inject))
             except OSError:
                 # bound but not yet in _servers, so no _stop_servers closes it
                 broker.server_close()

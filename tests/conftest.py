@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from spmtwin.httpapi import JsonHttpServer, serve
+
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
@@ -108,3 +110,20 @@ def bad_length_reply():
             conn.close()
 
     return send
+
+
+@pytest.fixture
+def http_server():
+    """Serve a table of routes on a free port of 127.0.0.1; returns the
+    ``JsonHttpServer``, which is stopped and closed when the test ends."""
+    started = []
+
+    def start(routes):
+        server = JsonHttpServer(("127.0.0.1", 0), routes)
+        started.append((server, serve([server])))
+        return server
+
+    yield start
+    for server, stop in started:
+        stop()
+        server.server_close()

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from spmtwin.broker import (
     Broker,
-    BrokerHttpServer,
     Conflict,
     NotFound,
     ValidationError,
+    http_routes,
 )
 
 
@@ -245,53 +245,39 @@ class TestRequestHandler:
 
 
 class TestHttpServer:
-    def test_http_round_trip(self):
+    def test_http_round_trip(self, http_server):
         broker = make_broker()
-        server = BrokerHttpServer(broker.handle_request)
-        server.start()
+        server = http_server(http_routes(broker.handle_request))
         base = f"http://127.0.0.1:{server.port}"
         path = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
-        try:
-            req = urllib.request.Request(
-                base + path, data=json.dumps(33.0).encode(), method="PUT",
-                headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(req) as resp:
-                assert resp.status in (200, 204)
-            with urllib.request.urlopen(base + path) as resp:
-                assert json.load(resp) == 33.0
-            with urllib.request.urlopen(base + "/api/2/things") as resp:
-                assert json.load(resp) == ["FDT:solar-panel-1"]
-        finally:
-            server.shutdown()
-            server.server_close()
+        req = urllib.request.Request(
+            base + path, data=json.dumps(33.0).encode(), method="PUT",
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(req) as resp:
+            assert resp.status in (200, 204)
+        with urllib.request.urlopen(base + path) as resp:
+            assert json.load(resp) == 33.0
+        with urllib.request.urlopen(base + "/api/2/things") as resp:
+            assert json.load(resp) == ["FDT:solar-panel-1"]
 
-    def test_keepalive_responses_do_not_stall(self, keepalive_median_ms):
-        server = BrokerHttpServer(make_broker().handle_request)
-        server.start()
+    def test_keepalive_responses_do_not_stall(self, http_server,
+                                              keepalive_median_ms):
+        server = http_server(http_routes(make_broker().handle_request))
         path = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
-        try:
-            assert keepalive_median_ms(server.port, "GET", path) < 10
-            assert keepalive_median_ms(server.port, "PUT", path, "33.0") < 10
-        finally:
-            server.shutdown()
-            server.server_close()
+        assert keepalive_median_ms(server.port, "GET", path) < 10
+        assert keepalive_median_ms(server.port, "PUT", path, "33.0") < 10
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
-    def test_malformed_content_length_is_400(self, bad_length_reply, length):
-        server = BrokerHttpServer(make_broker().handle_request)
-        server.start()
+    def test_malformed_content_length_is_400(self, http_server,
+                                             bad_length_reply, length):
+        server = http_server(http_routes(make_broker().handle_request))
         path = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
-        try:
-            status, body = bad_length_reply(server.port, "PUT", path, length)
-            assert status == 400
-            assert "Content-Length" in body["error"]
-        finally:
-            server.shutdown()
-            server.server_close()
+        status, body = bad_length_reply(server.port, "PUT", path, length)
+        assert status == 400
+        assert "Content-Length" in body["error"]
 
-    def test_get_with_a_body_keeps_the_connection_in_step(self):
-        server = BrokerHttpServer(make_broker().handle_request)
-        server.start()
+    def test_get_with_a_body_keeps_the_connection_in_step(self, http_server):
+        server = http_server(http_routes(make_broker().handle_request))
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=2)
         path = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
         try:
@@ -306,8 +292,6 @@ class TestHttpServer:
                 == (200, ["FDT:solar-panel-1"])
         finally:
             conn.close()
-            server.shutdown()
-            server.server_close()
 
     @pytest.mark.parametrize("method, path, reaches_broker", [
         ("GET", "/api/2/things/FDT:x/features/f/properties/p", True),
@@ -318,7 +302,7 @@ class TestHttpServer:
         ("PUT", "/api/2/things", False),
     ], ids=["unknown-thing", "unknown-path", "trailing-segment",
             "empty-segment", "put-on-list"])
-    def test_http_404(self, method, path, reaches_broker):
+    def test_http_404(self, http_server, method, path, reaches_broker):
         broker = make_broker()
         calls = []
 
@@ -326,8 +310,7 @@ class TestHttpServer:
             calls.append(request)
             return broker.handle_request(request)
 
-        server = BrokerHttpServer(handle)
-        server.start()
+        server = http_server(http_routes(handle))
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=2)
         try:
             conn.request(method, path, body=b"1.0")
@@ -338,8 +321,6 @@ class TestHttpServer:
             assert len(calls) == (1 if reaches_broker else 0)
         finally:
             conn.close()
-            server.shutdown()
-            server.server_close()
 
 
 @given(st.lists(st.one_of(st.integers(),

@@ -15,12 +15,12 @@ from spmtwin.historian import (
     Datapoint,
     Historian,
     HistorianError,
-    HistorianHttpServer,
     ModbusSource,
     NoData,
     SampleSink,
     UnknownDatapoint,
     format_value,
+    http_routes,
 )
 
 
@@ -303,46 +303,40 @@ class TestExport:
 
 
 class TestHttpApi:
-    def make_server(self, hook=None):
-        hist, plant = make()
-        server = HistorianHttpServer(hist, command_hook=hook)
-        server.start()
-        return hist, plant, server
+    @pytest.fixture
+    def make_server(self, http_server):
+        def start(hook=None):
+            hist, plant = make()
+            return hist, plant, http_server(http_routes(hist, hook))
+        return start
 
     def get(self, server, path):
         return urllib.request.urlopen(
             f"http://127.0.0.1:{server.port}{path}")
 
-    def test_get_all_and_latest(self):
-        hist, _, server = self.make_server()
-        try:
-            hist.poll_host("broker", 10.0)
-            with self.get(server, "/datapoint/getAll") as resp:
-                assert [d["xid"] for d in json.load(resp)] == [
-                    "DP_solar_power", "DP_a_consumption"]
-            with self.get(server, "/datapoint/DP_solar_power/latest") as resp:
-                assert json.load(resp) == {"timestamp": 10.0, "value": 500.0}
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_get_all_and_latest(self, make_server):
+        hist, _, server = make_server()
+        hist.poll_host("broker", 10.0)
+        with self.get(server, "/datapoint/getAll") as resp:
+            assert [d["xid"] for d in json.load(resp)] == [
+                "DP_solar_power", "DP_a_consumption"]
+        with self.get(server, "/datapoint/DP_solar_power/latest") as resp:
+            assert json.load(resp) == {"timestamp": 10.0, "value": 500.0}
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
-    def test_malformed_content_length_is_400(self, bad_length_reply, length):
+    def test_malformed_content_length_is_400(self, make_server,
+                                             bad_length_reply, length):
         hook_calls = []
-        _, _, server = self.make_server(
+        _, _, server = make_server(
             hook=lambda target, value: hook_calls.append(target))
-        try:
-            status, body = bad_length_reply(server.port, "POST", "/command",
-                                            length)
-            assert status == 400
-            assert "Content-Length" in body["error"]
-            assert hook_calls == []
-        finally:
-            server.shutdown()
-            server.server_close()
+        status, body = bad_length_reply(server.port, "POST", "/command",
+                                        length)
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert hook_calls == []
 
-    def test_post_to_unknown_path_consumes_its_body(self):
-        hist, _, server = self.make_server()
+    def test_post_to_unknown_path_consumes_its_body(self, make_server):
+        hist, _, server = make_server()
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=2)
         try:
             hist.poll_host("broker", 10.0)
@@ -358,11 +352,9 @@ class TestHttpApi:
                 == (200, {"timestamp": 10.0, "value": 500.0})
         finally:
             conn.close()
-            server.shutdown()
-            server.server_close()
 
-    def test_get_with_a_body_keeps_the_connection_in_step(self):
-        hist, _, server = self.make_server()
+    def test_get_with_a_body_keeps_the_connection_in_step(self, make_server):
+        hist, _, server = make_server()
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=2)
         try:
             hist.poll_host("broker", 10.0)
@@ -377,67 +369,50 @@ class TestHttpApi:
                 == (200, {"timestamp": 10.0, "value": 500.0})
         finally:
             conn.close()
-            server.shutdown()
-            server.server_close()
 
-    def test_latest_error_codes(self):
-        _, _, server = self.make_server()
-        try:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self.get(server, "/datapoint/DP_nope/latest")
-            assert err.value.code == 404
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self.get(server, "/datapoint/DP_solar_power/latest")
-            assert err.value.code == 409
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_latest_error_codes(self, make_server):
+        _, _, server = make_server()
+        with pytest.raises(urllib.error.HTTPError) as err:
+            self.get(server, "/datapoint/DP_nope/latest")
+        assert err.value.code == 404
+        with pytest.raises(urllib.error.HTTPError) as err:
+            self.get(server, "/datapoint/DP_solar_power/latest")
+        assert err.value.code == 409
 
-    def test_command_endpoint_and_hook(self):
+    def test_command_endpoint_and_hook(self, make_server):
         calls = []
 
         def hook(target, value):
             calls.append((target, value))
             return {"ok": True, "target": target}
 
-        _, _, server = self.make_server(hook=hook)
-        try:
-            body = json.dumps({"target": "modbus:cab-a/coil/100",
-                               "value": False}).encode()
-            req = urllib.request.Request(
-                f"http://127.0.0.1:{server.port}/command", data=body,
-                headers={"Content-Type": "application/json"}, method="POST")
-            with urllib.request.urlopen(req) as resp:
-                assert json.load(resp)["ok"]
-            assert calls == [("modbus:cab-a/coil/100", False)]
-        finally:
-            server.shutdown()
-            server.server_close()
+        _, _, server = make_server(hook=hook)
+        body = json.dumps({"target": "modbus:cab-a/coil/100",
+                           "value": False}).encode()
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{server.port}/command", data=body,
+            headers={"Content-Type": "application/json"}, method="POST")
+        with urllib.request.urlopen(req) as resp:
+            assert json.load(resp)["ok"]
+        assert calls == [("modbus:cab-a/coil/100", False)]
 
-    def test_keepalive_responses_do_not_stall(self, keepalive_median_ms):
-        hist, _, server = self.make_server(hook=lambda target, value: {"ok": True})
-        try:
-            hist.poll_host("broker", 10.0)
-            body = json.dumps({"target": "modbus:cab-a/coil/100", "value": False})
-            assert keepalive_median_ms(server.port, "GET", "/datapoint/getAll") < 10
-            assert keepalive_median_ms(server.port, "POST", "/command", body) < 10
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_keepalive_responses_do_not_stall(self, make_server,
+                                              keepalive_median_ms):
+        hist, _, server = make_server(hook=lambda target, value: {"ok": True})
+        hist.poll_host("broker", 10.0)
+        body = json.dumps({"target": "modbus:cab-a/coil/100", "value": False})
+        assert keepalive_median_ms(server.port, "GET", "/datapoint/getAll") < 10
+        assert keepalive_median_ms(server.port, "POST", "/command", body) < 10
 
-    def test_command_failure_maps_to_502(self):
+    def test_command_failure_maps_to_502(self, make_server):
         def hook(target, value):
             raise CommandFailure("blocked")
 
-        _, _, server = self.make_server(hook=hook)
-        try:
-            body = json.dumps({"target": "x:y", "value": 1}).encode()
-            req = urllib.request.Request(
-                f"http://127.0.0.1:{server.port}/command", data=body,
-                headers={"Content-Type": "application/json"}, method="POST")
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(req)
-            assert err.value.code == 502
-        finally:
-            server.shutdown()
-            server.server_close()
+        _, _, server = make_server(hook=hook)
+        body = json.dumps({"target": "x:y", "value": 1}).encode()
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{server.port}/command", data=body,
+            headers={"Content-Type": "application/json"}, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req)
+        assert err.value.code == 502

@@ -7,8 +7,11 @@ import socket
 
 import pytest
 
-from spmtwin.broker import Broker, BrokerHttpServer
-from spmtwin.historian import Historian, HistorianHttpServer
+from spmtwin import broker as broker_mod
+from spmtwin import historian as historian_mod
+from spmtwin.broker import Broker
+from spmtwin.historian import Historian
+from spmtwin.httpapi import MAX_BODY
 
 PANEL = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
 
@@ -17,7 +20,7 @@ def broker_server():
     broker = Broker()
     broker.create_thing("FDT:solar-panel-1", {"panel": {"power": 0.0}})
     # a read and its reply, and a write (method, path, body) and its status
-    return (BrokerHttpServer(broker.handle_request), (PANEL, 0.0),
+    return (broker_mod.http_routes(broker.handle_request), (PANEL, 0.0),
             ("PUT", PANEL, b"33.0", 204))
 
 
@@ -26,23 +29,17 @@ def historian_server():
         raise AssertionError("nothing is polled")
 
     hist = Historian(unused, unused, unused, unused)
-    server = HistorianHttpServer(
-        hist, command_hook=lambda target, value: {"ok": True, "target": target})
-    return (server, ("/datapoint/getAll", []),
+    routes = historian_mod.http_routes(
+        hist, lambda target, value: {"ok": True, "target": target})
+    return (routes, ("/datapoint/getAll", []),
             ("POST", "/command", b'{"target": "x:y", "value": 1}', 200))
 
 
 @pytest.fixture(params=[broker_server, historian_server],
                 ids=["broker", "historian"])
-def served(request):
-    server, read, write = request.param()
-    server.start()
-    try:
-        yield server, read, write
-    finally:
-        if server.socket.fileno() != -1:    # a test may have closed it
-            server.shutdown()
-            server.server_close()
+def served(request, http_server):
+    routes, read, write = request.param()
+    return http_server(routes), read, write
 
 
 def connect(server) -> socket.socket:
@@ -195,6 +192,63 @@ def test_a_client_gone_mid_request_leaves_the_server_serving(
     status, _, body, _ = exchange(server, f"GET {path} HTTP/1.1\r\n"
                                           "Connection: close\r\n\r\n".encode())
     assert (status, body) == (200, value)
-    server.shutdown()
     server.server_close()     # joins every connection's thread
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("length", [
+    str(MAX_BODY + 1), "1000000000000000", "9" * 5000],
+    ids=["one-over", "a-petabyte", "5000-digits"])
+@pytest.mark.parametrize("expect", ["", "Expect: 100-continue\r\n"],
+                         ids=["plain", "expect-100"])
+def test_a_body_over_max_body_is_413_before_any_100_continue(
+        served, length, expect):
+    server, _, (method, path, _, _) = served
+    status, headers, body, closed = exchange(
+        server, f"{method} {path} HTTP/1.1\r\nContent-Length: {length}\r\n"
+                f"{expect}\r\n".encode())
+    assert (status, closed) == (413, True)
+    assert headers["connection"] == "close"
+    assert str(MAX_BODY) in body["error"]
+
+
+def test_a_body_of_max_body_bytes_is_served(served):
+    server, _, (method, path, body, ok) = served
+    body = body.ljust(MAX_BODY)     # JSON allows the trailing spaces
+    with connect(server) as sock:
+        sock.sendall(f"{method} {path} HTTP/1.1\r\nContent-Length: "
+                     f"{len(body)}\r\n\r\n".encode() + body)
+        assert read_reply(sock)[0] == ok
+        assert not closes(sock, 0.2)
+
+
+@pytest.mark.parametrize("lengths", [(2, 4), (4, 2)], ids=["2-4", "4-2"])
+def test_differing_content_lengths_are_400_and_closed(served, lengths):
+    server, _, (method, path, _, _) = served
+    fields = "".join(f"Content-Length: {n}\r\n" for n in lengths)
+    status, headers, body, closed = exchange(
+        server, f"{method} {path} HTTP/1.1\r\n{fields}\r\n".encode())
+    assert (status, closed) == (400, True)
+    assert headers["connection"] == "close"
+    assert "Content-Length" in body["error"]
+
+
+def test_a_repeated_equal_content_length_frames_the_body(served):
+    server, _, (method, path, body, ok) = served
+    with connect(server) as sock:
+        sock.sendall(f"{method} {path} HTTP/1.1\r\n".encode()
+                     + f"Content-Length: {len(body)}\r\n".encode() * 2
+                     + b"\r\n" + body)
+        status, _, _, rest = read_reply(sock)
+        assert (status, rest) == (ok, b"")
+        assert not closes(sock, 0.2)
+
+
+def test_a_body_that_is_not_utf_8_is_400_and_kept_alive(served):
+    server, (path, value), (method, write_path, _, _) = served
+    with connect(server) as sock:
+        sock.sendall(f"{method} {write_path} HTTP/1.1\r\nContent-Length: 3"
+                     "\r\n\r\n".encode() + b'"\xff"')
+        assert read_reply(sock)[0] == 400
+        sock.sendall(f"GET {path} HTTP/1.1\r\n\r\n".encode())
+        assert read_reply(sock)[:3:2] == (200, value)

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import signal
 import socket
 import subprocess
@@ -33,6 +34,8 @@ from spmtwin.runner import (
 from spmtwin.scenario import TURNOUT_THING, load_scenario
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+TWINBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                         "twinbench")
 
 
 def customized(tmp_path, scenario_dir, mutate=None, **top_level) -> str:
@@ -1310,6 +1313,52 @@ class TestCli:
         for name in ("datapoints.csv", "ems_ticks.csv", "summary.csv"):
             assert (tmp_path / "bare" / name).read_bytes() \
                 == (tmp_path / "full" / name).read_bytes()
+
+    def test_artifacts_are_the_same_bytes_on_every_python(self, tmp_path,
+                                                          scenario_path):
+        # the 60-building campus over busy hours, whose turbine values once
+        # rounded differently from Python 3.12 on
+        sys.path.insert(0, TWINBENCH)
+        try:
+            import campus
+        finally:
+            sys.path.remove(TWINBENCH)
+        # each version that starts here, by its first interpreter
+        pythons = {}
+        for exe in [sys.executable] + [shutil.which(f"python3.{n}")
+                                       for n in range(10, 14)]:
+            if exe is None:
+                continue
+            try:
+                probe = subprocess.run(
+                    [exe, "-S", "-c", "import sys; print(sys.version)"],
+                    capture_output=True, text=True, timeout=60)
+            except OSError:
+                continue
+            if probe.returncode == 0 and probe.stdout:
+                pythons.setdefault(probe.stdout.split()[0], exe)
+        if len(pythons) < 2:
+            pytest.skip(f"needs two Python versions, found {sorted(pythons)}")
+        plant = campus.generate(scenario_path, str(tmp_path / "plant"), 60)
+        with open(plant) as fh:
+            raw = json.load(fh)
+        raw["start_time"] = "2016-06-06T10:00:00"
+        with open(plant, "w") as fh:
+            json.dump(raw, fh)
+        for version, exe in pythons.items():
+            done = subprocess.run(
+                [exe, "-S", "-m", "spmtwin.cli", "run", plant, "--no-pace",
+                 "--duration", "14400", "--quiet", "--out",
+                 str(tmp_path / version)],
+                capture_output=True, text=True, timeout=300,
+                env=dict(os.environ, PYTHONPATH=SRC))
+            assert done.returncode == EXIT_OK, (version, done.stderr)
+        first, *others = pythons
+        for name in ("datapoints.csv", "ems_ticks.csv", "summary.csv"):
+            expected = (tmp_path / first / name).read_bytes()
+            for version in others:
+                assert (tmp_path / version / name).read_bytes() == expected, \
+                    f"{name} differs between Python {first} and {version}"
 
     def test_a_run_loads_no_http_client_email_or_ssl(self, scenario_path):
         child = ("import sys; from spmtwin.cli import main; "
