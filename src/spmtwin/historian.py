@@ -13,7 +13,8 @@ run without an output directory writes the rows to ``os.devnull``. A
 historian on its own keeps a list of ``(t, xid, value)``.
 
 :func:`http_routes` is its HTTP API as a table of routes: ``getAll`` and
-``latest`` are read on the server's thread, and a command goes to a hook.
+``latest`` are read directly, on the thread that serves HTTP, and a command
+goes to a hook.
 """
 
 from __future__ import annotations
@@ -325,9 +326,8 @@ def http_routes(historian: Historian,
                 command_hook: Callable[[str, object], dict]
                 ) -> dict[str, Callable[[str, bytes], tuple[int, object]]]:
     """The datapoint API and ``POST /command`` as routes by method, for a
-    ``JsonHttpServer``. In a run, ``command_hook`` makes each command on the
-    simulation thread, through the runner's scheduler and the fabric, never
-    from a server thread."""
+    ``JsonHttpServer``. In a run, ``command_hook`` makes each command
+    between two instants, through the runner's scheduler and the fabric."""
 
     def get(path: str, _raw: bytes) -> tuple[int, object]:
         if path == "/datapoint/getAll":

@@ -5,27 +5,35 @@ request's path and body bytes and returns the reply's status and JSON body.
 ``JsonHandler`` does the rest for every request: it reads the head as RFC
 9112 lays it out (a request line, header fields), looks up the route, reads
 a body of at most :data:`MAX_BODY` bytes, framed by ``Content-Length``, and
-answers in one write of the head and JSON body. A ``JsonHttpServer`` gives
-each connection a daemon thread of its own, and ``serve`` accepts for any
-number of servers on one thread that sleeps in a selector until a client
-connects or it is stopped. The standard library's HTTP server would load
-its HTTP client, ``email`` and ``ssl`` too, about 6 MB that no route here
-uses.
+answers in one write of the head and JSON body. The standard library's HTTP
+server would load its HTTP client, ``email`` and ``ssl`` too, about 6 MB
+that no route here uses.
+
+Nothing here starts a thread. ``FrontEnds`` holds the listening sockets of
+any number of ``JsonHttpServer``s, their connections and a wake socketpair
+in one selector, and :meth:`FrontEnds.serve` serves what is ready within a
+timeout on the thread that calls it, then returns. No client can hold it
+up: each connection keeps the bytes it has received and not yet parsed and
+the reply bytes its socket has not yet taken, and a request is parsed once
+its bytes are there.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import re
 import selectors
 import socket
-import socketserver
-import threading
+from functools import partial
 from typing import Callable
+
+log = logging.getLogger(__name__)
 
 MAX_LINE = 65536        # bytes in a request line or a header line
 MAX_HEADERS = 100
 MAX_BODY = 65536        # bytes in a request body
+RECV_SIZE = 65536       # bytes taken from a connection at a time
 # method, target, major and minor version; any HTTP/d.d is well formed, and
 # one that is not 1.x is answered 505
 REQUEST_LINE = re.compile(r"(\S+) (\S+) HTTP/([0-9])\.([0-9])\r?\n")
@@ -41,35 +49,88 @@ REASONS = {200: "OK", 204: "No Content", 400: "Bad Request",
 Route = Callable[[str, bytes], tuple[int, object]]
 
 
-class JsonHandler(socketserver.StreamRequestHandler):
+class JsonHandler:
     """One client connection. Its requests are read and answered in turn,
     each by its method's route in the server's table, until the client
     closes it, a request asks for ``Connection: close`` or is HTTP/1.0, or a
-    reply leaves the connection out of step."""
+    reply leaves the connection out of step.
 
-    def handle(self) -> None:
+    The reading methods are generators: they yield while the bytes they
+    need have not come, or a reply is still unsent, and :meth:`step` resumes
+    them when the socket is ready."""
+
+    def __init__(self, sock: socket.socket, routes: dict[str, Route]):
+        self.sock, self.routes = sock, routes
+        self.received = bytearray()     # from the client, not yet parsed
+        self.unsent = bytearray()       # replies the socket has not taken
+        self.eof = False                # the client closed its side
         self.close_connection = False
-        try:
-            while not self.close_connection and self._read_head():
-                route = self.server.routes.get(self.command)
-                if route is None:
-                    # its body, if any, is unread: close after the reply
-                    self._refuse(501, f"unsupported method {self.command}")
-                    continue
-                # read a body on every route, or keep-alive parses it as
-                # the next request
-                body = self.read_body()
-                if body is not None:
-                    self.send_json(*route(self.path, body))
-        except OSError:     # the client went away, or the server closed
-            pass
+        self.events = 0                 # the selector's wait; 0: none
+        self._requests = self._handle()
 
-    def _read_head(self) -> bool:
+    def step(self) -> int:
+        """Take what the socket has, answer each request whose bytes have
+        come and send what the socket takes. Returns the selector events to
+        wait for, 0 once the connection is over; raises ``OSError`` when the
+        client went away, and whatever a route raises."""
+        if not self.unsent:
+            try:
+                data = self.sock.recv(RECV_SIZE)
+                self.received += data
+                self.eof = not data
+            except BlockingIOError:     # nothing has come yet
+                pass
+        while True:
+            if self.unsent:
+                try:
+                    del self.unsent[:self.sock.send(self.unsent)]
+                except BlockingIOError:
+                    pass
+                if self.unsent:
+                    return selectors.EVENT_WRITE
+            if self._requests is None:
+                return 0
+            try:
+                next(self._requests)
+            except StopIteration:
+                self._requests = None
+                continue
+            if not self.unsent:
+                return selectors.EVENT_READ
+
+    def _handle(self):
+        while not self.close_connection and (yield from self._read_head()):
+            route = self.routes.get(self.command)
+            if route is None:
+                # its body, if any, is unread: close after the reply
+                self._refuse(501, f"unsupported method {self.command}")
+                continue
+            # read a body on every route, or keep-alive parses it as the
+            # next request
+            body = yield from self.read_body()
+            if body is not None:
+                self.send_json(*route(self.path, body))
+
+    def _take(self, size: int, line: bool = False):
+        """The next ``size`` bytes, or with ``line`` the next line if it is
+        shorter, once every reply is sent and they have come; fewer when the
+        client closed first."""
+        received = self.received
+        while True:
+            if not self.unsent:
+                end = received.find(b"\n", 0, size) + 1 if line else 0
+                if end or len(received) >= size or self.eof:
+                    taken = bytes(received[:end or size])
+                    del received[:end or size]
+                    return taken
+            yield
+
+    def _read_head(self):
         """Read one request line and its header fields, by lower-cased name,
         into ``command``, ``path`` and ``headers``. False when there is no
         request to serve: the client closed, or the head was refused with a
         reply."""
-        line = self.rfile.readline(MAX_LINE + 1)
+        line = yield from self._take(MAX_LINE + 1, line=True)
         if not line:
             return False
         if len(line) > MAX_LINE:
@@ -82,7 +143,7 @@ class JsonHandler(socketserver.StreamRequestHandler):
             return self._refuse(505, f"HTTP/{major}.{minor} is not supported")
         headers: dict[str, str] = {}
         for _ in range(MAX_HEADERS + 1):
-            line = self.rfile.readline(MAX_LINE + 1)
+            line = yield from self._take(MAX_LINE + 1, line=True)
             if line in (b"\r\n", b"\n"):
                 break
             if not line:        # the client closed mid-request
@@ -128,9 +189,9 @@ class JsonHandler(socketserver.StreamRequestHandler):
                      f"Content-Length: {len(raw)}\r\n")
         if self.close_connection:
             head += "Connection: close\r\n"
-        self.wfile.write(head.encode() + b"\r\n" + raw)
+        self.unsent += head.encode() + b"\r\n" + raw
 
-    def read_body(self) -> bytes | None:
+    def read_body(self):
         """The request body, or ``None`` when there is none to act on: after
         a 400 reply when Content-Length is not a decimal count of bytes, a
         413 when it counts more than ``MAX_BODY``, or when the client closed
@@ -148,28 +209,23 @@ class JsonHandler(socketserver.StreamRequestHandler):
             self._refuse(413, f"a body is at most {MAX_BODY} bytes")
             return None
         if self.expects_continue:
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = self.rfile.read(size)
+            self.unsent += b"HTTP/1.1 100 Continue\r\n\r\n"
+        body = yield from self._take(size)
         if len(body) < size:
             self.close_connection = True
             return None
         return body
 
 
-class JsonHttpServer(socketserver.TCPServer):
+class JsonHttpServer:
     """A listening socket that serves ``routes``, a :data:`Route` by method,
-    and whose connections each get a daemon thread: a command's route
-    blocks until the run loop has made its delivery, and a keep-alive client
-    must not hold up the others."""
-
-    allow_reuse_address = True
+    once a :class:`FrontEnds` holds it."""
 
     def __init__(self, address: tuple[str, int], routes: dict[str, Route]):
         self.routes = routes
-        # first: a failed bind calls server_close(), which reads these
-        self._lock = threading.Lock()
-        self._connections: dict[socket.socket, threading.Thread] = {}
-        super().__init__(address, JsonHandler)
+        self.socket = socket.create_server(address)     # SO_REUSEADDR
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
 
     @property
     def port(self) -> int:
@@ -179,69 +235,76 @@ class JsonHttpServer(socketserver.TCPServer):
     def url(self) -> str:
         return "http://%s:%d" % self.server_address
 
-    def accept(self) -> None:
-        """Accept one waiting connection and serve it on its own thread."""
+    def server_close(self) -> None:
+        self.socket.close()
+
+
+class FrontEnds:
+    """The listening sockets of ``servers``, their connections and a wake
+    socketpair in one selector, served by the thread that calls
+    :meth:`serve`."""
+
+    def __init__(self, servers: list[JsonHttpServer]):
+        self._selector = selectors.DefaultSelector()
+        self._wake, self._waker = socket.socketpair()
+        self._waker.setblocking(False)
+        self._selector.register(self._wake, selectors.EVENT_READ,
+                                partial(self._wake.recv, 4096))
+        for server in servers:
+            self._selector.register(server.socket, selectors.EVENT_READ,
+                                    partial(self._accept, server))
+
+    def serve(self, timeout: float | None) -> None:
+        """Serve whatever is ready within ``timeout`` seconds (``None``:
+        until something is, or :meth:`wake`), then return."""
+        for key, _ in self._selector.select(timeout):
+            if isinstance(key.data, JsonHandler):
+                self._step(key.data)
+            else:
+                key.data()
+
+    def wake(self) -> None:
+        """From any thread: end the :meth:`serve` that waits, or else the
+        next one, at once."""
         try:
-            request, address = self.socket.accept()
+            self._waker.send(b"\0")
+        except OSError:     # full, so a wake is pending; or closed
+            pass
+
+    def _accept(self, server: JsonHttpServer) -> None:
+        """Take a connection waiting on ``server`` and serve what it has
+        sent already; the selector reports any other still waiting."""
+        try:
+            sock, _ = server.socket.accept()
         except OSError:     # the client gave up before it was accepted
             return
-        thread = threading.Thread(target=self._serve_connection,
-                                  args=(request, address), daemon=True)
-        with self._lock:
-            self._connections[request] = thread
-        thread.start()
+        sock.setblocking(False)
+        self._step(JsonHandler(sock, server.routes))
 
-    def _serve_connection(self, request: socket.socket, address) -> None:
+    def _step(self, conn: JsonHandler) -> None:
         try:
-            self.finish_request(request, address)
-        except Exception:
-            self.handle_error(request, address)
-        finally:
-            with self._lock:
-                del self._connections[request]
-            self.shutdown_request(request)
+            events = conn.step()
+        except OSError:         # the client went away
+            events = 0
+        except Exception:       # a route failed: only its connection ends
+            log.exception("closing a connection after a failed request")
+            events = 0
+        if not events:
+            if conn.events:
+                self._selector.unregister(conn.sock)
+            conn.sock.close()
+        elif not conn.events:
+            self._selector.register(conn.sock, events, conn)
+        elif events != conn.events:
+            self._selector.modify(conn.sock, events, conn)
+        conn.events = events
 
-    def server_close(self) -> None:
-        """Close the listening socket and every open connection, and wait
-        for their threads to end."""
-        super().server_close()
-        with self._lock:
-            connections = list(self._connections.items())
-        for request, thread in connections:
-            try:
-                # wakes a thread blocked reading an idle keep-alive client
-                request.shutdown(socket.SHUT_RDWR)
-            except OSError:     # its thread closed it first
-                pass
-            thread.join()
-
-
-def serve(servers: list[JsonHttpServer]) -> Callable[[], None]:
-    """Accept connections for every one of ``servers`` on one daemon thread.
-    It sleeps in one selector until a client connects or the returned stop
-    function writes a byte to a socketpair; stop returns once the thread has
-    ended, and leaves the servers to their ``server_close()``."""
-    wake, waker = socket.socketpair()
-    selector = selectors.DefaultSelector()
-    selector.register(wake, selectors.EVENT_READ)
-    for server in servers:
-        selector.register(server.socket, selectors.EVENT_READ, server)
-
-    def accept_until_woken() -> None:
-        while True:
-            for key, _ in selector.select():
-                if key.data is None:
-                    return
-                key.data.accept()
-
-    thread = threading.Thread(target=accept_until_woken, daemon=True)
-    thread.start()
-
-    def stop() -> None:
-        waker.send(b"\0")
-        thread.join()
-        selector.close()
-        wake.close()
-        waker.close()
-
-    return stop
+    def close(self) -> None:
+        """Close every connection, the selector and the socketpair; each
+        server's listening socket is its ``server_close()``'s to close."""
+        for key in list(self._selector.get_map().values()):
+            if isinstance(key.data, JsonHandler):
+                key.fileobj.close()
+        self._selector.close()
+        self._wake.close()
+        self._waker.close()

@@ -6,11 +6,13 @@ so that identical seeds and scenarios yield byte-identical artifacts, at any
 clock scale. Pacing only waits to honor the real-to-simulated ratio; it
 never influences results.
 
-The paced loop waits until the next event is due or a delivery is queued,
-whichever comes first, so an operator's command is made as it arrives, not
-after the next paced event. It peeks at the next event rather than popping
-it: a queued coil write schedules a PLC scan at the next scan instant, which
-can come before the event it would have popped.
+At each instant boundary, where the next event's time differs from the
+last one popped, the loop serves HTTP: unpaced, what is ready; paced, until
+the next event is due, asleep in the front ends' selector, so an operator's
+command is made as it arrives, not after the next paced event. It peeks at
+the next event rather than popping it: a queued coil write schedules a PLC
+scan at the next scan instant, which can come before the event it would
+have popped.
 
 Periodic tasks run as one event per ``(period, phase)`` group, which runs its
 members in registration order, and PLC scans as one event per scan instant,
@@ -34,13 +36,15 @@ artifacts are the same bytes as with a sample and a scan every period.
 
 One thread owns the plant: the thread that calls :meth:`Runner.run` is the
 only one that touches the fabric, the devices, the register files and the
-historian's registry, none of which takes a lock. The HTTP servers are two
-``JsonHttpServer``s over the broker's and the historian's route tables. The
-routes that change the plant only queue fabric deliveries from the
-management node (operator commands to the historian, requests to the
-broker) and wait; the run loop makes them between two events. The
-historian's ``GET`` routes still read its latest samples on the server's
-thread.
+historian's registry, none of which takes a lock, and a run starts no other
+thread. It serves the HTTP servers, two ``JsonHttpServer``s over the
+broker's and the historian's route tables, between two instants, never
+between two phases of one instant. The routes that change the plant make
+fabric deliveries from the management node (operator commands to the
+historian, requests to the broker) through :meth:`Runner._queue_delivery`,
+which makes them at once on that thread; called from another thread, it
+queues them, wakes the loop and waits. The historian's ``GET`` routes read
+its latest samples on that thread too, but past the fabric.
 
 Every run writes each sample and EMS tick as it comes, through the sinks
 :meth:`RunArtifacts.open_sinks` opens once the servers listen (a run that
@@ -98,7 +102,7 @@ from .historian import (
     format_value,
     http_routes as historian_routes,
 )
-from .httpapi import JsonHttpServer, serve
+from .httpapi import FrontEnds, JsonHttpServer
 from .scenario import (
     TURNOUT_THING,
     CallbackThingSpec,
@@ -251,8 +255,9 @@ class Runner:
         # queued (src, dst, service, payload, done, box) fabric deliveries
         self._injected: list = []
         self._closed = False          # set once the run ends; guarded by _inject_lock
-        self._wake = threading.Event()  # set when a delivery is queued
+        self._loop_thread: int | None = None     # ident of the run's thread
         self._servers: list = []
+        self._front_ends: FrontEnds | None = None    # while the servers listen
         # (unit, table, address) -> (request bytes, the reply header of a
         # register read; None for a coil)
         self._read_requests: dict[tuple[int, str, int],
@@ -672,10 +677,11 @@ class Runner:
 
     def _queue_delivery(self, dst: str, service: str, payload,
                         timeout: float, what: str):
-        """Queue a management -> ``dst`` delivery for the run loop, which
-        makes it at the next event boundary; returns its reply or raises its
-        error. Raises :class:`CommandFailure` once the run has ended or after
-        ``timeout`` seconds, in which case the delivery is never made."""
+        """Make a management -> ``dst`` delivery: at once on the run's
+        thread, else queued for the run loop, which makes it at the next
+        instant boundary. Returns its reply or raises its error. Raises
+        :class:`CommandFailure` once the run has ended or after ``timeout``
+        seconds, in which case the delivery is never made."""
         done = threading.Event()
         box: dict = {}
         entry = (self._mgmt_node, dst, service, payload, done, box)
@@ -683,7 +689,11 @@ class Runner:
             if self._closed:
                 raise CommandFailure(f"run has ended; {what} not delivered")
             self._injected.append(entry)
-        self._wake.set()
+        front_ends = self._front_ends
+        if threading.get_ident() == self._loop_thread:
+            self._drain_injections()
+        elif front_ends is not None:
+            front_ends.wake()
         if not done.wait(timeout):
             with self._inject_lock:
                 if entry in self._injected:
@@ -698,8 +708,8 @@ class Runner:
         raise CommandFailure(f"run has ended; {what} not delivered")
 
     def inject(self, target: str, value, timeout: float = 30.0) -> dict:
-        """Queue an operator command; it executes at the next event boundary,
-        routed management -> historian. Fails at once after the run ends."""
+        """Make an operator command at the next instant boundary, routed
+        management -> historian. Fails at once after the run ends."""
         try:
             return self._queue_delivery(
                 self.scenario.historian_node, "api",
@@ -766,10 +776,14 @@ class Runner:
         except OSError as exc:
             raise StartupError(f"cannot bind service port: {exc}") from exc
         self._servers = [self.broker_http, self.historian_http]
-        self._stop_accepting = serve(self._servers)
+        self._front_ends = FrontEnds(self._servers)
 
     def _stop_servers(self) -> None:
-        self._stop_accepting()
+        front_ends, self._front_ends = self._front_ends, None
+        # answer the requests that have come: once the injections are
+        # closed, commands 502 and broker requests 503
+        front_ends.serve(0)
+        front_ends.close()
         # ordered shutdown: historian -> broker
         for server in reversed(self._servers):
             server.server_close()
@@ -780,6 +794,7 @@ class Runner:
         """Run the scenario to its end; ``on_listening`` is called once the
         HTTP servers listen, before the first event."""
         s = self.scenario
+        self._loop_thread = threading.get_ident()
         self._start_servers()
         try:
             try:
@@ -804,16 +819,18 @@ class Runner:
                 on_listening()
 
             wall_start = time.monotonic()
+            serve = self._front_ends.serve
+            t = None
             while self._heap and self._heap[0][0] <= s.duration_s:
-                self._drain_injections()
-                if self.pace:
+                if self._heap[0][0] != t:
+                    # an instant boundary: serve HTTP until the next event
+                    # is due; a queued delivery wakes the selector
                     lag = (self._heap[0][0] / self.clock.scale
-                           - (time.monotonic() - wall_start))
+                           - (time.monotonic() - wall_start)
+                           if self.pace else 0.0)
+                    serve(max(lag, 0.0))
+                    self._drain_injections()
                     if lag > 0:
-                        # cleared before the next drain, so a delivery
-                        # queued after that drain still wakes the next wait
-                        if self._wake.wait(lag):
-                            self._wake.clear()
                         continue
                 t, phase, _seq, fn = heapq.heappop(self._heap)
                 self.clock.advance_to(t)

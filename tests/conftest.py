@@ -4,11 +4,12 @@ import os
 import statistics
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from spmtwin.httpapi import JsonHttpServer, serve
+from spmtwin.httpapi import FrontEnds, JsonHttpServer
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -112,18 +113,45 @@ def bad_length_reply():
     return send
 
 
-@pytest.fixture
-def http_server():
-    """Serve a table of routes on a free port of 127.0.0.1; returns the
-    ``JsonHttpServer``, which is stopped and closed when the test ends."""
-    started = []
+class Serving:
+    """Serves tables of routes, each on a free port of 127.0.0.1, from one
+    thread per table that calls ``FrontEnds.serve`` until stopped."""
 
-    def start(routes):
+    def __init__(self):
+        self._running = []
+
+    def __call__(self, routes) -> JsonHttpServer:
         server = JsonHttpServer(("127.0.0.1", 0), routes)
-        started.append((server, serve([server])))
+        front_ends = FrontEnds([server])
+        stopping = threading.Event()
+
+        def loop():
+            while not stopping.is_set():
+                front_ends.serve(None)
+
+        thread = threading.Thread(target=loop, daemon=True)
+        thread.start()
+        self._running.append((server, front_ends, stopping, thread))
         return server
 
-    yield start
-    for server, stop in started:
-        stop()
-        server.server_close()
+    def stop(self) -> None:
+        """Stop every serving thread, then close each server and its
+        connections."""
+        for server, front_ends, stopping, thread in self._running:
+            stopping.set()
+            front_ends.wake()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            front_ends.close()
+            server.server_close()
+        self._running = []
+
+
+@pytest.fixture
+def http_server():
+    """``http_server(routes)`` serves a table of routes and returns its
+    ``JsonHttpServer``; every one is stopped and closed when the test ends,
+    or at ``http_server.stop()``."""
+    serving = Serving()
+    yield serving
+    serving.stop()

@@ -374,10 +374,12 @@ class TestHttpApi:
         _, _, server = make_server()
         with pytest.raises(urllib.error.HTTPError) as err:
             self.get(server, "/datapoint/DP_nope/latest")
-        assert err.value.code == 404
+        with err.value:     # the error is the response: close it
+            assert err.value.code == 404
         with pytest.raises(urllib.error.HTTPError) as err:
             self.get(server, "/datapoint/DP_solar_power/latest")
-        assert err.value.code == 409
+        with err.value:
+            assert err.value.code == 409
 
     def test_command_endpoint_and_hook(self, make_server):
         calls = []
@@ -415,4 +417,5 @@ class TestHttpApi:
             headers={"Content-Type": "application/json"}, method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
-        assert err.value.code == 502
+        with err.value:     # the error is the response: close it
+            assert err.value.code == 502

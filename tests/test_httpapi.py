@@ -184,7 +184,7 @@ def test_expect_100_continue_is_answered_before_the_body(served):
     b"GET / HT", b"GET / HTTP/1.1\r\nHost: x", b"{method} {path} HTTP/1.1\r\n"
     b"Content-Length: 100\r\n\r\n12"], ids=["line", "headers", "body"])
 def test_a_client_gone_mid_request_leaves_the_server_serving(
-        served, partial, capsys):
+        served, http_server, partial, capsys, caplog):
     server, (path, value), (method, _, _, _) = served
     with connect(server) as sock:
         sock.sendall(partial.replace(b"{method}", method.encode())
@@ -192,8 +192,31 @@ def test_a_client_gone_mid_request_leaves_the_server_serving(
     status, _, body, _ = exchange(server, f"GET {path} HTTP/1.1\r\n"
                                           "Connection: close\r\n\r\n".encode())
     assert (status, body) == (200, value)
-    server.server_close()     # joins every connection's thread
+    http_server.stop()     # ends the thread that serves every connection
     assert capsys.readouterr().err == ""
+    assert caplog.records == []
+
+
+def test_a_route_that_raises_closes_only_its_own_connection(
+        http_server, caplog):
+    def get(path, _raw):
+        if path == "/boom":
+            raise RuntimeError("boom")
+        return 200, {"path": path}
+
+    server = http_server({"GET": get})
+    with connect(server) as idle, connect(server) as failing:
+        idle.sendall(b"GET /a HTTP/1.1\r\n\r\n")
+        assert read_reply(idle)[::2] == (200, {"path": "/a"})
+        failing.sendall(b"GET /boom HTTP/1.1\r\n\r\n")
+        assert closes(failing)
+        idle.sendall(b"GET /b HTTP/1.1\r\n\r\n")
+        assert read_reply(idle)[::2] == (200, {"path": "/b"})
+    status, _, body, closed = exchange(
+        server, b"GET /c HTTP/1.1\r\nConnection: close\r\n\r\n")
+    assert (status, body, closed) == (200, {"path": "/c"}, True)
+    http_server.stop()
+    assert [r.exc_info[1].args for r in caplog.records] == [("boom",)]
 
 
 @pytest.mark.parametrize("length", [

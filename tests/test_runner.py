@@ -434,22 +434,109 @@ class TestInjectionAndServers:
         assert outcome == {"reply": {"ok": True,
                                      "target": "modbus:cab-a/coil/101"}}
 
-    def test_servers_stop_quickly(self, scenario_path):
-        runner = Runner(load_scenario(scenario_path), pace=False)
+    def test_servers_stop_quickly(self, tmp_path, scenario_dir):
         before = set(threading.enumerate())
-        for _ in range(3):
-            runner._start_servers()
-            # a keep-alive client, still connected when the servers stop
+        runner = paced(tmp_path, scenario_dir)
+        stop_servers = runner._stop_servers
+        took = []
+
+        def timed_stop():
+            start = time.monotonic()
+            stop_servers()
+            took.append(time.monotonic() - start)
+
+        runner._stop_servers = timed_stop
+
+        def keep_alive():
             conn = http.client.HTTPConnection(
                 "127.0.0.1", runner.historian_http.port, timeout=2)
             conn.request("GET", "/datapoint/getAll")
             assert conn.getresponse().read()
-            start = time.monotonic()
-            runner._stop_servers()
-            assert time.monotonic() - start < 0.05
+            return conn
+
+        # a keep-alive client, still connected when the servers stop
+        conn, _, _ = during_run(runner, keep_alive)
+        try:
+            assert len(took) == 1 and took[0] < 0.05
+            assert conn.sock.recv(1) == b""     # the run closed it
+        finally:
             conn.close()
-            # neither the accepting thread nor the connection's is left
-            assert set(threading.enumerate()) <= before
+        # the run's thread was the one that served
+        assert set(threading.enumerate()) <= before
+
+    def test_a_run_serves_http_on_its_own_thread(self, tmp_path,
+                                                 scenario_dir, monkeypatch):
+        runner = paced(tmp_path, scenario_dir)
+        hooks = []
+        for name in ("inject", "queue_broker_request"):
+            def recording(*args, hook=getattr(runner, name), **kwargs):
+                hooks.append(threading.get_ident())
+                return hook(*args, **kwargs)
+            setattr(runner, name, recording)
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        clients = []
+
+        def on_listening():
+            clients.append(subprocess.Popen(
+                [sys.executable, "-c", HTTP_CLIENT,
+                 str(runner.broker_http.port), str(runner.historian_http.port),
+                 "20"], stdout=subprocess.PIPE, text=True))
+
+        before = threading.active_count()
+        runner.run(on_listening=on_listening)
+        out, _ = clients[0].communicate(timeout=30)
+        assert clients[0].returncode == 0
+        # 20 reads, 20 commands and 20 broker PUTs, each answered 2xx
+        assert json.loads(out) == [200, 200, 204] * 20
+        assert started == [] and threading.active_count() == before
+        assert hooks == [threading.get_ident()] * 40
+
+    def test_stalled_clients_hold_up_no_command(self, tmp_path, scenario_dir):
+        runner = paced(tmp_path, scenario_dir)
+        command = json.dumps({"target": "modbus:cab-a/coil/101",
+                              "value": True})
+
+        def stall_then_command():
+            port = runner.historian_http.port
+            # half a head, then nothing
+            half = socket.create_connection(("127.0.0.1", port), timeout=2)
+            half.sendall(b"GET /datapoint/getAll HTTP/1.1\r\nHost: x")
+            # an idle keep-alive connection
+            idle = http.client.HTTPConnection("127.0.0.1", port, timeout=2)
+            idle.request("GET", "/datapoint/getAll")
+            assert idle.getresponse().read()
+            start = time.monotonic()
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=2)
+            try:
+                conn.request("POST", "/command", body=command)
+                resp = conn.getresponse()
+                reply = (resp.status, json.loads(resp.read()))
+            finally:
+                conn.close()
+            return half, idle.sock, reply, time.monotonic() - start
+
+        start = time.monotonic()
+        (half, idle, reply, took), _, _ = during_run(
+            runner, stall_then_command, delay=0.2)
+        ran = time.monotonic() - start
+        try:
+            assert reply == (200, {"ok": True,
+                                   "target": "modbus:cab-a/coil/101"})
+            assert took < 0.5
+            s = runner.scenario
+            assert ran < s.duration_s / s.clock_scale + 1.0
+            # the run's end closed both
+            assert half.recv(1) == b"" and idle.recv(1) == b""
+        finally:
+            half.close()
+            idle.close()
 
     def test_historian_http_is_live_during_run(self, tmp_path, scenario_dir):
         import urllib.request
@@ -476,6 +563,29 @@ class TestInjectionAndServers:
 
 
 STORE = "FDT:energy-store-1"
+
+# Sends N rounds of a historian read, a command and a broker PUT, each over
+# one keep-alive connection per server; prints the statuses as JSON
+HTTP_CLIENT = """
+import http.client, json, sys
+broker, historian, rounds = map(int, sys.argv[1:])
+conns = {port: http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+         for port in (broker, historian)}
+note = "/api/2/things/FDT:campus-turnout/features/campus/properties/note"
+statuses = []
+for _ in range(rounds):
+    for port, method, path, body in [
+            (historian, "GET", "/datapoint/getAll", None),
+            (historian, "POST", "/command",
+             {"target": "modbus:cab-a/coil/101", "value": True}),
+            (broker, "PUT", note, "drill")]:
+        conns[port].request(method, path,
+                            body=None if body is None else json.dumps(body))
+        resp = conns[port].getresponse()
+        resp.read()
+        statuses.append(resp.status)
+print(json.dumps(statuses))
+"""
 
 
 def during_run(runner, action, delay=0.0, out_dir=None):
