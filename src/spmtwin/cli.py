@@ -18,6 +18,7 @@ import sys
 
 from .runner import RunAbort, Runner, StartupError
 from .scenario import ScenarioError, load_scenario, validate_scenario
+from .simcore import ConfigurationError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -137,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"validate": cmd_validate, "run": cmd_run, "inject": cmd_inject}
     try:
         return handlers[args.command](args)
-    except ScenarioError as exc:
+    except (ScenarioError, ConfigurationError) as exc:   # bad data files too
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (RunAbort, StartupError) as exc:

@@ -11,8 +11,6 @@ import csv
 import math
 from datetime import datetime, timedelta
 
-RADIANCE_HEADER = ["timestamp", "watt_per_msq"]
-
 DEFAULT_LATITUDE = 44.18
 DEFAULT_YEAR = 2016
 
@@ -36,18 +34,18 @@ def synthesize_radiance_csv(
     latitude: float = DEFAULT_LATITUDE,
     year: int = DEFAULT_YEAR,
 ) -> int:
-    """Write one row per hour of ``year``; returns the row count."""
+    """Write one row per hour of ``year``, as ``load_radiance_csv`` reads
+    it; returns the row count."""
     start = datetime(year, 1, 1)
     end = datetime(year + 1, 1, 1)
     rows = 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RADIANCE_HEADER)
+        fh.write("timestamp,watt_per_msq\r\n")
         ts = start
         while ts < end:
             doy = ts.timetuple().tm_yday
             y = clear_sky_radiance(latitude, doy, ts.hour + 0.5)
-            writer.writerow([ts.isoformat(), f"{y:.1f}"])
+            fh.write(f"{ts.isoformat()},{y:.1f}\r\n")
             ts += timedelta(hours=1)
             rows += 1
     return rows

@@ -7,12 +7,12 @@ clock scale. Pacing only waits to honor the real-to-simulated ratio; it
 never influences results.
 
 At each instant boundary, where the next event's time differs from the
-last one popped, the loop serves HTTP: unpaced, what is ready; paced, until
-the next event is due, asleep in the front ends' selector, so an operator's
-command is made as it arrives, not after the next paced event. It peeks at
-the next event rather than popping it: a queued coil write schedules a PLC
-scan at the next scan instant, which can come before the event it would
-have popped.
+last one popped, the loop serves HTTP: unpaced, what is ready, at most once
+per millisecond of wall time; paced, until the next event is due, asleep in
+the front ends' selector, so an operator's command is made as it arrives,
+not after the next paced event. It peeks at the next event rather than
+popping it: a queued coil write schedules a PLC scan at the next scan
+instant, which can come before the event it would have popped.
 
 Periodic tasks run as one event per ``(period, phase)`` group, which runs its
 members in registration order, and PLC scans as one event per scan instant,
@@ -818,17 +818,20 @@ class Runner:
             if on_listening is not None:
                 on_listening()
 
-            wall_start = time.monotonic()
+            wall_start = next_serve = time.monotonic()
             serve = self._front_ends.serve
-            t = None
+            t, lag = None, 0.0
             while self._heap and self._heap[0][0] <= s.duration_s:
                 if self._heap[0][0] != t:
-                    # an instant boundary: serve HTTP until the next event
-                    # is due; a queued delivery wakes the selector
-                    lag = (self._heap[0][0] / self.clock.scale
-                           - (time.monotonic() - wall_start)
-                           if self.pace else 0.0)
-                    serve(max(lag, 0.0))
+                    # an instant boundary: serve HTTP, paced until the next
+                    # event is due, unpaced what is ready once a millisecond
+                    if self.pace:
+                        lag = (self._heap[0][0] / self.clock.scale
+                               - (time.monotonic() - wall_start))
+                        serve(max(lag, 0.0))
+                    elif (now := time.monotonic()) >= next_serve:
+                        serve(0)
+                        next_serve = now + 0.001
                     self._drain_injections()
                     if lag > 0:
                         continue

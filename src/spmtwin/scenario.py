@@ -477,7 +477,7 @@ def validate_scenario(s: Scenario) -> None:
                 )
         elif isinstance(spec, InterpolationThingSpec):
             # the table's own mode check; its points are read by the run
-            _check(where, lambda: InterpolationTable([(0.0, 0.0)], spec.mode))
+            _check(where, lambda: InterpolationTable([0.0], [0.0], spec.mode))
         else:
             kind = "solar field"
             if spec.callback_name not in CALLBACKS:

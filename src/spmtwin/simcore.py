@@ -4,17 +4,22 @@ Three modelling methods are provided: interpolation over finite datasets,
 linear state-space stepping (a cached closed-form propagator equal to
 fixed-step RK4 with sub-step ``dt``), and named callbacks (:data:`CALLBACKS`)
 for closed-form pipelines such as the solar surface model.
+
+A radiance CSV is the header ``timestamp,watt_per_msq`` and unquoted ASCII
+rows ``<ISO 8601 time>,<float>``, times increasing and all naive or all aware,
+LF or CRLF, blank lines skipped. A run reads it as it starts; a bad row raises
+:class:`ConfigurationError` naming ``path:line``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from functools import reduce
-from operator import add, mul
+from itertools import islice, repeat
+from operator import add, lt, mul, sub
 from typing import Callable, Sequence
 
 
@@ -63,31 +68,29 @@ INTERPOLATION_MODES = (LINEAR, NEAREST)
 
 @dataclass
 class InterpolationTable:
-    """Finite (x, y) dataset queried by interpolation.
+    """Finite dataset, columns ``xs`` and ``ys``, queried by interpolation.
 
     ``linear-bracketing`` interpolates linearly over the smallest bracketing
     interval; ``nearest-record`` returns the y of the temporally closest
     record. Out-of-range queries clamp to the nearest endpoint.
     """
 
-    points: Sequence[tuple[float, float]]
+    xs: Sequence[float]
+    ys: Sequence[float]
     mode: str = LINEAR
 
     def __post_init__(self):
-        if not self.points:
+        if not self.xs:
             raise ConfigurationError("interpolation table must have at least one point")
         if self.mode not in INTERPOLATION_MODES:
             raise ConfigurationError(f"unknown interpolation mode {self.mode!r}")
-        xs = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if not all(map(lt, self.xs, islice(self.xs, 1, None))):
             raise ConfigurationError("table x values must be strictly increasing")
-        self._xs = xs
-        self._ys = [p[1] for p in self.points]
 
 
 def interpolate(table: InterpolationTable, x: float) -> float:
     """Evaluate ``table`` at ``x`` according to its mode."""
-    xs, ys = table._xs, table._ys
+    xs, ys = table.xs, table.ys
     if x <= xs[0]:
         return ys[0]
     if x >= xs[-1]:
@@ -254,26 +257,64 @@ CALLBACKS: dict[str, Callable[..., float]] = {
 # ── Radiance ingestion ─────────────────────────────────────────────────────
 
 
+_NOT_SEPARATORS = dict.fromkeys(c for c in range(128) if chr(c) not in ",\n")
+
+
 def load_radiance_csv(path: str, mode: str = NEAREST) -> InterpolationTable:
     """Read a ``timestamp,watt_per_msq`` CSV into a table keyed by seconds
-    since the start of the reference year."""
-    points: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["timestamp", "watt_per_msq"]:
-            raise ConfigurationError(
-                f"{path}: expected header 'timestamp,watt_per_msq'"
-            )
-        year_start = None
-        for row in reader:
-            if not row:
+    since the start of the first row's year, as two flat columns converted
+    by one ``map`` each; each list is dropped once the next is made."""
+    with open(path) as fh:              # universal newlines: CRLF reads as LF
+        header, _, body = fh.read().partition("\n")
+    if [h.strip() for h in header.split(",")] != ["timestamp", "watt_per_msq"]:
+        raise ConfigurationError(
+            f"{path}: expected header 'timestamp,watt_per_msq'")
+    while "\n\n" in body:               # blank lines
+        body = body.replace("\n\n", "\n")
+    body = body.strip("\n")
+    try:
+        # ASCII, one comma per row: deleting all else leaves ",\n" per row
+        if body.translate(_NOT_SEPARATORS) != ",\n" * body.count("\n") + ",":
+            raise ValueError
+        body = body.replace("\n", ",")
+        fields = body.split(",")
+        del body
+        stamps, values = fields[::2], fields[1::2]
+        del fields
+        ys = list(map(float, values))
+        del values
+        first = datetime.fromisoformat(stamps[0])
+        year_start = datetime(first.year, 1, 1, tzinfo=first.tzinfo)
+        xs = list(map(timedelta.total_seconds, map(
+            sub, map(datetime.fromisoformat, stamps), repeat(year_start))))
+        return InterpolationTable(xs, ys, mode=mode)
+    except (ValueError, TypeError) as exc:   # ConfigurationError included
+        raise ConfigurationError(_radiance_fault(path) or f"{path}: {exc}") \
+            from None
+
+
+def _radiance_fault(path: str) -> str | None:
+    """``path:line: fault`` of the first row that breaks the format, if any."""
+    year_start, last = None, -math.inf
+    with open(path) as fh:
+        for number, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split(",")
+            if number == 1 or fields == [""]:      # the header, a blank line
                 continue
-            ts = datetime.fromisoformat(row[0])
-            if year_start is None:
-                year_start = datetime(ts.year, 1, 1, tzinfo=ts.tzinfo)
-            points.append(((ts - year_start).total_seconds(), float(row[1])))
-    return InterpolationTable(points, mode=mode)
+            if not line.isascii() or '"' in line or len(fields) != 2:
+                return (f"{path}:{number}: {line.rstrip()!r} is not one "
+                        f"unquoted ASCII row timestamp,watt_per_msq")
+            try:
+                ts = datetime.fromisoformat(fields[0])
+                float(fields[1])
+                year_start = year_start or datetime(ts.year, 1, 1, tzinfo=ts.tzinfo)
+                x = (ts - year_start).total_seconds()   # TypeError: naive - aware
+            except (ValueError, TypeError) as exc:
+                return f"{path}:{number}: {exc}"
+            if x <= last:
+                return f"{path}:{number}: not after the row before"
+            last = x
+    return None if year_start else f"{path}: no rows"
 
 
 def year_seconds(year: int) -> float:

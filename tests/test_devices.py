@@ -170,8 +170,8 @@ class TestTurbineController:
 
 class TestSolarController:
     def make(self) -> SolarController:
-        table = InterpolationTable([(0.0, 0.0), (43200.0, 1000.0),
-                                    (86400.0, 0.0)], mode="linear-bracketing")
+        table = InterpolationTable([0.0, 43200.0, 86400.0],
+                                   [0.0, 1000.0, 0.0], mode="linear-bracketing")
         return SolarController(table, "getSolarSurfaceInterpolant",
                                surface_m2=504.0, efficiency=0.16,
                                year_offset_s=0.0, year_len_s=86400.0)
@@ -187,6 +187,6 @@ class TestSolarController:
         assert ctl.power_w(86400.0 + 43200.0) == pytest.approx(80640.0)
 
     def test_unknown_callback_rejected(self):
-        table = InterpolationTable([(0.0, 0.0)])
+        table = InterpolationTable([0.0], [0.0])
         with pytest.raises(ValueError):
             SolarController(table, "nope", 1.0, 1.0)

@@ -1,7 +1,8 @@
 """Micro-benchmarks of the hot primitives: the per-sample poll path (a
 Modbus read on the general path and on a prepared request), model stepping,
 seeding the generator and drawing a cluster's load, broker writes and
-reads, and the EMS decision.
+reads, the EMS decision, and a twin's set-up: reading the radiance year and
+building a runner of the shipped scenario.
 
 Each bench times one hot primitive with a fixed, small number of rounds (no
 calibration), so the file stays fast inside the normal test run, and asserts
@@ -13,6 +14,7 @@ the primitive's result. Compare two revisions with::
 """
 
 import itertools
+import os
 
 import pytest
 
@@ -23,8 +25,9 @@ from spmtwin.historian import BrokerSource, Datapoint, Historian, ModbusSource
 from spmtwin.netfabric import Fabric
 from spmtwin.occupancy import TurnoutModel
 from spmtwin.rng import Generator
-from spmtwin.scenario import parse_policy
-from spmtwin.simcore import LinearStateSpace
+from spmtwin.runner import Runner
+from spmtwin.scenario import load_scenario, parse_policy
+from spmtwin.simcore import LinearStateSpace, interpolate, load_radiance_csv
 
 ROUNDS = 20
 ITERATIONS = 50
@@ -221,3 +224,24 @@ def test_ems_tick(benchmark):
     assert benchmark.pedantic(ems_tick, args=(cfg, m), rounds=ROUNDS,
                               iterations=ITERATIONS) \
         == ActionSet(IDLE, START, False, 25.0)
+
+
+# a set-up takes milliseconds, not microseconds: fewer rounds, one call each
+SETUP_ROUNDS = 10
+
+
+def test_load_radiance_year(benchmark, scenario_dir):
+    path = os.path.join(scenario_dir, "radiance_2016.csv")
+    table = benchmark.pedantic(load_radiance_csv, args=(path,),
+                               rounds=SETUP_ROUNDS, iterations=1)
+    assert len(table.xs) == len(table.ys) == 8784    # 2016 is a leap year
+    assert interpolate(table, 12 * 3600.0) == table.ys[12]
+
+
+def test_runner_setup(benchmark, scenario_path):
+    def setup():
+        return Runner(load_scenario(scenario_path), pace=False)
+
+    runner = benchmark.pedantic(setup, rounds=SETUP_ROUNDS, iterations=1)
+    assert runner.solar and runner.storage and runner.turbine
+    assert runner._heap == []       # nothing is scheduled before a run

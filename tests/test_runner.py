@@ -538,6 +538,42 @@ class TestInjectionAndServers:
             half.close()
             idle.close()
 
+    def test_an_unpaced_run_serves_a_command_made_during_it(
+            self, tmp_path, scenario_dir, monkeypatch):
+        # a day unpaced: ~8,900 instant boundaries in about a second
+        path = customized(tmp_path, scenario_dir, duration_s=86400)
+        runner = Runner(load_scenario(path), pace=False)
+        timeouts = []
+        serve = runner_mod.FrontEnds.serve
+
+        def counted(front_ends, timeout):
+            timeouts.append(timeout)
+            return serve(front_ends, timeout)
+
+        monkeypatch.setattr(runner_mod.FrontEnds, "serve", counted)
+        command = json.dumps({"target": "modbus:cab-a/coil/101",
+                              "value": True})
+
+        def command_over_http():
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", runner.historian_http.port, timeout=10)
+            try:
+                conn.request("POST", "/command", body=command)
+                resp = conn.getresponse()
+                return resp.status, json.loads(resp.read())
+            finally:
+                conn.close()
+
+        start = time.monotonic()
+        reply, _, _ = during_run(runner, command_over_http)
+        ran_ms = (time.monotonic() - start) * 1000
+        # made by the run: after it, a command is 502 "run has ended"
+        assert reply == (200, {"ok": True, "target": "modbus:cab-a/coil/101"})
+        assert runner.artifacts.completed
+        # at most once per millisecond of the run, plus the last serve
+        assert 1 < len(timeouts) <= ran_ms + 2
+        assert set(timeouts) == {0}
+
     def test_historian_http_is_live_during_run(self, tmp_path, scenario_dir):
         import urllib.request
 
@@ -1512,6 +1548,25 @@ class TestCli:
             run.send_signal(signal.SIGINT)
             run.wait(timeout=60)
         assert run.returncode == EXIT_INTERRUPTED
+
+    def test_a_malformed_radiance_row_is_a_scenario_error(
+            self, tmp_path, scenario_dir, capsys):
+        shutil.copytree(scenario_dir, tmp_path / "scenarios")
+        radiance = tmp_path / "scenarios" / "radiance_2016.csv"
+        lines = radiance.read_bytes().split(b"\r\n")
+        lines[100] = b"2016-01-05T03:00:00;0.0"        # line 101
+        radiance.write_bytes(b"\r\n".join(lines))
+        scenario = str(tmp_path / "scenarios" / "spm.json")
+        # the file exists, so the scenario validates: the run reads its rows
+        assert main(["validate", scenario]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["run", scenario, "--no-pace", "--duration", "3600",
+                     "--quiet"]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"scenario error: {radiance}:101: "
+                              f"'2016-01-05T03:00:00;0.0' ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_quiet_run_prints_nothing(self, scenario_path, capsys):
         assert main(["run", scenario_path, "--duration", "300", "--no-pace",

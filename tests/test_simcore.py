@@ -1,5 +1,8 @@
+import csv
 import math
+import os
 import random
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -89,29 +92,29 @@ class TestSimClock:
 
 class TestInterpolation:
     def test_linear_bracketing_midpoint(self):
-        table = InterpolationTable([(0.0, 0.0), (10.0, 100.0)], mode=LINEAR)
+        table = InterpolationTable([0.0, 10.0], [0.0, 100.0], mode=LINEAR)
         assert interpolate(table, 5.0) == pytest.approx(50.0)
         assert interpolate(table, 2.5) == pytest.approx(25.0)
 
     def test_nearest_record(self):
-        table = InterpolationTable([(0.0, 1.0), (10.0, 2.0)], mode=NEAREST)
+        table = InterpolationTable([0.0, 10.0], [1.0, 2.0], mode=NEAREST)
         assert interpolate(table, 4.0) == 1.0
         assert interpolate(table, 6.0) == 2.0
         # ties resolve to the earlier record
         assert interpolate(table, 5.0) == 1.0
 
     def test_out_of_range_clamps(self):
-        table = InterpolationTable([(0.0, 3.0), (1.0, 7.0)], mode=LINEAR)
+        table = InterpolationTable([0.0, 1.0], [3.0, 7.0], mode=LINEAR)
         assert interpolate(table, -100.0) == 3.0
         assert interpolate(table, 100.0) == 7.0
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ConfigurationError):
-            InterpolationTable([])
+            InterpolationTable([], [])
         with pytest.raises(ConfigurationError):
-            InterpolationTable([(0.0, 1.0), (0.0, 2.0)])
+            InterpolationTable([0.0, 0.0], [1.0, 2.0])
         with pytest.raises(ConfigurationError):
-            InterpolationTable([(0.0, 1.0)], mode="cubic")
+            InterpolationTable([0.0], [1.0], mode="cubic")
 
     @given(
         ys=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2,
@@ -120,8 +123,8 @@ class TestInterpolation:
     )
     @settings(max_examples=200)
     def test_linear_stays_within_bracket(self, ys, frac):
-        points = [(float(i), y) for i, y in enumerate(ys)]
-        table = InterpolationTable(points, mode=LINEAR)
+        table = InterpolationTable([float(i) for i in range(len(ys))], ys,
+                                   mode=LINEAR)
         i = min(len(ys) - 2, int(frac * (len(ys) - 1)))
         x = i + (frac * (len(ys) - 1) - i)
         x = min(max(x, float(i)), float(i + 1))
@@ -133,10 +136,10 @@ class TestInterpolation:
                        max_size=20))
     @settings(max_examples=200)
     def test_both_modes_exact_at_nodes(self, ys):
-        points = [(float(i), y) for i, y in enumerate(ys)]
+        xs = [float(i) for i in range(len(ys))]
         for mode in (LINEAR, NEAREST):
-            table = InterpolationTable(points, mode=mode)
-            for x, y in points:
+            table = InterpolationTable(xs, ys, mode=mode)
+            for x, y in zip(xs, ys):
                 assert interpolate(table, x) == y
 
 
@@ -294,6 +297,59 @@ class TestCallbacks:
 
 # ── radiance ingestion ───────────────────────────────────────────────
 
+# (row on line 8, a word of the message naming its fault)
+BAD_ROWS = [
+    ('"2016-01-01T04:00:00",4.0', "unquoted"),
+    ('2016-01-01T04:00:00,"4,5"', "unquoted"),
+    ("2016-01-01T04:00:00,4.0,5.0", "timestamp,watt_per_msq"),
+    ("2016-01-01T04:00:00", "timestamp,watt_per_msq"),
+    # the two rows have two commas, so only a row-by-row count finds it
+    ("2016-01-01T04:00:00,4.0,2016-01-01T05:00:00\n5.0",
+     "timestamp,watt_per_msq"),
+    ("2016-01-01T04:00:00,", "float"),
+    ("2016-01-01T04:00:00,4.0W", "float"),
+    ("2016-01-01 04h00,4.0", "isoformat"),
+    ("2016-01-01T04:00:00+01:00,4.0", "naive"),
+    ("2016-01-01T02:30:00,4.0", "not after the row before"),
+    ("2016-01-01T03:00:00,4.0", "not after the row before"),
+    ("2016-01-01T04:00:00,4.0\u00b5", "ASCII"),
+]
+
+OFFSETS = [timezone.utc, timezone(timedelta(hours=1)),
+           timezone(timedelta(hours=-5)), timezone(timedelta(hours=5,
+                                                             minutes=30))]
+
+
+def csv_reader_points(path: str) -> list[tuple[float, float]]:
+    """The loader as a ``csv.reader`` row loop, the oracle of the columns:
+    its rows of (seconds since the start of the year, watt per m^2)."""
+    points: list[tuple[float, float]] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["timestamp", "watt_per_msq"]:
+            raise ConfigurationError(
+                f"{path}: expected header 'timestamp,watt_per_msq'"
+            )
+        year_start = None
+        for row in reader:
+            if not row:
+                continue
+            ts = datetime.fromisoformat(row[0])
+            if year_start is None:
+                year_start = datetime(ts.year, 1, 1, tzinfo=ts.tzinfo)
+            points.append(((ts - year_start).total_seconds(), float(row[1])))
+    return points
+
+
+def assert_same_columns(table: InterpolationTable,
+                        points: list[tuple[float, float]]) -> None:
+    """Bit-equal columns: ``float.hex`` tells -0.0 from 0.0 and reads a nan
+    as equal to itself."""
+    assert [x.hex() for x in table.xs] == [x.hex() for x, _ in points]
+    assert [y.hex() for y in table.ys] == [y.hex() for _, y in points]
+
+
 
 class TestRadianceCsv:
     def test_load_and_query(self, tmp_path):
@@ -312,6 +368,91 @@ class TestRadianceCsv:
         path.write_text("time,value\n2016-01-01T00:00:00,0\n")
         with pytest.raises(ConfigurationError):
             load_radiance_csv(str(path))
+
+    def test_keeps_two_columns_and_no_pairs(self, scenario_dir):
+        table = load_radiance_csv(os.path.join(scenario_dir,
+                                               "radiance_2016.csv"))
+        assert set(vars(table)) == {"xs", "ys", "mode"}
+        assert len(table.xs) == len(table.ys) == 8784
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("row, fault", BAD_ROWS, ids=[
+        "quoted", "quoted-comma", "three-fields", "one-field",
+        "split-across-two", "empty-value", "bad-value", "bad-timestamp",
+        "aware-after-naive", "earlier", "repeated", "not-ascii"])
+    def test_a_bad_row_is_named_by_line(self, tmp_path, eol, row, fault):
+        # the header, four rows, two blank lines, then the bad row on line 8
+        lines = ["timestamp,watt_per_msq", "2016-01-01T00:00:00,0.0",
+                 "2016-01-01T01:00:00,1.0", "", "2016-01-01T02:00:00,2.0",
+                 "", "2016-01-01T03:00:00,3.0", row,
+                 "2016-01-01T09:00:00,9.0"]
+        path = tmp_path / "rad.csv"
+        path.write_bytes(eol.join(lines).encode() + eol.encode())
+        with pytest.raises(ConfigurationError) as info:
+            load_radiance_csv(str(path))
+        message = str(info.value)
+        assert message.startswith(f"{path}:8: ") and fault in message
+        assert "\n" not in message
+
+    def test_aware_then_naive_is_named_too(self, tmp_path):
+        path = tmp_path / "rad.csv"
+        path.write_text("timestamp,watt_per_msq\n"
+                        "2016-01-01T00:00:00+01:00,0.0\n"
+                        "2016-01-01T01:00:00,1.0\n")
+        with pytest.raises(ConfigurationError, match=r"rad\.csv:3: .*naive"):
+            load_radiance_csv(str(path))
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
+    def test_a_table_without_rows_is_refused(self, tmp_path, body):
+        path = tmp_path / "rad.csv"
+        path.write_bytes(b"timestamp,watt_per_msq\n" + body.encode())
+        with pytest.raises(ConfigurationError, match=r"rad\.csv: no rows"):
+            load_radiance_csv(str(path))
+
+    def test_an_unknown_mode_is_refused_by_the_table(self, tmp_path):
+        path = tmp_path / "rad.csv"
+        path.write_text("timestamp,watt_per_msq\n2016-01-01T00:00:00,0.0\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"rad\.csv: unknown interpolation mode"):
+            load_radiance_csv(str(path), mode="cubic")
+
+    def test_the_committed_year_equals_the_csv_reader_loop(self,
+                                                           scenario_dir):
+        path = os.path.join(scenario_dir, "radiance_2016.csv")
+        assert_same_columns(load_radiance_csv(path),
+                            csv_reader_points(path))
+
+    @given(data=st.data(), rows=st.integers(1, 30),
+           aware=st.booleans(), eol=st.sampled_from(["\n", "\r\n"]),
+           sep=st.sampled_from(["T", " "]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_csv_reader_loop(self, tmp_path_factory, data, rows,
+                                        aware, eol, sep):
+        # strictly increasing instants, at microsecond resolution
+        start = data.draw(st.datetimes(datetime(1990, 1, 1),
+                                       datetime(2040, 1, 1)), "start")
+        steps = data.draw(st.lists(st.integers(1, 10 ** 11), min_size=rows,
+                                   max_size=rows), "steps")
+        zones = data.draw(st.lists(st.sampled_from(OFFSETS), min_size=rows,
+                                   max_size=rows), "zones")
+        values = data.draw(st.lists(st.floats(), min_size=rows,
+                                    max_size=rows), "values")
+        blanks = data.draw(st.sets(st.integers(0, rows)), "blanks")
+        lines = ["timestamp,watt_per_msq"]
+        instant = start.replace(tzinfo=timezone.utc)
+        for i, (step, zone, value) in enumerate(zip(steps, zones, values)):
+            if i in blanks:
+                lines.append("")
+            instant += timedelta(microseconds=step)
+            ts = instant.astimezone(zone) if aware else instant.replace(
+                tzinfo=None)
+            lines.append(f"{ts.isoformat(sep)},{value!r}")
+        if rows in blanks:
+            lines.append("")
+        path = tmp_path_factory.mktemp("rad") / "rad.csv"
+        path.write_bytes(eol.join(lines).encode() + eol.encode())
+        assert_same_columns(load_radiance_csv(str(path)),
+                            csv_reader_points(str(path)))
 
     def test_year_seconds(self):
         assert year_seconds(2016) == 366 * 86400.0
