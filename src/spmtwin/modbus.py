@@ -6,15 +6,19 @@ register). Framing is MBAP, big-endian throughout; frames travel as bytes
 over the in-process fabric.
 
 Every historian poll is a single-register read of the same request bytes,
-so :func:`serve_frame_bytes` prepares each request: the first time the
-general path decodes one and finds it a well-formed single-register read,
-its bytes are kept with its :func:`read_reply_header` and the register to
-read (up to :data:`PREPARED_READS` requests). The same bytes again are
-answered with that header and the register's current value, without the
-codec; an unmapped register, or any other input, takes the general path and
-gets its reply, exception included. The prepared requests depend on the
-bytes alone, never on a register file, so one map serves every device in
-the process.
+and every operator command on a coil is a Write Single Coil of the same
+bytes, so :func:`serve_frame_bytes` prepares both (up to
+:data:`PREPARED_READS` requests together). The first time the general path
+decodes a well-formed single-register read, its bytes are kept with its
+:func:`read_reply_header` and the register to read; the first time it
+answers a coil write with the request's own bytes, the echo the
+specification gives a successful write, its bytes are kept with the coil
+and the value it sets. The same bytes again are answered without the
+codec: a read with that header and the register's current value, a write by
+setting the coil and returning the request. An unmapped register or coil,
+or any other input, takes the general path and gets its reply, exception
+included. The prepared requests depend on the bytes alone, never on a
+register file, so one map serves every device in the process.
 """
 
 from __future__ import annotations
@@ -44,12 +48,13 @@ MBAP_HEADER = struct.Struct(">HHHB")    # transaction, protocol, length, unit
 U16_PAIR = struct.Struct(">HH")
 U16 = struct.Struct(">H")
 
-# distinct request frames serve_frame_bytes keeps prepared; once that many
-# are kept, new ones are served on the general path and not kept
+# distinct request frames, single-register reads and coil writes together,
+# that serve_frame_bytes keeps prepared; once that many are kept, new ones
+# are served on the general path and not kept
 PREPARED_READS = 1024
-# request bytes -> (reply header, function code, address) of each prepared
-# request
-_prepared: dict[bytes, tuple[bytes, int, int]] = {}
+# request bytes -> (function code, address, the reply header of a read or
+# the value a coil write sets) of each prepared request
+_prepared: dict[bytes, tuple[int, int, bytes | bool]] = {}
 
 
 class EncodingError(ValueError):
@@ -241,28 +246,38 @@ def serve_frame_bytes(rf: RegisterFile, data: bytes) -> bytes:
 
     Every cabinet's fabric endpoint serves requests through this, so the
     in-process path exercises the real wire format. A request already
-    prepared (see the module docstring) is answered from its kept reply
-    header and the register's value: the same bytes as the general path.
+    prepared (see the module docstring) is answered from what was kept of
+    it and the register file: the same bytes as the general path.
     """
     if data.__class__ is bytes:
         prepared = _prepared.get(data)
         if prepared is not None:
-            header, fc, address = prepared
-            value = (rf.input_registers if fc == READ_INPUT
-                     else rf.holding_registers).get(address)
-            if value is not None:
-                return header + U16.pack(value)
+            fc, address, kept = prepared
+            if fc == WRITE_COIL:
+                if address in rf.coils:
+                    rf.coils[address] = kept
+                    return data
+            else:
+                value = (rf.input_registers if fc == READ_INPUT
+                         else rf.holding_registers).get(address)
+                if value is not None:
+                    return kept + U16.pack(value)
     frame, consumed = decode_frame(data)
     pdu = frame.pdu
-    response = execute(rf, pdu)
-    if (consumed == len(data) == 12 and data.__class__ is bytes
-            and pdu.function_code in (READ_HOLDING, READ_INPUT)
-            and len(_prepared) < PREPARED_READS):
-        address, count = U16_PAIR.unpack(pdu.payload)
-        if count == 1:
-            _prepared[data] = (
-                read_reply_header(frame.transaction_id, frame.unit_id,
-                                  pdu.function_code),
-                pdu.function_code, address)
-    return encode_frame(
-        MbapFrame(frame.transaction_id, frame.unit_id, response))
+    reply = encode_frame(
+        MbapFrame(frame.transaction_id, frame.unit_id, execute(rf, pdu)))
+    fc = pdu.function_code
+    if data.__class__ is bytes and len(_prepared) < PREPARED_READS:
+        if fc == WRITE_COIL:
+            # a coil write answered with its own bytes was made: 12 bytes,
+            # protocol 0, a valid value and a mapped coil
+            if reply == data:
+                address, value = U16_PAIR.unpack(pdu.payload)
+                _prepared[data] = (fc, address, value == COIL_ON)
+        elif (consumed == len(data) == 12
+              and fc in (READ_HOLDING, READ_INPUT)):
+            address, count = U16_PAIR.unpack(pdu.payload)
+            if count == 1:
+                _prepared[data] = (fc, address, read_reply_header(
+                    frame.transaction_id, frame.unit_id, fc))
+    return reply

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .rng import Generator
+from .simcore import ConfigurationError
 
 HOURS_PER_WEEK = 168.0
 
@@ -164,18 +165,28 @@ class ClientPopulation:
 
 def load_schedule_csv(path: str) -> list[tuple[float, float]]:
     """Read ``day_of_week,hour,persons`` rows (day 0 = Monday) into weekly
-    hour anchors."""
+    hour anchors. A bad header, a row that is not an integer day in 0..6
+    and two numbers, or an unreadable row raises
+    :class:`ConfigurationError` naming ``path:line``."""
     anchors: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
+    # a byte that is not UTF-8 reads as U+FFFD, so its row is refused by line
+    with open(path, newline="", errors="replace") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["day_of_week", "hour", "persons"]:
-            raise ValueError(f"{path}: expected header 'day_of_week,hour,persons'")
+            raise ConfigurationError(
+                f"{path}:1: expected header 'day_of_week,hour,persons'")
         for row in reader:
             if not row:
                 continue
-            day, hour, persons = int(row[0]), float(row[1]), float(row[2])
-            if not 0 <= day <= 6:
-                raise ValueError(f"{path}: day_of_week must be 0..6, got {day}")
+            try:
+                if len(row) != 3:
+                    raise ValueError("not three fields day_of_week,hour,persons")
+                day, hour, persons = int(row[0]), float(row[1]), float(row[2])
+                if not 0 <= day <= 6:
+                    raise ValueError(f"day_of_week must be 0..6, got {day}")
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}:{reader.line_num}: "
+                                         f"{','.join(row)!r}: {exc}") from None
             anchors.append((day * 24.0 + hour, persons))
     return sorted(anchors)

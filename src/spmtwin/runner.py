@@ -62,7 +62,9 @@ register asked for. Every poll sends those bytes through the fabric, and a
 reply of 11 bytes that starts with that header is read with one unpack; any
 other reply is decoded and parsed in full, exceptions included. A single-coil
 write is done when its reply echoes the request, as the specification says a
-successful one does; any other reply is decoded and checked.
+successful one does; any other reply is decoded and checked. Its bytes are
+kept once a device has echoed them, so a command repeated on a coil, like a
+poll, sends bytes the device has prepared (see :mod:`spmtwin.modbus`).
 """
 
 from __future__ import annotations
@@ -262,6 +264,9 @@ class Runner:
         # register read; None for a coil)
         self._read_requests: dict[tuple[int, str, int],
                                   tuple[bytes, bytes | None]] = {}
+        # (unit, address, on) -> the bytes of a coil write a device has
+        # echoed
+        self._coil_requests: dict[tuple[int, int, bool], bytes] = {}
         self._build()
 
     # ── construction ──────────────────────────────────────────────────
@@ -484,11 +489,15 @@ class Runner:
 
     def _write_modbus_coil(self, host: str, unit: int, address: int,
                            on: bool) -> None:
-        request = modbus.encode_frame(modbus.MbapFrame(
-            1, unit, modbus.write_coil_request(address, on)))
+        key = (unit, address, on)
+        request = self._coil_requests.get(key)
+        if request is None:
+            request = modbus.encode_frame(modbus.MbapFrame(
+                1, unit, modbus.write_coil_request(address, on)))
         raw = self.fabric.deliver(
             self.scenario.historian_node, host, "modbus", request)
         if raw == request:            # the echo: the write is done
+            self._coil_requests[key] = request
             return
         frame, _ = modbus.decode_frame(raw)
         if frame.pdu.is_exception():

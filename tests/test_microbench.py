@@ -1,8 +1,9 @@
 """Micro-benchmarks of the hot primitives: the per-sample poll path (a
 Modbus read on the general path and on a prepared request), model stepping,
 seeding the generator and drawing a cluster's load, broker writes and
-reads, the EMS decision, and a twin's set-up: reading the radiance year and
-building a runner of the shipped scenario.
+reads, the EMS decision, an operator's coil and broker commands through a
+built runner, and a twin's set-up: reading the radiance year and building a
+runner of the shipped scenario.
 
 Each bench times one hot primitive with a fixed, small number of rounds (no
 calibration), so the file stays fast inside the normal test run, and asserts
@@ -20,6 +21,7 @@ import pytest
 
 from spmtwin import modbus
 from spmtwin.broker import Broker
+from spmtwin.devices import MASTER_COIL
 from spmtwin.ems import IDLE, START, ActionSet, EmsConfig, Measurements, ems_tick
 from spmtwin.historian import BrokerSource, Datapoint, Historian, ModbusSource
 from spmtwin.netfabric import Fabric
@@ -224,6 +226,50 @@ def test_ems_tick(benchmark):
     assert benchmark.pedantic(ems_tick, args=(cfg, m), rounds=ROUNDS,
                               iterations=ITERATIONS) \
         == ActionSet(IDLE, START, False, 25.0)
+
+
+def operator_command(scenario_path, target, value):
+    """A built runner and a function that delivers one management ->
+    historian ``api`` command, as the benchmark's operator stream does,
+    warmed by one delivery; returns (runner, deliver, delivery count)."""
+    runner = Runner(load_scenario(scenario_path), pace=False)
+    s = runner.scenario
+    mgmt = next(n.id for n in s.nodes if n.segment == "management")
+    request = {"type": "command", "target": target, "value": value}
+    calls = itertools.count(1)
+    last = [0]
+
+    def deliver():
+        last[0] = next(calls)
+        return runner.fabric.deliver(mgmt, s.historian_node, "api", request)
+
+    assert deliver() == {"ok": True, "target": target}      # warm
+    return runner, deliver, last
+
+
+def test_operator_coil_command(benchmark, scenario_path):
+    # the stream's coil command: the master coil of a cabinet, set on
+    cab = load_scenario(scenario_path).cabinets[0]
+    target = f"modbus:{cab.node}/coil/{MASTER_COIL}"
+    runner, deliver, last = operator_command(scenario_path, target, True)
+    rf = runner.cabinets[cab.building].register_file
+    rf.set_coil(MASTER_COIL, False)
+    assert benchmark.pedantic(deliver, rounds=ROUNDS, iterations=ITERATIONS) \
+        == {"ok": True, "target": target}
+    assert last[0] > ROUNDS * ITERATIONS
+    assert rf.get_coil(MASTER_COIL) is True
+
+
+def test_operator_broker_command(benchmark, scenario_path):
+    # the stream's broker command: the sun simulator's radiance, set to 0.0
+    thing, feature, prop = "FDT:sun-simulator", "sky", "radiance"
+    target = f"broker:{thing}/{feature}/{prop}"
+    runner, deliver, last = operator_command(scenario_path, target, 0.0)
+    assert benchmark.pedantic(deliver, rounds=ROUNDS, iterations=ITERATIONS) \
+        == {"ok": True, "target": target}
+    assert last[0] > ROUNDS * ITERATIONS
+    assert runner.broker.get_property(thing, feature, prop) == 0.0
+    assert runner.broker.revision(thing) == last[0]
 
 
 # a set-up takes milliseconds, not microseconds: fewer rounds, one call each

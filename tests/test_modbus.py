@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from spmtwin import modbus
 from spmtwin.modbus import (
+    COIL_OFF,
     COIL_ON,
     EXC_ILLEGAL_ADDRESS,
     EXC_ILLEGAL_FUNCTION,
@@ -280,24 +281,119 @@ class TestPreparedRequests:
         assert modbus._prepared == {}
 
     def test_map_stays_within_its_bound(self):
+        # reads and coil writes, mixed, share the one bound
         modbus._prepared.clear()
         n = modbus.PREPARED_READS + 100
         rf = RegisterFile()
         for address in range(n):
             rf.set_input(address, address)
+            rf.set_coil(address, False)
         try:
-            requests = [read_frame(1, 1, READ_INPUT, a) for a in range(n)]
+            requests = [read_frame(1, 1, READ_INPUT, a) if a % 2 else
+                        write_frame(1, 1, a, COIL_ON) for a in range(n)]
             for address, request in enumerate(requests):
-                expected = encode_frame(MbapFrame(1, 1, Pdu(
+                expected = (encode_frame(MbapFrame(1, 1, Pdu(
                     READ_INPUT, b"\x02" + struct.pack(">H", address))))
+                    if address % 2 else request)
                 for _ in range(2):
                     assert serve_frame_bytes(rf, request) == expected
                 assert len(modbus._prepared) <= modbus.PREPARED_READS
+            assert all(rf.coils[a] for a in range(0, n, 2))
             assert len(modbus._prepared) == modbus.PREPARED_READS
             assert requests[0] in modbus._prepared
             assert requests[-1] not in modbus._prepared
         finally:
             modbus._prepared.clear()
+
+
+def write_frame(txn: int, unit: int, address: int, value: int,
+                proto: int = 0) -> bytes:
+    """A Write Single Coil request's bytes, any value or protocol id
+    included."""
+    return (modbus.MBAP_HEADER.pack(txn, proto, 6, unit) + bytes([WRITE_COIL])
+            + modbus.U16_PAIR.pack(address, value))
+
+
+def general_write_coil(coils: dict, address: int, value: int) -> Pdu:
+    """The specification's Write Single Coil on ``coils``: the oracle of the
+    replies served from prepared writes."""
+    if value not in (COIL_ON, COIL_OFF):
+        return Pdu(WRITE_COIL | 0x80, bytes([EXC_ILLEGAL_VALUE]))
+    if address not in coils:
+        return Pdu(WRITE_COIL | 0x80, bytes([EXC_ILLEGAL_ADDRESS]))
+    coils[address] = value == COIL_ON
+    return Pdu(WRITE_COIL, modbus.U16_PAIR.pack(address, value))
+
+
+class TestPreparedCoilWrites:
+    """A coil write answered with its own bytes is prepared; its later
+    replies and coil states must be the general path's, on any device."""
+
+    @given(
+        txn=st.integers(min_value=0, max_value=0xFFFF),
+        unit=st.integers(min_value=0, max_value=0xFF),
+        proto=st.sampled_from([0, 0, 1, 0xFFFF]),
+        address=st.integers(min_value=0, max_value=0xFFFF),
+        value=st.one_of(st.sampled_from([COIL_ON, COIL_OFF]),
+                        st.integers(min_value=0, max_value=0xFFFF)),
+        start=st.booleans(),
+    )
+    @settings(max_examples=2000, deadline=None)
+    def test_cold_and_prepared_replies_equal_the_general_path(
+            self, txn, unit, proto, address, value, start):
+        modbus._prepared.clear()
+        request = write_frame(txn, unit, address, value, proto)
+
+        def device(mapped):
+            coils = {address ^ 1: not start}      # a neighbour, never written
+            if mapped:
+                coils[address] = start
+            rf = RegisterFile()
+            rf.coils.update(coils)
+            return rf, coils
+
+        def serve(rf, coils, data=request):
+            # the reply and the coils after it, against the oracle's
+            expected = encode_frame(MbapFrame(
+                txn, unit, general_write_coil(coils, address, value)))
+            assert serve_frame_bytes(rf, data) == expected
+            assert rf.coils == coils
+
+        rf, coils = device(mapped=True)
+        serve(rf, coils)                                         # cold
+        prepared = proto == 0 and value in (COIL_ON, COIL_OFF)
+        assert (request in modbus._prepared) is prepared
+        rf.coils[address] = coils[address] = start
+        serve(rf, coils)                                         # prepared
+        for view in (bytearray(request), memoryview(request)):
+            rf.coils[address] = coils[address] = start
+            serve(rf, coils, view)
+        serve(*device(mapped=False))                  # another device, unmapped
+        del rf.coils[address], coils[address]         # unmapped after preparing
+        serve(rf, coils)
+        rf.coils[address] = coils[address] = start    # and mapped again
+        serve(rf, coils)
+        assert (request in modbus._prepared) is prepared
+
+    @pytest.mark.parametrize("request_bytes", [
+        write_frame(1, 1, 100, COIL_ON) + b"\x00",                # trailing
+        bytearray(write_frame(1, 1, 100, COIL_ON)),
+        memoryview(write_frame(1, 1, 100, COIL_OFF)),
+        write_frame(1, 1, 100, COIL_ON, proto=1),
+        write_frame(1, 1, 100, 0x1234),                           # bad value
+        write_frame(1, 1, 77, COIL_ON),                           # unmapped
+    ], ids=["trailing-byte", "bytearray", "memoryview", "protocol-1",
+            "invalid-value", "unmapped"])
+    def test_only_echoed_coil_writes_are_prepared(self, request_bytes):
+        modbus._prepared.clear()
+        frame, _ = decode_frame(request_bytes)
+        for _ in range(2):
+            rf, expected_rf = cabinet_rf(), cabinet_rf()
+            expected = encode_frame(MbapFrame(1, 1, execute(expected_rf,
+                                                            frame.pdu)))
+            assert serve_frame_bytes(rf, request_bytes) == expected
+            assert rf == expected_rf
+        assert modbus._prepared == {}
 
 
 class TestFrameValues:

@@ -12,6 +12,7 @@ from spmtwin.occupancy import (
     turnout_at,
 )
 from spmtwin.rng import Generator
+from spmtwin.simcore import ConfigurationError
 
 SCHEDULE = [(0.0, 0.0), (8.0, 400.0), (12.0, 1200.0), (18.0, 0.0)]
 
@@ -184,3 +185,28 @@ class TestScheduleCsv:
         path.write_text("day_of_week,hour,persons\n7,0,1\n")
         with pytest.raises(ValueError):
             load_schedule_csv(str(path))
+
+    @pytest.mark.parametrize("body, line, fault", [
+        ("day,hour,count\n0,8,400\n", 1, "expected header"),
+        ("day_of_week,hour,persons\n0,8,400\n7,0,1\n", 3,
+         "'7,0,1': day_of_week must be 0..6, got 7"),
+        ("day_of_week,hour,persons\n\n0,x,1\n", 3, "'0,x,1': could not convert"),
+        ("day_of_week,hour,persons\n0;8;400.0\n", 2,
+         "'0;8;400.0': not three fields"),
+        ("day_of_week,hour,persons\n0,8,400,1\n", 2,
+         "'0,8,400,1': not three fields"),
+        ("day_of_week,hour,persons\n1.5,8,400\n", 2, "'1.5,8,400': invalid literal"),
+    ])
+    def test_a_fault_names_its_file_and_line(self, tmp_path, body, line, fault):
+        path = tmp_path / "sched.csv"
+        path.write_text(body)
+        with pytest.raises(ConfigurationError) as exc:
+            load_schedule_csv(str(path))
+        assert str(exc.value).startswith(f"{path}:{line}: {fault}")
+
+    def test_a_byte_that_is_not_utf8_is_a_fault_of_its_line(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_bytes(b"day_of_week,hour,persons\r\n0,8,400\r\n0,9,\xff\r\n")
+        with pytest.raises(ConfigurationError) as exc:
+            load_schedule_csv(str(path))
+        assert str(exc.value).startswith(f"{path}:3: '0,9,\ufffd': could not")

@@ -1007,6 +1007,45 @@ class TestModbusPolls:
         with pytest.raises(CommandFailure, match="exception 2"):
             runner._write_modbus_coil(cab.node, cab.unit_id, TRIP_COIL, False)
 
+    def test_a_coil_write_kept_after_its_echo_still_checks_each_reply(
+            self, scenario_path):
+        runner = Runner(load_scenario(scenario_path), pace=False)
+        first, second = runner.scenario.cabinets[:2]
+        assert first.unit_id == second.unit_id
+        sent = []
+        deliver = runner.fabric.deliver
+
+        def recording(src, dst, service, payload):
+            sent.append(payload)
+            return deliver(src, dst, service, payload)
+
+        runner.fabric.deliver = recording
+        expected = modbus.encode_frame(modbus.MbapFrame(
+            1, first.unit_id, modbus.write_coil_request(TRIP_COIL, True)))
+        for _ in range(2):
+            runner._write_modbus_coil(first.node, first.unit_id, TRIP_COIL,
+                                      True)
+        assert runner.cabinets[first.building].register_file.get_coil(
+            TRIP_COIL) is True
+        # the second device does not map the coil: its reply is an exception
+        del runner.cabinets[second.building].register_file.coils[TRIP_COIL]
+        with pytest.raises(CommandFailure, match="exception 2"):
+            runner._write_modbus_coil(second.node, second.unit_id, TRIP_COIL,
+                                      True)
+        # nor does a handler that answers the same bytes with an exception
+        illegal = modbus.encode_frame(modbus.MbapFrame(1, first.unit_id, modbus.Pdu(
+            modbus.WRITE_COIL | 0x80, bytes([modbus.EXC_ILLEGAL_ADDRESS]))))
+        runner.fabric.register_handler(first.node, "modbus",
+                                       lambda data: illegal)
+        with pytest.raises(CommandFailure, match="exception 2"):
+            runner._write_modbus_coil(first.node, first.unit_id, TRIP_COIL,
+                                      True)
+        assert sent == [expected] * 4
+        # only echoed writes are kept: the map is bounded by the plant's coils
+        with pytest.raises(CommandFailure, match="exception 2"):
+            runner._write_modbus_coil(second.node, second.unit_id, 999, True)
+        assert list(runner._coil_requests) == [(first.unit_id, TRIP_COIL, True)]
+
 
 class EverySampleRunner(Runner):
     """The sampling that change-driven sampling replaced, kept as the
@@ -1566,6 +1605,24 @@ class TestCli:
         assert out == ""
         assert err.startswith(f"scenario error: {radiance}:101: "
                               f"'2016-01-05T03:00:00;0.0' ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_malformed_schedule_row_is_a_scenario_error(
+            self, tmp_path, scenario_dir, capsys):
+        shutil.copytree(scenario_dir, tmp_path / "scenarios")
+        schedule = tmp_path / "scenarios" / "schedule.csv"
+        lines = schedule.read_bytes().split(b"\r\n")
+        lines[4] = b"0;8;400.0"                         # line 5
+        schedule.write_bytes(b"\r\n".join(lines))
+        scenario = str(tmp_path / "scenarios" / "spm.json")
+        # the file exists, so the scenario validates: the run reads its rows
+        assert main(["validate", scenario]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["run", scenario, "--no-pace", "--duration", "3600",
+                     "--quiet"]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"scenario error: {schedule}:5: '0;8;400.0'")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_quiet_run_prints_nothing(self, scenario_path, capsys):
