@@ -3,10 +3,8 @@
 Holds the latest reported state of every thing (thing -> features ->
 properties), serves scalar property reads/writes, and calls back each
 matching subscriber with every change event, in revision order, under the
-broker's one re-entrant lock. A write of an exact ``int``, ``bool``, ``str``
-or finite ``float`` skips the ``isinstance`` checks that any other value, a
-subclass included, goes through. A request is ``{method, thing, feature,
-prop, body}``; a ``GET`` with no ``thing`` lists the things. Only the HTTP
+broker's one re-entrant lock. A request is ``{method, thing, feature, prop,
+body}``; a ``GET`` with no ``thing`` lists the things. Only the HTTP
 routes of :func:`http_routes` read ``/api/2/things`` paths: they answer an
 unknown one with 404 and hand the rest to a callable, never holding the
 broker. In a run that callable delivers each request through the fabric as
@@ -130,10 +128,7 @@ class Broker:
     # ── properties ────────────────────────────────────────────────────
 
     def put_property(self, thing_id: str, feature: str, prop: str, value: Scalar) -> int:
-        kind = value.__class__
-        if not (kind is float and -math.inf < value < math.inf
-                or kind in _EXACT_SCALARS):
-            _check_scalar(thing_id, feature, prop, value)
+        _check_scalar(thing_id, feature, prop, value)
         with self._lock:
             thing = self._thing(thing_id)
             props = thing.features.setdefault(feature, {})
@@ -194,11 +189,6 @@ class Broker:
         except ValidationError as exc:
             return {"status": 400, "body": {"error": str(exc)}}
         return {"status": 400, "body": {"error": f"unsupported method {method}"}}
-
-
-# the types put_property accepts without _check_scalar (a float only when
-# finite); their subclasses get the full check
-_EXACT_SCALARS = frozenset((int, bool, str))
 
 
 def _check_scalar(thing_id: str, feature: str, prop: str, value) -> None:

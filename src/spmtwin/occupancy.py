@@ -172,21 +172,24 @@ def load_schedule_csv(path: str) -> list[tuple[float, float]]:
     # a byte that is not UTF-8 reads as U+FFFD, so its row is refused by line
     with open(path, newline="", errors="replace") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["day_of_week", "hour", "persons"]:
-            raise ConfigurationError(
-                f"{path}:1: expected header 'day_of_week,hour,persons'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != 3:
-                    raise ValueError("not three fields day_of_week,hour,persons")
-                day, hour, persons = int(row[0]), float(row[1]), float(row[2])
-                if not 0 <= day <= 6:
-                    raise ValueError(f"day_of_week must be 0..6, got {day}")
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}:{reader.line_num}: "
-                                         f"{','.join(row)!r}: {exc}") from None
-            anchors.append((day * 24.0 + hour, persons))
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["day_of_week", "hour", "persons"]:
+                raise ConfigurationError(
+                    f"{path}:1: expected header 'day_of_week,hour,persons'")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != 3:
+                        raise ValueError("not three fields day_of_week,hour,persons")
+                    day, hour, persons = int(row[0]), float(row[1]), float(row[2])
+                    if not 0 <= day <= 6:
+                        raise ValueError(f"day_of_week must be 0..6, got {day}")
+                except ValueError as exc:
+                    raise ConfigurationError(f"{path}:{reader.line_num}: "
+                                             f"{','.join(row)!r}: {exc}") from None
+                anchors.append((day * 24.0 + hour, persons))
+        except csv.Error as exc:      # a NUL byte before 3.11, an oversized field
+            raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from None
     return sorted(anchors)

@@ -1,6 +1,4 @@
-import enum
 import http.client
-import itertools
 import json
 import threading
 import urllib.request
@@ -11,12 +9,9 @@ from hypothesis import strategies as st
 
 from spmtwin.broker import (
     Broker,
-    BrokerError,
-    ChangeEvent,
     Conflict,
     NotFound,
     ValidationError,
-    _check_scalar,
     http_routes,
 )
 
@@ -170,167 +165,6 @@ class TestSubscriptions:
         broker.subscribe("FDT:solar-panel-1/panel/power", callback=seen.append)
         broker.put_property("FDT:solar-panel-1", "panel", "power", 9)
         assert [e.new for e in seen] == [9]
-
-
-class ScanningBroker(Broker):
-    """The write before the exact-type check, kept verbatim as the oracle:
-    every value through ``_check_scalar``, every subscription matched at
-    every write. Any faster way to find a write's subscribers must give its
-    events."""
-
-    def put_property(self, thing_id, feature, prop, value):
-        _check_scalar(thing_id, feature, prop, value)
-        with self._lock:
-            thing = self._thing(thing_id)
-            props = thing.features.setdefault(feature, {})
-            old = props.get(prop)
-            props[prop] = value
-            thing.revision += 1
-            thing.last_modified = self._time_fn()
-            # an event is built only for a write that some subscription wants
-            event = None
-            for sub in self._subscriptions:
-                if sub.matches(thing_id, feature, prop):
-                    if event is None:
-                        event = ChangeEvent(thing_id, feature, prop, old, value,
-                                            thing.revision, thing.last_modified)
-                    sub._offer(event)
-            return thing.revision
-
-
-THINGS = ["A:a", "A:b", "A:c"]        # A:c is never created
-FEATURES = ["f", "g"]
-PROPS = ["p", "q"]
-
-
-def replay(broker_class: type[Broker], ops: list) -> list:
-    """Run ``ops`` on a new ``broker_class``; returns every callback's
-    events and every write's outcome, in order. A ``once`` callback
-    unsubscribes itself at its first event; a ``spawn`` callback subscribes
-    another filter at its first."""
-    clock = itertools.count()
-    broker = broker_class(time_fn=lambda: float(next(clock)))
-    for thing in THINGS[:2]:
-        broker.create_thing(thing, {"f": {"p": 0}})
-    log, live, labels = [], [], itertools.count()
-
-    def subscribe(path_filter, behaviour, spawn_filter=None):
-        label, fired = next(labels), []
-
-        def callback(ev):
-            log.append((label, ev.thing_id, ev.feature, ev.prop, ev.old,
-                        ev.new, ev.revision, ev.timestamp))
-            if fired:
-                return
-            fired.append(True)
-            if behaviour == "once":
-                broker.unsubscribe(sub)
-                if sub in live:
-                    live.remove(sub)
-            elif behaviour == "spawn":
-                subscribe(spawn_filter, "plain")
-
-        sub = broker.subscribe(path_filter, callback)
-        live.append(sub)
-
-    for op in ops:
-        if op[0] == "subscribe":
-            subscribe(*op[1:])
-        elif op[0] == "unsubscribe":
-            if live:
-                broker.unsubscribe(live.pop(op[1] % len(live)))
-        else:
-            try:
-                log.append(("put", broker.put_property(*op[1:])))
-            except BrokerError as exc:
-                log.append(("put", type(exc), str(exc)))
-    return log
-
-
-# exact and "*" segments, 1 to 3 of them
-path_filters = st.builds(
-    lambda thing, feature, prop, n: "/".join((thing, feature, prop)[:n]),
-    st.sampled_from(THINGS + ["*"]), st.sampled_from(FEATURES + ["*"]),
-    st.sampled_from(PROPS + ["*"]), st.integers(1, 3))
-broker_ops = st.lists(st.one_of(
-    st.tuples(st.just("subscribe"), path_filters,
-              st.sampled_from(["plain", "plain", "once", "spawn"]),
-              path_filters),
-    st.tuples(st.just("unsubscribe"), st.integers(0, 7)),
-    st.tuples(st.just("put"), st.sampled_from(THINGS),
-              st.sampled_from(FEATURES), st.sampled_from(PROPS),
-              st.one_of(st.integers(), st.booleans(), st.text(max_size=3),
-                        st.floats()))),
-    max_size=40)
-
-
-class TestWritesAgainstTheScan:
-    @given(ops=broker_ops)
-    @settings(max_examples=1000, deadline=None)
-    def test_events_equal_the_scan_of_every_subscription(self, ops):
-        assert replay(Broker, ops) == replay(ScanningBroker, ops)
-
-    def test_a_subscription_made_after_a_path_was_written_gets_its_events(self):
-        broker = make_broker()
-        broker.put_property("FDT:solar-panel-1", "panel", "power", 1.0)
-        events = []
-        sub = broker.subscribe("*/panel", callback=events.append)
-        broker.put_property("FDT:solar-panel-1", "panel", "power", 2.0)
-        broker.unsubscribe(sub)
-        broker.put_property("FDT:solar-panel-1", "panel", "power", 3.0)
-        assert [e.new for e in events] == [2.0]
-
-
-class Level(enum.IntEnum):
-    HIGH = 2
-
-
-class Reading(float):
-    pass
-
-
-class Name(str):
-    pass
-
-
-class TestExactScalarTypes:
-    """put_property accepts exact scalar types without _check_scalar; it
-    must accept and refuse exactly what _check_scalar does."""
-
-    @staticmethod
-    def outcomes(value):
-        try:
-            _check_scalar("FDT:t", "f", "p", value)
-            checked = None
-        except ValidationError as exc:
-            checked = str(exc)
-        broker = Broker()
-        broker.create_thing("FDT:t", {"f": {"p": 0}})
-        try:
-            broker.put_property("FDT:t", "f", "p", value)
-            put = None
-            assert broker.get_property("FDT:t", "f", "p") is value
-        except ValidationError as exc:
-            put = str(exc)
-            assert broker.revision("FDT:t") == 0
-        return checked, put
-
-    @pytest.mark.parametrize("value", [
-        True, False, 0, -3, 2 ** 70, 1.5, -0.0, 5e-324, 1.7976931348623157e308,
-        "", "x", Level.HIGH, Reading(1.0), Reading("nan"), Reading("inf"),
-        Name("y"), float("inf"), float("-inf"), float("nan"), None, [1],
-        {"a": 1}, (1,), {1}, b"x", 1j, object(),
-    ], ids=repr)
-    def test_agrees_with_check_scalar(self, value):
-        checked, put = self.outcomes(value)
-        assert checked == put
-
-    @given(st.one_of(st.integers(), st.floats(), st.booleans(), st.text(),
-                     st.none(), st.lists(st.integers(), max_size=2)))
-    @settings(max_examples=500, deadline=None)
-    def test_agrees_with_check_scalar_on_any_value(self, value):
-        checked, put = self.outcomes(value)
-        assert checked == put
 
 
 class TestConcurrency:

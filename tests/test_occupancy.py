@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,3 +212,18 @@ class TestScheduleCsv:
         with pytest.raises(ConfigurationError) as exc:
             load_schedule_csv(str(path))
         assert str(exc.value).startswith(f"{path}:3: '0,9,\ufffd': could not")
+
+    @pytest.mark.parametrize("body, line", [
+        # csv.reader refuses a NUL byte before Python 3.11; after, its field
+        # does not convert
+        ("day_of_week,hour,persons\n0,8,400\n0,9,4\x0000\n", 3),
+        # a field past csv.field_size_limit() is refused on every version
+        ("day_of_week,hour,persons\n0,8,\"" + "4" * (csv.field_size_limit() + 1)
+         + "\"\n", 2),
+    ], ids=["nul-byte", "oversized-field"])
+    def test_a_row_csv_cannot_read_is_a_fault_of_its_line(self, tmp_path, body, line):
+        path = tmp_path / "sched.csv"
+        path.write_text(body)
+        with pytest.raises(ConfigurationError) as exc:
+            load_schedule_csv(str(path))
+        assert str(exc.value).startswith(f"{path}:{line}: ")
