@@ -327,7 +327,7 @@ def http_routes(historian: Historian,
                 ) -> dict[str, Callable[[str, bytes], tuple[int, object]]]:
     """The datapoint API and ``POST /command`` as routes by method, for a
     ``JsonHttpServer``. In a run, ``command_hook`` makes each command
-    between two instants, through the runner's scheduler and the fabric."""
+    between two instants, on the run loop's thread, through the fabric."""
 
     def get(path: str, _raw: bytes) -> tuple[int, object]:
         if path == "/datapoint/getAll":

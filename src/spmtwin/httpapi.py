@@ -10,12 +10,11 @@ server would load its HTTP client, ``email`` and ``ssl`` too, about 6 MB
 that no route here uses.
 
 Nothing here starts a thread. ``FrontEnds`` holds the listening sockets of
-any number of ``JsonHttpServer``s, their connections and a wake socketpair
-in one selector, and :meth:`FrontEnds.serve` serves what is ready within a
-timeout on the thread that calls it, then returns. No client can hold it
-up: each connection keeps the bytes it has received and not yet parsed and
-the reply bytes its socket has not yet taken, and a request is parsed once
-its bytes are there.
+any number of ``JsonHttpServer``s and their connections in one selector, and
+:meth:`FrontEnds.serve` serves what is ready within a timeout on the thread
+that calls it, then returns. No client can hold it up: each connection keeps
+the bytes it has received and not yet parsed and the reply bytes its socket
+has not yet taken, and a request is parsed once its bytes are there.
 """
 
 from __future__ import annotations
@@ -240,36 +239,22 @@ class JsonHttpServer:
 
 
 class FrontEnds:
-    """The listening sockets of ``servers``, their connections and a wake
-    socketpair in one selector, served by the thread that calls
-    :meth:`serve`."""
+    """The listening sockets of ``servers`` and their connections in one
+    selector, served by the thread that calls :meth:`serve`."""
 
     def __init__(self, servers: list[JsonHttpServer]):
         self._selector = selectors.DefaultSelector()
-        self._wake, self._waker = socket.socketpair()
-        self._waker.setblocking(False)
-        self._selector.register(self._wake, selectors.EVENT_READ,
-                                partial(self._wake.recv, 4096))
         for server in servers:
             self._selector.register(server.socket, selectors.EVENT_READ,
                                     partial(self._accept, server))
 
-    def serve(self, timeout: float | None) -> None:
-        """Serve whatever is ready within ``timeout`` seconds (``None``:
-        until something is, or :meth:`wake`), then return."""
+    def serve(self, timeout: float) -> None:
+        """Serve whatever is ready within ``timeout`` seconds, then return."""
         for key, _ in self._selector.select(timeout):
             if isinstance(key.data, JsonHandler):
                 self._step(key.data)
             else:
                 key.data()
-
-    def wake(self) -> None:
-        """From any thread: end the :meth:`serve` that waits, or else the
-        next one, at once."""
-        try:
-            self._waker.send(b"\0")
-        except OSError:     # full, so a wake is pending; or closed
-            pass
 
     def _accept(self, server: JsonHttpServer) -> None:
         """Take a connection waiting on ``server`` and serve what it has
@@ -300,11 +285,9 @@ class FrontEnds:
         conn.events = events
 
     def close(self) -> None:
-        """Close every connection, the selector and the socketpair; each
-        server's listening socket is its ``server_close()``'s to close."""
+        """Close every connection and the selector; each server's listening
+        socket is its ``server_close()``'s to close."""
         for key in list(self._selector.get_map().values()):
             if isinstance(key.data, JsonHandler):
                 key.fileobj.close()
         self._selector.close()
-        self._wake.close()
-        self._waker.close()

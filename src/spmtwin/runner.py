@@ -11,7 +11,7 @@ last one popped, the loop serves HTTP: unpaced, what is ready, at most once
 per millisecond of wall time; paced, until the next event is due, asleep in
 the front ends' selector, so an operator's command is made as it arrives,
 not after the next paced event. It peeks at the next event rather than
-popping it: a queued coil write schedules a PLC scan at the next scan
+popping it: a coil write served there schedules a PLC scan at the next scan
 instant, which can come before the event it would have popped.
 
 Periodic tasks run as one event per ``(period, phase)`` group, which runs its
@@ -40,11 +40,12 @@ historian's registry, none of which takes a lock, and a run starts no other
 thread. It serves the HTTP servers, two ``JsonHttpServer``s over the
 broker's and the historian's route tables, between two instants, never
 between two phases of one instant. The routes that change the plant make
-fabric deliveries from the management node (operator commands to the
-historian, requests to the broker) through :meth:`Runner._queue_delivery`,
-which makes them at once on that thread; called from another thread, it
-queues them, wakes the loop and waits. The historian's ``GET`` routes read
-its latest samples on that thread too, but past the fabric.
+fabric deliveries from the management node: :meth:`Runner.inject` for
+operator commands to the historian, :meth:`Runner.serve_broker_request` for
+requests to the broker. Each makes its delivery at once and returns the
+reply, so a request is made on the loop's thread while it is served, with
+no queue in between. The historian's ``GET`` routes read its latest samples
+on that thread too, but past the fabric.
 
 Every run writes each sample and EMS tick as it comes, through the sinks
 :meth:`RunArtifacts.open_sinks` opens once the servers listen (a run that
@@ -72,7 +73,6 @@ from __future__ import annotations
 import heapq
 import logging
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -253,11 +253,9 @@ class Runner:
         self.fabric = netfabric.Fabric(scenario.policy)
         self._heap: list = []
         self._seq = 0
-        self._inject_lock = threading.Lock()
-        # queued (src, dst, service, payload, done, box) fabric deliveries
-        self._injected: list = []
-        self._closed = False          # set once the run ends; guarded by _inject_lock
-        self._loop_thread: int | None = None     # ident of the run's thread
+        self._closed = False          # set once the run ends
+        # monotonic time the loop started at, and of the next unpaced serve
+        self._wall_start = self._next_serve = 0.0
         self._servers: list = []
         self._front_ends: FrontEnds | None = None    # while the servers listen
         # (unit, table, address) -> (request bytes, the reply header of a
@@ -682,89 +680,58 @@ class Runner:
                 charge_kw=charge, discharge_kw=discharge,
                 grid_import_kw=grid, dissipated_kw=dissipated))
 
-    # ── injection ─────────────────────────────────────────────────────
+    # ── operator requests ─────────────────────────────────────────────
 
-    def _queue_delivery(self, dst: str, service: str, payload,
-                        timeout: float, what: str):
-        """Make a management -> ``dst`` delivery: at once on the run's
-        thread, else queued for the run loop, which makes it at the next
-        instant boundary. Returns its reply or raises its error. Raises
-        :class:`CommandFailure` once the run has ended or after ``timeout``
-        seconds, in which case the delivery is never made."""
-        done = threading.Event()
-        box: dict = {}
-        entry = (self._mgmt_node, dst, service, payload, done, box)
-        with self._inject_lock:
-            if self._closed:
-                raise CommandFailure(f"run has ended; {what} not delivered")
-            self._injected.append(entry)
-        front_ends = self._front_ends
-        if threading.get_ident() == self._loop_thread:
-            self._drain_injections()
-        elif front_ends is not None:
-            front_ends.wake()
-        if not done.wait(timeout):
-            with self._inject_lock:
-                if entry in self._injected:
-                    self._injected.remove(entry)
-                    raise CommandFailure(f"{what} timed out")
-            done.wait()               # the loop has taken it: take its reply
-        if "ack" in box:
-            return box["ack"]
-        if "error" in box:
-            raise box["error"]
-        # closed by _close_injections before the loop reached it
-        raise CommandFailure(f"run has ended; {what} not delivered")
-
-    def inject(self, target: str, value, timeout: float = 30.0) -> dict:
-        """Make an operator command at the next instant boundary, routed
-        management -> historian. Fails at once after the run ends."""
+    def inject(self, target: str, value) -> dict:
+        """Make an operator command at once, routed management -> historian.
+        Fails once the run has ended."""
+        if self._closed:
+            raise CommandFailure(
+                f"run has ended; injection of {target!r} not delivered")
         try:
-            return self._queue_delivery(
-                self.scenario.historian_node, "api",
-                {"type": "command", "target": target, "value": value},
-                timeout, f"injection of {target!r}")
+            return self.fabric.deliver(
+                self._mgmt_node, self.scenario.historian_node, "api",
+                {"type": "command", "target": target, "value": value})
         except CommandFailure:
             raise
         except Exception as exc:
             raise CommandFailure(str(exc)) from exc
 
-    def queue_broker_request(self, request: dict,
-                             timeout: float = 30.0) -> dict:
+    def serve_broker_request(self, request: dict) -> dict:
         """Serve one structured request from the broker HTTP server as a
-        management -> broker delivery made by the run loop. A refusal by the
-        firewall is 403, a run that ended or a timeout is 503."""
-        what = (f"{request['thing']}/{request['feature']}/{request['prop']}"
-                if "thing" in request else "thing list")
+        management -> broker delivery, made at once. A refusal by the
+        firewall is 403, a run that ended is 503."""
+        if self._closed:
+            what = (f"{request['thing']}/{request['feature']}/{request['prop']}"
+                    if "thing" in request else "thing list")
+            return {"status": 503, "body": {"error": (
+                f"run has ended; broker {request['method']} of {what!r} "
+                "not delivered")}}
         try:
-            return self._queue_delivery(
-                self.scenario.broker_node, "http", request, timeout,
-                f"broker {request['method']} of {what!r}")
+            return self.fabric.deliver(
+                self._mgmt_node, self.scenario.broker_node, "http", request)
         except netfabric.Blocked as exc:
             return {"status": 403, "body": {"error": str(exc)}}
-        except CommandFailure as exc:
-            return {"status": 503, "body": {"error": str(exc)}}
 
-    def _drain_injections(self) -> None:
-        if not self._injected:        # the common case: nothing queued
-            return
-        with self._inject_lock:
-            pending, self._injected = self._injected, []
-        for src, dst, service, payload, done, box in pending:
-            try:
-                box["ack"] = self.fabric.deliver(src, dst, service, payload)
-            except Exception as exc:
-                box["error"] = exc
-            finally:
-                done.set()
+    def _drain_injections(self) -> bool:
+        """Serve the HTTP front ends at an instant boundary. Paced: until
+        the next event is due; returns whether it is still ahead, since a
+        command served may have scheduled an earlier one. Unpaced: what is
+        ready, at most once per millisecond of wall time; returns False.
 
-    def _close_injections(self) -> None:
-        """Refuse further deliveries and fail any still queued."""
-        with self._inject_lock:
-            self._closed = True
-            pending, self._injected = self._injected, []
-        for *_, done, _box in pending:
-            done.set()
+        The name is from when this step made the commands other threads
+        had queued. ``twinbench/spans.py`` wraps it by that name and counts
+        a command issued inside it as injected, so it stays until the
+        benchmark changes with it."""
+        if self.pace:
+            lag = (self._heap[0][0] / self.clock.scale
+                   - (time.monotonic() - self._wall_start))
+            self._front_ends.serve(max(lag, 0.0))
+            return lag > 0
+        if (now := time.monotonic()) >= self._next_serve:
+            self._front_ends.serve(0)
+            self._next_serve = now + 0.001
+        return False
 
     # ── run loop ──────────────────────────────────────────────────────
 
@@ -773,7 +740,7 @@ class Runner:
         try:
             self.broker_http = broker = JsonHttpServer(
                 ("127.0.0.1", s.broker_http_port),
-                broker_routes(self.queue_broker_request))
+                broker_routes(self.serve_broker_request))
             try:
                 self.historian_http = JsonHttpServer(
                     ("127.0.0.1", s.historian_http_port),
@@ -789,8 +756,8 @@ class Runner:
 
     def _stop_servers(self) -> None:
         front_ends, self._front_ends = self._front_ends, None
-        # answer the requests that have come: once the injections are
-        # closed, commands 502 and broker requests 503
+        # answer the requests that have come: the run has ended, so
+        # commands are 502 and broker requests 503
         front_ends.serve(0)
         front_ends.close()
         # ordered shutdown: historian -> broker
@@ -803,7 +770,6 @@ class Runner:
         """Run the scenario to its end; ``on_listening`` is called once the
         HTTP servers listen, before the first event."""
         s = self.scenario
-        self._loop_thread = threading.get_ident()
         self._start_servers()
         try:
             try:
@@ -827,23 +793,12 @@ class Runner:
             if on_listening is not None:
                 on_listening()
 
-            wall_start = next_serve = time.monotonic()
-            serve = self._front_ends.serve
-            t, lag = None, 0.0
+            self._wall_start = self._next_serve = time.monotonic()
+            t = None
             while self._heap and self._heap[0][0] <= s.duration_s:
-                if self._heap[0][0] != t:
-                    # an instant boundary: serve HTTP, paced until the next
-                    # event is due, unpaced what is ready once a millisecond
-                    if self.pace:
-                        lag = (self._heap[0][0] / self.clock.scale
-                               - (time.monotonic() - wall_start))
-                        serve(max(lag, 0.0))
-                    elif (now := time.monotonic()) >= next_serve:
-                        serve(0)
-                        next_serve = now + 0.001
-                    self._drain_injections()
-                    if lag > 0:
-                        continue
+                # an instant boundary: serve HTTP first
+                if self._heap[0][0] != t and self._drain_injections():
+                    continue
                 t, phase, _seq, fn = heapq.heappop(self._heap)
                 self.clock.advance_to(t)
                 try:
@@ -851,10 +806,9 @@ class Runner:
                 except Exception as exc:
                     raise RunAbort(
                         f"task failed at sim t={t}: {exc!r}") from exc
-            self._drain_injections()
             self.artifacts.completed = True
         finally:
-            self._close_injections()
+            self._closed = True
             self._stop_servers()
             self.artifacts.blocked_count = self.fabric.blocked_count
             if self.artifacts.ems_ticks is not None:   # the sinks are open

@@ -264,7 +264,9 @@ def load_radiance_csv(path: str, mode: str = NEAREST) -> InterpolationTable:
     """Read a ``timestamp,watt_per_msq`` CSV into a table keyed by seconds
     since the start of the first row's year, as two flat columns converted
     by one ``map`` each; each list is dropped once the next is made."""
-    with open(path) as fh:              # universal newlines: CRLF reads as LF
+    # universal newlines: CRLF reads as LF; a byte that is not UTF-8 reads
+    # as U+FFFD, which the ASCII check below refuses with its line
+    with open(path, errors="replace") as fh:
         header, _, body = fh.read().partition("\n")
     if [h.strip() for h in header.split(",")] != ["timestamp", "watt_per_msq"]:
         raise ConfigurationError(
@@ -296,7 +298,7 @@ def load_radiance_csv(path: str, mode: str = NEAREST) -> InterpolationTable:
 def _radiance_fault(path: str) -> str | None:
     """``path:line: fault`` of the first row that breaks the format, if any."""
     year_start, last = None, -math.inf
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for number, line in enumerate(fh, start=1):
             fields = line.rstrip("\n").split(",")
             if number == 1 or fields == [""]:      # the header, a blank line

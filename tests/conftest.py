@@ -127,7 +127,7 @@ class Serving:
 
         def loop():
             while not stopping.is_set():
-                front_ends.serve(None)
+                front_ends.serve(0.05)      # a stop is seen within 50 ms
 
         thread = threading.Thread(target=loop, daemon=True)
         thread.start()
@@ -139,7 +139,6 @@ class Serving:
         connections."""
         for server, front_ends, stopping, thread in self._running:
             stopping.set()
-            front_ends.wake()
             thread.join(timeout=5)
             assert not thread.is_alive()
             front_ends.close()

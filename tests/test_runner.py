@@ -327,11 +327,10 @@ class TestTripProtection:
         # inject a reset after the trip (~0.35 s wall)
         runner = Runner(load_scenario(path), pace=True)
         out = tmp_path / "out"
-        thread = threading.Thread(target=runner.run, args=(str(out),))
-        thread.start()
-        time.sleep(0.8)
-        ack = runner.inject("modbus:cab-a/coil/100", False)
-        thread.join()
+        (status, ack), _, _ = during_run(
+            runner, lambda: post_command(runner, "modbus:cab-a/coil/100", False),
+            delay=0.8, out_dir=str(out))
+        assert status == 200
         assert ack["ok"]
         # after the reset the clients feed again, so the next sample exceeds
         # the max and re-trips: two over-limit samples, not one
@@ -351,17 +350,9 @@ class TestInjectionAndServers:
         path = customized(tmp_path, scenario_dir, mutate=mutate,
                           duration_s=120)
         runner = Runner(load_scenario(path), pace=False)
-        # queue the command and drain it directly: deterministic, no run loop
-        done = threading.Event()
-        box = {}
-        with runner._inject_lock:
-            runner._injected.append((
-                "ops", runner.scenario.historian_node, "api",
-                {"type": "command", "target": "modbus:cab-a/coil/100",
-                 "value": False}, done, box))
-        runner._drain_injections()
-        assert done.is_set()
-        assert "blocked" in str(box["error"])
+        # a built runner makes the command at once: deterministic, no run loop
+        with pytest.raises(CommandFailure, match="blocked"):
+            runner.inject("modbus:cab-a/coil/100", False)
         assert runner.fabric.blocked_count >= 1
 
     def test_inject_after_run_fails_fast(self, tmp_path, scenario_dir):
@@ -370,69 +361,12 @@ class TestInjectionAndServers:
         runner.run()
         start = time.monotonic()
         with pytest.raises(CommandFailure, match="run has ended"):
-            runner.inject("modbus:cab-a/coil/100", False, timeout=5.0)
-        reply = runner.queue_broker_request({"method": "GET"}, timeout=5.0)
+            runner.inject("modbus:cab-a/coil/100", False)
+        reply = runner.serve_broker_request({"method": "GET"})
         assert reply["status"] == 503
         assert "run has ended" in reply["body"]["error"]
         assert "thing list" in reply["body"]["error"]
         assert time.monotonic() - start < 0.5
-        assert runner._injected == []
-
-    def test_timed_out_inject_is_never_made(self, tmp_path, scenario_dir):
-        path = customized(tmp_path, scenario_dir, duration_s=60)
-        runner = Runner(load_scenario(path), pace=False)   # not running
-        with pytest.raises(CommandFailure, match="timed out"):
-            runner.inject("modbus:cab-a/coil/101", True, timeout=0.05)
-        assert runner._injected == []
-        delivered = runner.fabric.delivered_count
-        runner._drain_injections()
-        assert runner.fabric.delivered_count == delivered
-
-    def test_timed_out_broker_request_is_never_made(self, tmp_path,
-                                                    scenario_dir):
-        path = customized(tmp_path, scenario_dir, duration_s=60)
-        runner = Runner(load_scenario(path), pace=False)
-        reply = runner.queue_broker_request(
-            {"method": "PUT", "thing": "FDT:campus-turnout",
-             "feature": "campus", "prop": "note", "body": "drill"},
-            timeout=0.05)
-        assert reply["status"] == 503
-        assert "timed out" in reply["body"]["error"]
-        assert "FDT:campus-turnout/campus/note" in reply["body"]["error"]
-        assert runner._injected == []
-        delivered = runner.fabric.delivered_count
-        runner._drain_injections()
-        assert runner.fabric.delivered_count == delivered
-
-    def test_delivery_taken_before_its_timeout_returns_its_reply(
-            self, tmp_path, scenario_dir):
-        path = customized(tmp_path, scenario_dir, duration_s=60)
-        runner = Runner(load_scenario(path), pace=False)
-        timeout = 0.3
-        deliver = runner.fabric.deliver
-
-        def slow(src, dst, service, payload):
-            time.sleep(timeout + 0.2)     # the injector's timeout runs out
-            return deliver(src, dst, service, payload)
-
-        runner.fabric.deliver = slow
-        outcome = {}
-
-        def injector():
-            try:
-                outcome["reply"] = runner.inject("modbus:cab-a/coil/101", True,
-                                                 timeout=timeout)
-            except Exception as exc:
-                outcome["error"] = exc
-
-        thread = threading.Thread(target=injector)
-        thread.start()
-        while not runner._injected:
-            time.sleep(0.001)
-        runner._drain_injections()
-        thread.join(timeout=5)
-        assert outcome == {"reply": {"ok": True,
-                                     "target": "modbus:cab-a/coil/101"}}
 
     def test_servers_stop_quickly(self, tmp_path, scenario_dir):
         before = set(threading.enumerate())
@@ -468,7 +402,7 @@ class TestInjectionAndServers:
                                                  scenario_dir, monkeypatch):
         runner = paced(tmp_path, scenario_dir)
         hooks = []
-        for name in ("inject", "queue_broker_request"):
+        for name in ("inject", "serve_broker_request"):
             def recording(*args, hook=getattr(runner, name), **kwargs):
                 hooks.append(threading.get_ident())
                 return hook(*args, **kwargs)
@@ -624,6 +558,43 @@ print(json.dumps(statuses))
 """
 
 
+# Runs the scenario at argv[1] paced, with twinbench's tracer (from argv[2])
+# installed, and sends it one command and one broker PUT over HTTP; prints
+# whether it completed, the statuses and what the tracer recorded
+TRACED_RUN = """
+import http.client, json, sys, threading
+sys.path.insert(0, sys.argv[2])
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+from spmtwin.runner import Runner
+from spmtwin.scenario import load_scenario
+runner = Runner(load_scenario(sys.argv[1]), pace=True)
+note = "/api/2/things/FDT:campus-turnout/features/campus/properties/note"
+statuses = []
+
+def client():
+    for server, method, path, body in [
+            (runner.historian_http, "POST", "/command",
+             {"target": "modbus:cab-a/coil/101", "value": True}),
+            (runner.broker_http, "PUT", note, "drill")]:
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        conn.request(method, path, body=json.dumps(body))
+        resp = conn.getresponse()
+        resp.read()
+        statuses.append(resp.status)
+        conn.close()
+
+sender = threading.Thread(target=client)
+artifacts = runner.run(on_listening=sender.start)
+sender.join()
+print(json.dumps({"completed": artifacts.completed, "statuses": statuses,
+                  "durations": {name: len(tracer.durations[name]) for name in
+                                ("runner.inject",
+                                 "historian.command.injected")}}))
+"""
+
+
 def during_run(runner, action, delay=0.0, out_dir=None):
     """Run ``runner`` in a thread and call ``action()`` ``delay`` s after its
     servers listen. Returns what it returned, how long it took and the ident
@@ -659,6 +630,20 @@ def broker_request(runner, method, path, body=None):
     return resp.status, json.loads(raw) if raw else None
 
 
+def post_command(runner, target, value):
+    """Send one operator command to ``runner``'s historian HTTP server;
+    returns its status and reply body."""
+    conn = http.client.HTTPConnection(
+        "127.0.0.1", runner.historian_http.port, timeout=10)
+    try:
+        conn.request("POST", "/command",
+                     body=json.dumps({"target": target, "value": value}))
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
 def live_broker_request(runner, method, path, body=None):
     """Send one broker request during a run of ``runner``; returns (status,
     reply body, ident of the run thread) after the run has ended."""
@@ -677,6 +662,21 @@ def paced(tmp_path, scenario_dir, mutate=None) -> Runner:
 
 def property_path(thing, feature, prop):
     return f"/api/2/things/{thing}/features/{feature}/properties/{prop}"
+
+
+def test_the_benchmark_tracer_hooks_a_live_run(tmp_path, scenario_dir):
+    # twinbench/spans.py patches runner and layer names; one that is gone
+    # fails here, not only in a traced benchmark run
+    path = customized(tmp_path, scenario_dir, duration_s=1200,
+                      clock={"scale": 600, "tick": 0.1})
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, path, TWINBENCH],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "completed": True, "statuses": [200, 204],
+        "durations": {"runner.inject": 1, "historian.command.injected": 1}}
 
 
 class TestBrokerHttpThroughFabric:
@@ -841,8 +841,9 @@ class TestPacedWake:
     def test_inject_during_a_long_gap_is_made_at_once(self, tmp_path,
                                                       scenario_dir):
         runner = long_gap(tmp_path, scenario_dir)
-        reply, elapsed, _ = during_run(runner, lambda: runner.inject(
-            "modbus:cab-a/coil/101", True, timeout=10), delay=0.3)
+        (status, reply), elapsed, _ = during_run(runner, lambda: post_command(
+            runner, "modbus:cab-a/coil/101", True), delay=0.3)
+        assert status == 200
         assert reply["ok"]
         assert elapsed < 0.25
 
@@ -850,8 +851,8 @@ class TestPacedWake:
                                                              scenario_dir):
         runner = long_gap(tmp_path, scenario_dir)
         events = record_events(runner)
-        during_run(runner, lambda: runner.inject(
-            "modbus:cab-a/coil/101", True, timeout=10), delay=0.3)
+        during_run(runner, lambda: post_command(
+            runner, "modbus:cab-a/coil/101", True), delay=0.3)
         assert runner.artifacts.completed
         times = [t for t, _ in events]
         # the coil write asks for a scan at 0.1 s, before the event at 10 s
@@ -883,10 +884,10 @@ class TestPacedWake:
         def burst():
             replies = []
 
-            def send():
+            def send():     # one HTTP client
                 for _ in range(10):
-                    replies.append(runner.inject(
-                        "modbus:cab-a/coil/101", True, timeout=10))
+                    replies.append(post_command(
+                        runner, "modbus:cab-a/coil/101", True)[1])
 
             senders = [threading.Thread(target=send) for _ in range(5)]
             for sender in senders:
@@ -1605,6 +1606,21 @@ class TestCli:
         assert out == ""
         assert err.startswith(f"scenario error: {radiance}:101: "
                               f"'2016-01-05T03:00:00;0.0' ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_radiance_byte_that_is_not_utf8_is_a_scenario_error(
+            self, tmp_path, scenario_dir, capsys):
+        shutil.copytree(scenario_dir, tmp_path / "scenarios")
+        radiance = tmp_path / "scenarios" / "radiance_2016.csv"
+        with open(radiance, "ab") as fh:
+            fh.write(b"\xff")
+        last = radiance.read_bytes().count(b"\n") + 1     # the appended line
+        scenario = str(tmp_path / "scenarios" / "spm.json")
+        assert main(["run", scenario, "--no-pace", "--duration", "3600",
+                     "--quiet"]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"scenario error: {radiance}:{last}: '\ufffd' ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_a_malformed_schedule_row_is_a_scenario_error(

@@ -394,6 +394,20 @@ class TestRadianceCsv:
         assert message.startswith(f"{path}:8: ") and fault in message
         assert "\n" not in message
 
+    @pytest.mark.parametrize("tail", [b"\xff", b"\xff\n"],
+                             ids=["unterminated", "terminated"])
+    def test_a_byte_that_is_not_utf8_is_a_fault_of_its_line(self, tmp_path,
+                                                            tail):
+        path = tmp_path / "rad.csv"
+        path.write_bytes(b"timestamp,watt_per_msq\n2016-01-01T00:00:00,0.0\n"
+                         b"2016-01-01T01:00:00,1.0\xff\n"
+                         b"2016-01-01T02:00:00,2.0\n" + tail)
+        with pytest.raises(ConfigurationError) as info:
+            load_radiance_csv(str(path))
+        assert str(info.value) == (
+            f"{path}:3: '2016-01-01T01:00:00,1.0\ufffd' is not one unquoted "
+            "ASCII row timestamp,watt_per_msq")
+
     def test_aware_then_naive_is_named_too(self, tmp_path):
         path = tmp_path / "rad.csv"
         path.write_text("timestamp,watt_per_msq\n"
