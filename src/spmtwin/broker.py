@@ -3,8 +3,9 @@
 Holds the latest reported state of every thing (thing -> features ->
 properties), serves scalar property reads/writes, and calls back each
 matching subscriber with every change event, in revision order, under the
-broker's one re-entrant lock. A request is ``{method, thing, feature, prop,
-body}``; a ``GET`` with no ``thing`` lists the things. Only the HTTP
+broker's one re-entrant lock. A request is a :class:`BrokerRequest`
+``(method, thing, feature, prop, body)``, and a reply ``{status, body}``; a
+``GET`` with no ``thing`` lists the things. Only the HTTP
 routes of :func:`http_routes` read ``/api/2/things`` paths: they answer an
 unknown one with 404 and hand the rest to a callable, never holding the
 broker. In a run that callable delivers each request through the fabric as
@@ -19,7 +20,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 THING_ID_RE = re.compile(r"^[A-Za-z0-9_-]+:[A-Za-z0-9_-]+$")
 PROPERTY_PATH_RE = re.compile(r"^/api/2/things(?:/(?P<thing>[^/]+)/features/"
@@ -42,6 +43,17 @@ class Conflict(BrokerError):
 
 class ValidationError(BrokerError):
     pass
+
+
+class BrokerRequest(NamedTuple):
+    """``method`` on the property ``thing/feature/prop``; ``body`` is the
+    value a ``PUT`` writes. A ``GET`` with no ``thing`` lists the things."""
+
+    method: str
+    thing: str | None = None
+    feature: str | None = None
+    prop: str | None = None
+    body: object = None
 
 
 @dataclass(frozen=True)
@@ -170,19 +182,17 @@ class Broker:
 
     # ── structured request handler (shared by HTTP and fabric paths) ──
 
-    def handle_request(self, request: dict) -> dict:
-        """Process a {method, thing, feature, prop, body} request, or a
-        ``GET`` without ``thing`` for the thing list; returns {status, body}."""
-        method = request.get("method", "GET")
-        thing_id = request.get("thing")
+    def handle_request(self, request: BrokerRequest) -> dict:
+        """Process a request on one property, or a ``GET`` without ``thing``
+        for the thing list; returns {status, body}."""
+        method, thing_id, feature, prop, body = request
         if method == "GET" and thing_id is None:
             return {"status": 200, "body": self.list_things()}
-        feature, prop = request.get("feature"), request.get("prop")
         try:
             if method == "GET":
                 return {"status": 200, "body": self.get_property(thing_id, feature, prop)}
             if method == "PUT":
-                self.put_property(thing_id, feature, prop, request.get("body"))
+                self.put_property(thing_id, feature, prop, body)
                 return {"status": 204, "body": None}
         except NotFound as exc:
             return {"status": 404, "body": {"error": str(exc)}}
@@ -203,18 +213,17 @@ def _check_scalar(thing_id: str, feature: str, prop: str, value) -> None:
 # ── HTTP routes ────────────────────────────────────────────────────────────
 
 
-def http_routes(handle: Callable[[dict], dict]
+def http_routes(handle: Callable[[BrokerRequest], dict]
                 ) -> dict[str, Callable[[str, bytes], tuple[int, object]]]:
     """The broker's HTTP API as routes by method, for a ``JsonHttpServer``.
-    ``handle`` serves a structured request and returns {status, body}, as
-    :meth:`Broker.handle_request` does."""
+    ``handle`` serves a :class:`BrokerRequest` and returns {status, body},
+    as :meth:`Broker.handle_request` does."""
 
     def respond(method: str, path: str, body=None) -> tuple[int, object]:
         m = PROPERTY_PATH_RE.match(path)
         if m is None or not (m["thing"] or method == "GET"):  # list: GET only
             return 404, {"error": "unknown path"}
-        fields = m.groupdict() if m["thing"] else {}
-        result = handle({"method": method, **fields, "body": body})
+        result = handle(BrokerRequest(method, *m.groups(), body))
         return result["status"], result["body"]
 
     def put(path: str, raw: bytes) -> tuple[int, object]:

@@ -6,6 +6,13 @@ EMS commands back to the field. The read and write functions are injected;
 the runner binds them to the fabric, and :meth:`Historian.register` binds
 each point to its read once, so a poll makes no choice of source.
 
+A command's target is prepared the same way: :meth:`Historian.issue_command`
+parses it into a writer, a call of the injected write function with the
+target's fields bound, and keeps that writer once a write through it has
+succeeded, for at most :data:`MAX_TARGETS` targets. A target repeated, as
+the EMS's and an operator's are, is then one lookup and one write; a target
+that is malformed, or whose write failed, is parsed again the next time.
+
 In a run, the sample log is a :class:`SampleSink` that writes each sample's
 ``datapoints.csv`` row as it is polled, through a buffer of
 :data:`BUFFER_ROWS` rows, so memory does not grow with the run's length; a
@@ -26,6 +33,9 @@ from functools import partial
 from typing import Callable
 
 log = logging.getLogger(__name__)
+
+# command targets a Historian keeps prepared, at most
+MAX_TARGETS = 256
 
 
 class HistorianError(Exception):
@@ -93,6 +103,8 @@ class Historian:
         self._write_broker = write_broker
         self._write_modbus_coil = write_modbus_coil
         self._points: dict[str, Datapoint] = {}
+        # command target -> its writer, once a write through it succeeded
+        self._writers: dict[str, Callable[[object], None]] = {}
         self._order: list[str] = []
         # each poller's points in registration order, so a poll walks only
         # its own: sourced points by host, derived points in one list
@@ -194,31 +206,48 @@ class Historian:
 
     def issue_command(self, target: str, value) -> dict:
         """Write to a broker property (``broker:THING/feature/prop``) or a
-        Modbus coil (``modbus:HOST/coil/ADDR``)."""
+        Modbus coil (``modbus:HOST/coil/ADDR``, ADDR in ASCII decimal
+        digits), through the target's prepared writer."""
         try:
-            kind, rest = target.split(":", 1)
-        except ValueError:
-            raise CommandFailure(f"malformed target {target!r}") from None
-        try:
-            if kind == "broker":
-                parts = rest.rsplit("/", 2)
-                if len(parts) != 3:
-                    raise CommandFailure(f"malformed broker target {target!r}")
-                thing, feature, prop = parts
-                self._write_broker(thing, feature, prop, value)
-            elif kind == "modbus":
-                parts = rest.split("/")
-                if len(parts) != 3 or parts[1] != "coil":
-                    raise CommandFailure(f"malformed modbus target {target!r}")
-                host, _, addr = parts
-                self._write_modbus_coil(host, 1, int(addr), _as_bool(value))
+            write = self._writers.get(target)
+            if write is None:
+                write = self._writer(target)
+                write(value)
+                if len(self._writers) < MAX_TARGETS:
+                    self._writers[target] = write
             else:
-                raise CommandFailure(f"unknown target kind {kind!r}")
+                write(value)
         except CommandFailure:
             raise
         except Exception as exc:
             raise CommandFailure(f"command to {target!r} failed: {exc}") from exc
         return {"ok": True, "target": target}
+
+    def _writer(self, target: str) -> Callable[[object], None]:
+        """Parse ``target`` into a call of the injected write function that
+        takes the value to write."""
+        try:
+            kind, rest = target.split(":", 1)
+        except ValueError:
+            raise CommandFailure(f"malformed target {target!r}") from None
+        if kind == "broker":
+            parts = rest.rsplit("/", 2)
+            if len(parts) != 3:
+                raise CommandFailure(f"malformed broker target {target!r}")
+            return partial(self._write_broker, *parts)
+        if kind == "modbus":
+            parts = rest.split("/")
+            if (len(parts) != 3 or parts[1] != "coil"
+                    or not (parts[2].isascii() and parts[2].isdigit())):
+                raise CommandFailure(f"malformed modbus target {target!r}")
+            return partial(_write_coil, self._write_modbus_coil, parts[0],
+                           int(parts[2]))
+        raise CommandFailure(f"unknown target kind {kind!r}")
+
+
+def _write_coil(write_modbus_coil: Callable[[str, int, int, bool], None],
+                host: str, address: int, value) -> None:
+    write_modbus_coil(host, 1, address, _as_bool(value))
 
 
 def _as_bool(value) -> bool:

@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 
 MAX_LINE = 65536        # bytes in a request line or a header line
 MAX_HEADERS = 100
+MAX_HEAD = 65536        # bytes in a request line and its header lines together
 MAX_BODY = 65536        # bytes in a request body
 RECV_SIZE = 65536       # bytes taken from a connection at a time
 # method, target, major and minor version; any HTTP/d.d is well formed, and
@@ -141,6 +142,7 @@ class JsonHandler:
         if major != "1":
             return self._refuse(505, f"HTTP/{major}.{minor} is not supported")
         headers: dict[str, str] = {}
+        head_bytes = len(line)
         for _ in range(MAX_HEADERS + 1):
             line = yield from self._take(MAX_LINE + 1, line=True)
             if line in (b"\r\n", b"\n"):
@@ -149,6 +151,9 @@ class JsonHandler:
                 return False
             if len(line) > MAX_LINE:
                 return self._refuse(431, "header line too long")
+            head_bytes += len(line)
+            if head_bytes > MAX_HEAD:
+                return self._refuse(431, f"a request head is at most {MAX_HEAD} bytes")
             name, colon, value = line.decode("latin-1").partition(":")
             if not colon or not name or name.strip() != name:
                 return self._refuse(400, "malformed header line")

@@ -4,6 +4,15 @@ Segments plus prioritized firewall rules decide who may talk to whom; every
 cross-module message goes through :meth:`Fabric.deliver`, which enforces the
 policy and counts blocked traffic per segment pair. Return traffic of an
 allowed connection is allowed statefully.
+
+A delivery is routed once: the first allowed delivery on a
+``(src, dst, service)`` keeps that route to the destination's handler, and
+each later one on it goes straight to the handler. A route is kept only for
+an established pair, so it stands exactly as long as the pair's verdict
+does: :meth:`Fabric.attach` drops every route from or to the node it moves,
+and :meth:`Fabric.register_handler` drops the route to the handler it
+replaces. A denied delivery keeps nothing, so it is checked and counted
+every time. The routes are bounded by the plant's established pairs.
 """
 
 from __future__ import annotations
@@ -94,6 +103,8 @@ class Fabric:
         self._nodes: dict[str, Node] = {}
         self._handlers: dict[str, dict[str, Callable[[Any], Any]]] = {}
         self._established: set[tuple[str, str]] = set()
+        # (src, dst, service) -> handler, for allowed deliveries only
+        self._routes: dict[tuple[str, str, str], Callable[[Any], Any]] = {}
         self.delivered_count = 0
         self.blocked_count = 0
         # blocked deliveries per (src segment, dst segment): bounded by the
@@ -107,10 +118,12 @@ class Fabric:
             raise FabricError(f"unknown segment {segment!r}")
         node = Node(node_id, segment)
         self._nodes[node_id] = node
-        # moving a node invalidates its connection state
+        # moving a node invalidates its connection state and its routes
         self._established = {
             pair for pair in self._established if node_id not in pair
         }
+        self._routes = {route: fn for route, fn in self._routes.items()
+                        if node_id not in route[:2]}
         return node
 
     def node(self, node_id: str) -> Node:
@@ -122,6 +135,8 @@ class Fabric:
     def register_handler(self, node_id: str, service: str, fn: Callable[[Any], Any]):
         self.node(node_id)
         self._handlers.setdefault(node_id, {})[service] = fn
+        self._routes = {route: handler for route, handler in self._routes.items()
+                        if route[1:] != (node_id, service)}
 
     # ── enforcement ───────────────────────────────────────────────────
 
@@ -140,17 +155,22 @@ class Fabric:
     def deliver(self, src_id: str, dst_id: str, service: str, payload: Any) -> Any:
         """Route ``payload`` to the destination handler; returns its response.
 
-        First contact on a pair goes through :meth:`check_connect`. A pair
+        A delivery on a kept route goes straight to its handler. Otherwise
+        first contact on a pair goes through :meth:`check_connect`. A pair
         enters the established set only once a delivery on it was allowed,
         and its verdict stands until :meth:`attach` moves either end, which
         drops the pair; so an established pair is admitted without walking
-        the policy again.
+        the policy again. The route of an allowed delivery is then kept.
         """
-        if (src_id, dst_id) not in self._established:
-            self.check_connect(src_id, dst_id)
-        handler = self._handlers.get(dst_id, {}).get(service)
+        route = (src_id, dst_id, service)
+        handler = self._routes.get(route)
         if handler is None:
-            raise FabricError(f"node {dst_id!r} exposes no service {service!r}")
+            if (src_id, dst_id) not in self._established:
+                self.check_connect(src_id, dst_id)
+            handler = self._handlers.get(dst_id, {}).get(service)
+            if handler is None:
+                raise FabricError(f"node {dst_id!r} exposes no service {service!r}")
+            self._routes[route] = handler
         self.delivered_count += 1
         return handler(payload)
 

@@ -66,6 +66,13 @@ write is done when its reply echoes the request, as the specification says a
 successful one does; any other reply is decoded and checked. Its bytes are
 kept once a device has echoed them, so a command repeated on a coil, like a
 poll, sends bytes the device has prepared (see :mod:`spmtwin.modbus`).
+
+The rest of a repeated delivery is prepared too. The historian parses a
+command's target once into a writer bound to its fields (see
+:mod:`spmtwin.historian`), the fabric keeps each allowed route to its
+handler (see :mod:`spmtwin.netfabric`), and a broker request crosses the
+fabric as a :class:`~spmtwin.broker.BrokerRequest` tuple, which the broker
+unpacks once.
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ from typing import Callable, NamedTuple
 
 from . import ems as ems_mod
 from . import modbus, netfabric, occupancy, rng
-from .broker import Broker, ChangeEvent, http_routes as broker_routes
+from .broker import Broker, BrokerRequest, ChangeEvent, http_routes as broker_routes
 from .devices import (
     CONSUMPTION_REGISTER,
     MASTER_COIL,
@@ -343,7 +350,7 @@ class Runner:
             self.plcs[building] = plc
             self.fabric.register_handler(
                 cab.node, "modbus",
-                lambda data, c=cabinet, b=building: self._serve_modbus(c, b, data))
+                partial(self._serve_modbus, cabinet, building))
 
         # controllers bound to broker command properties
         for ctrl in s.controllers:
@@ -447,10 +454,11 @@ class Runner:
 
     def _broker_request(self, src: str, method: str, thing: str,
                         feature: str, prop: str, body=None) -> dict:
-        """Deliver a structured ``method`` request on one property, src -> broker."""
-        return self.fabric.deliver(src, self.scenario.broker_node, "http", {
-            "method": method, "thing": thing, "feature": feature,
-            "prop": prop, "body": body})
+        """Deliver a ``method`` request on one property, src -> broker."""
+        # tuple.__new__ skips BrokerRequest's Python-level __new__
+        return self.fabric.deliver(
+            src, self.scenario.broker_node, "http",
+            tuple.__new__(BrokerRequest, (method, thing, feature, prop, body)))
 
     def _read_broker(self, thing: str, feature: str, prop: str):
         result = self._broker_request(self.scenario.historian_node, "GET",
@@ -697,15 +705,15 @@ class Runner:
         except Exception as exc:
             raise CommandFailure(str(exc)) from exc
 
-    def serve_broker_request(self, request: dict) -> dict:
-        """Serve one structured request from the broker HTTP server as a
-        management -> broker delivery, made at once. A refusal by the
-        firewall is 403, a run that ended is 503."""
+    def serve_broker_request(self, request: BrokerRequest) -> dict:
+        """Serve one request from the broker HTTP server as a management ->
+        broker delivery, made at once. A refusal by the firewall is 403, a
+        run that ended is 503."""
         if self._closed:
-            what = (f"{request['thing']}/{request['feature']}/{request['prop']}"
-                    if "thing" in request else "thing list")
+            what = (f"{request.thing}/{request.feature}/{request.prop}"
+                    if request.thing is not None else "thing list")
             return {"status": 503, "body": {"error": (
-                f"run has ended; broker {request['method']} of {what!r} "
+                f"run has ended; broker {request.method} of {what!r} "
                 "not delivered")}}
         try:
             return self.fabric.deliver(
@@ -715,23 +723,29 @@ class Runner:
 
     def _drain_injections(self) -> bool:
         """Serve the HTTP front ends at an instant boundary. Paced: until
-        the next event is due; returns whether it is still ahead, since a
-        command served may have scheduled an earlier one. Unpaced: what is
-        ready, at most once per millisecond of wall time; returns False.
+        the next event is due; returns whether it is still ahead, read from
+        the clock after serving, since a request may have ended the wait
+        early or scheduled an earlier event. A wait that ran out returns
+        False, so the loop runs the event with no second serve. Unpaced:
+        what is ready, at most once per millisecond of wall time; returns
+        False.
 
         The name is from when this step made the commands other threads
         had queued. ``twinbench/spans.py`` wraps it by that name and counts
         a command issued inside it as injected, so it stays until the
         benchmark changes with it."""
         if self.pace:
-            lag = (self._heap[0][0] / self.clock.scale
-                   - (time.monotonic() - self._wall_start))
-            self._front_ends.serve(max(lag, 0.0))
-            return lag > 0
+            self._front_ends.serve(max(self._lag(), 0.0))
+            return self._lag() > 0
         if (now := time.monotonic()) >= self._next_serve:
             self._front_ends.serve(0)
             self._next_serve = now + 0.001
         return False
+
+    def _lag(self) -> float:
+        """Wall seconds until the next event is due, paced."""
+        return (self._heap[0][0] / self.clock.scale
+                - (time.monotonic() - self._wall_start))
 
     # ── run loop ──────────────────────────────────────────────────────
 

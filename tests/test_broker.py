@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spmtwin.broker import (
     Broker,
+    BrokerRequest,
     Conflict,
     NotFound,
     ValidationError,
@@ -22,9 +23,8 @@ def make_broker(**kwargs) -> Broker:
     return broker
 
 
-# the structured request fields that name make_broker's one property
-PANEL_POWER = {"thing": "FDT:solar-panel-1", "feature": "panel",
-               "prop": "power"}
+# the request fields that name make_broker's one property
+PANEL_POWER = ("FDT:solar-panel-1", "panel", "power")
 
 
 class TestThings:
@@ -58,8 +58,8 @@ class TestThings:
             broker.put_property("FDT:solar-panel-1", "panel", "power", value)
         assert broker.get_property("FDT:solar-panel-1", "panel", "power") == 0.0
         assert broker.revision("FDT:solar-panel-1") == 0
-        reply = broker.handle_request({"method": "PUT", **PANEL_POWER,
-                                       "body": value})
+        reply = broker.handle_request(BrokerRequest("PUT", *PANEL_POWER,
+                                                    value))
         assert reply["status"] == 400
 
 
@@ -222,25 +222,24 @@ class TestConcurrency:
 class TestRequestHandler:
     def test_structured_get_put(self):
         broker = make_broker()
-        put = broker.handle_request({"method": "PUT", **PANEL_POWER,
-                                     "body": 55.0})
+        put = broker.handle_request(BrokerRequest("PUT", *PANEL_POWER, 55.0))
         assert put["status"] == 204
-        get = broker.handle_request({"method": "GET", **PANEL_POWER})
+        get = broker.handle_request(BrokerRequest("GET", *PANEL_POWER))
         assert (get["status"], get["body"]) == (200, 55.0)
-        delete = broker.handle_request({"method": "DELETE", **PANEL_POWER})
+        delete = broker.handle_request(BrokerRequest("DELETE", *PANEL_POWER))
         assert delete["status"] == 400
         assert "DELETE" in delete["body"]["error"]
         assert broker.get_property("FDT:solar-panel-1", "panel", "power") == 55.0
 
     def test_unknown_paths(self):
         broker = make_broker()
-        missing = broker.handle_request({
-            "method": "GET", "thing": "FDT:x", "feature": "f", "prop": "p"})
+        missing = broker.handle_request(
+            BrokerRequest("GET", "FDT:x", "f", "p"))
         assert missing["status"] == 404
 
     def test_list_things_endpoint(self):
         broker = make_broker()
-        result = broker.handle_request({"method": "GET"})
+        result = broker.handle_request(BrokerRequest("GET"))
         assert result == {"status": 200, "body": ["FDT:solar-panel-1"]}
 
 

@@ -3,11 +3,13 @@ import json
 import logging
 import urllib.error
 import urllib.request
+from functools import partial
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from spmtwin import historian as historian_mod
 from spmtwin.historian import (
     BUFFER_ROWS,
     BrokerSource,
@@ -231,6 +233,144 @@ class TestCommands:
             hist.issue_command("broker:FDT:a/f/p", 1)
 
 
+def parsed_every_time(plant: FakePlant, target, value) -> dict:
+    """What issue_command does when it parses ``target`` at each command:
+    the oracle for its prepared writers."""
+    try:
+        kind, rest = target.split(":", 1)
+    except ValueError:
+        raise CommandFailure(f"malformed target {target!r}") from None
+    try:
+        if kind == "broker":
+            parts = rest.rsplit("/", 2)
+            if len(parts) != 3:
+                raise CommandFailure(f"malformed broker target {target!r}")
+            plant.write_broker(*parts, value)
+        elif kind == "modbus":
+            parts = rest.split("/")
+            if (len(parts) != 3 or parts[1] != "coil"
+                    or not (parts[2].isascii() and parts[2].isdigit())):
+                raise CommandFailure(f"malformed modbus target {target!r}")
+            plant.write_coil(parts[0], 1, int(parts[2]),
+                             historian_mod._as_bool(value))
+        else:
+            raise CommandFailure(f"unknown target kind {kind!r}")
+    except CommandFailure:
+        raise
+    except Exception as exc:
+        raise CommandFailure(f"command to {target!r} failed: {exc}") from exc
+    return {"ok": True, "target": target}
+
+
+class FailingPlant(FakePlant):
+    """A plant whose writes fail as the runner's can: a broker value that
+    is not finite is refused, and a coil address past 0xFFFF cannot be
+    encoded."""
+
+    def write_broker(self, thing, feature, prop, value):
+        if isinstance(value, float) and value != value:
+            raise CommandFailure("broker write failed: 400")
+        super().write_broker(thing, feature, prop, value)
+
+    def write_coil(self, host, unit, address, on):
+        if address > 0xFFFF:
+            raise ValueError(f"address {address} out of range")
+        super().write_coil(host, unit, address, on)
+
+
+def outcome(command, target, value):
+    try:
+        return command(target, value)
+    except CommandFailure as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+
+
+TARGET_PART = st.text(st.sampled_from("ab:/_ +-19\u0661"), max_size=6)
+TARGETS = st.one_of(
+    st.text(max_size=12),
+    st.builds("{}:{}/{}/{}".format,
+              st.sampled_from(["broker", "modbus", "ftp", ""]),
+              TARGET_PART, st.sampled_from(["coil", "f", TARGET_PART]),
+              st.one_of(TARGET_PART, st.integers(0, 70000).map(str))))
+VALUES = st.one_of(st.booleans(), st.integers(-2, 2), st.floats(),
+                   st.sampled_from(["on", "off", " True ", "1", "maybe"]))
+
+
+class TestPreparedTargets:
+    """issue_command keeps each target's writer once a write through it
+    succeeded; every command, cold or repeated, must do what parsing its
+    target every time does."""
+
+    @staticmethod
+    def historian(plant: FakePlant) -> Historian:
+        return Historian(plant.read_broker, plant.read_modbus,
+                         plant.write_broker, plant.write_coil)
+
+    @given(st.lists(TARGETS, min_size=1, max_size=4, unique=True).flatmap(
+        lambda targets: st.lists(st.tuples(st.sampled_from(targets), VALUES),
+                                 min_size=1, max_size=12)))
+    def test_every_command_does_what_parsing_it_does(self, commands):
+        plant, oracle_plant = FailingPlant(), FailingPlant()
+        hist = self.historian(plant)
+        for target, value in commands:
+            assert outcome(hist.issue_command, target, value) == outcome(
+                partial(parsed_every_time, oracle_plant), target, value)
+            assert plant.writes == oracle_plant.writes
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        parsed = []
+        writer = Historian._writer
+
+        def counting(hist, target):
+            parsed.append(target)
+            return writer(hist, target)
+
+        monkeypatch.setattr(Historian, "_writer", counting)
+        return parsed
+
+    def test_a_target_is_parsed_once_its_write_succeeded(self, parses):
+        hist = self.historian(FailingPlant())
+        for _ in range(3):
+            hist.issue_command("modbus:cab-a/coil/101", True)
+            hist.issue_command("broker:FDT:a/f/p", 1.0)
+        assert parses == ["modbus:cab-a/coil/101", "broker:FDT:a/f/p"]
+
+    def test_a_failed_write_is_not_kept(self, parses):
+        plant = FailingPlant()
+        hist = self.historian(plant)
+        for value in (float("nan"), float("nan"), 2.0, 3.0):
+            outcome(hist.issue_command, "broker:FDT:a/f/p", value)
+        for value in ("maybe", "on", "off"):
+            outcome(hist.issue_command, "modbus:cab-a/coil/7", value)
+        # parsed until a write succeeded, then kept
+        assert parses == ["broker:FDT:a/f/p"] * 3 + ["modbus:cab-a/coil/7"] * 2
+        assert [w[-1] for w in plant.writes] == [2.0, 3.0, True, False]
+
+    def test_the_kept_targets_stop_at_their_cap(self, parses, monkeypatch):
+        monkeypatch.setattr(historian_mod, "MAX_TARGETS", 3)
+        hist = self.historian(FakePlant())
+        targets = [f"modbus:cab-a/coil/{n}" for n in range(5)]
+        for _ in range(2):
+            for target in targets:
+                hist.issue_command(target, True)
+        # the first three are kept; the others are parsed every time
+        assert parses == targets + targets[3:]
+        assert len(hist._writers) == 3
+
+    @pytest.mark.parametrize("addr", ["1_01", " 101", "+101", "101 ",
+                                      "\u0661\u0660\u0661", "0x65", ""])
+    def test_a_coil_address_is_ascii_digits_only(self, parses, addr):
+        plant = FakePlant()
+        hist = self.historian(plant)
+        target = f"modbus:cab-a/coil/{addr}"
+        for _ in range(2):
+            with pytest.raises(CommandFailure, match="malformed modbus target"):
+                hist.issue_command(target, True)
+        assert plant.writes == []
+        assert parses == [target, target]
+
+
 class TestExport:
     def test_csv_layout_and_formatting(self, tmp_path):
         hist, _ = make()
@@ -419,3 +559,18 @@ class TestHttpApi:
             urllib.request.urlopen(req)
         with err.value:     # the error is the response: close it
             assert err.value.code == 502
+
+    def test_a_malformed_coil_address_is_502(self, http_server):
+        hist, plant = make()
+        server = http_server(http_routes(hist, hist.issue_command))
+        body = json.dumps({"target": "modbus:cab-a/coil/+101",
+                           "value": True}).encode()
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{server.port}/command", data=body,
+            headers={"Content-Type": "application/json"}, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req)
+        with err.value:
+            assert err.value.code == 502
+            assert "malformed modbus target" in json.load(err.value)["error"]
+        assert plant.writes == []

@@ -11,7 +11,7 @@ from spmtwin import broker as broker_mod
 from spmtwin import historian as historian_mod
 from spmtwin.broker import Broker
 from spmtwin.historian import Historian
-from spmtwin.httpapi import MAX_BODY
+from spmtwin.httpapi import MAX_BODY, MAX_HEAD
 
 PANEL = "/api/2/things/FDT:solar-panel-1/features/panel/properties/power"
 
@@ -107,6 +107,28 @@ def test_a_malformed_head_is_refused_and_closed(served, raw, status):
     assert (got, closed) == (status, True)
     assert headers["connection"] == "close"
     assert "error" in body
+
+
+def test_a_head_over_its_byte_bound_is_431(served):
+    # 70 header lines of 1,000 bytes: each line is short enough, the head
+    # is not. The server takes all of them, in two receives, before it
+    # reaches the line past the bound, so its close resets nothing unread.
+    server, (path, _), _ = served
+    line = b"X-Big: " + b"a" * (1000 - 9) + b"\r\n"
+    raw = f"GET {path} HTTP/1.1\r\n".encode() + line * 70 + b"\r\n"
+    status, headers, body, closed = exchange(server, raw)
+    assert (status, closed) == (431, True)
+    assert headers["connection"] == "close"
+    assert str(MAX_HEAD) in body["error"]
+
+
+def test_a_head_at_its_byte_bound_is_served(served):
+    server, (path, value), _ = served
+    request_line = f"GET {path} HTTP/1.1\r\n".encode()
+    size = MAX_HEAD - len(request_line) - 9   # the bound, to the byte
+    raw = request_line + b"X-Big: " + b"a" * size + b"\r\n\r\n"
+    assert len(raw) - 2 == MAX_HEAD
+    assert exchange(server, raw)[:3:2] == (200, value)
 
 
 def test_a_hundred_headers_are_served(served):

@@ -20,7 +20,7 @@ import os
 import pytest
 
 from spmtwin import modbus
-from spmtwin.broker import Broker
+from spmtwin.broker import Broker, BrokerRequest
 from spmtwin.devices import MASTER_COIL
 from spmtwin.ems import IDLE, START, ActionSet, EmsConfig, Measurements, ems_tick
 from spmtwin.historian import BrokerSource, Datapoint, Historian, ModbusSource
@@ -197,8 +197,7 @@ def test_broker_get_through_handle_request(benchmark):
     # the request a historian broker read delivers to the broker
     broker = Broker()
     broker.create_thing("FDT:t", {"f": {"p": 42.5}})
-    request = {"method": "GET", "thing": "FDT:t", "feature": "f", "prop": "p",
-               "body": None}
+    request = BrokerRequest("GET", "FDT:t", "f", "p")
     reply = benchmark.pedantic(broker.handle_request, args=(request,),
                                rounds=ROUNDS, iterations=ITERATIONS)
     assert reply == {"status": 200, "body": 42.5}
@@ -208,8 +207,7 @@ def test_broker_put_through_handle_request(benchmark):
     # the request a controller's telemetry publish delivers to the broker
     broker = Broker()
     broker.create_thing("FDT:t", {"f": {"p": 0.0}})
-    request = {"method": "PUT", "thing": "FDT:t", "feature": "f", "prop": "p",
-               "body": 42.5}
+    request = BrokerRequest("PUT", "FDT:t", "f", "p", 42.5)
     reply = benchmark.pedantic(broker.handle_request, args=(request,),
                                rounds=ROUNDS, iterations=ITERATIONS)
     assert reply == {"status": 204, "body": None}

@@ -189,3 +189,80 @@ class TestEstablishedPairs:
                 fabric.deliver("laptop", "plc", "modbus", b"r")
             assert fabric.blocked_count == n
         assert fabric.delivered_count == 0
+
+
+class TestKeptRoutes:
+    """A delivery's route is kept once allowed, and dropped by attach and by
+    register_handler, so a kept route never outlives its verdict or its
+    handler."""
+
+    def make(self) -> Fabric:
+        fabric = Fabric(PLANT_POLICY)
+        fabric.attach("ems", "control")
+        fabric.attach("plc", "field")
+        fabric.attach("laptop", "client")
+        fabric.register_handler("plc", "modbus", lambda p: b"ok:" + p)
+        fabric.register_handler("ems", "modbus", lambda p: b"ack:" + p)
+        return fabric
+
+    def test_a_moved_destination_is_checked_again(self):
+        fabric = self.make()
+        assert fabric.deliver("ems", "plc", "modbus", b"r") == b"ok:r"
+        fabric.attach("plc", "internet")
+        for n in range(1, 3):
+            with pytest.raises(Blocked):
+                fabric.deliver("ems", "plc", "modbus", b"r")
+            assert fabric.blocked_by_segment == {("control", "internet"): n}
+        assert fabric.delivered_count == 1
+
+    def test_a_moved_source_is_checked_again(self):
+        fabric = self.make()
+        assert fabric.deliver("ems", "plc", "modbus", b"r") == b"ok:r"
+        fabric.attach("ems", "client")
+        with pytest.raises(Blocked):
+            fabric.deliver("ems", "plc", "modbus", b"r")
+        assert fabric.blocked_by_segment == {("client", "field"): 1}
+        # moved back, the pair is allowed and routed afresh
+        fabric.attach("ems", "control")
+        assert fabric.deliver("ems", "plc", "modbus", b"s") == b"ok:s"
+        assert fabric.delivered_count == 2
+
+    def test_a_move_keeps_the_routes_of_other_nodes(self):
+        fabric = self.make()
+        fabric.attach("scada", "control")
+        fabric.deliver("ems", "plc", "modbus", b"r")
+        fabric.deliver("scada", "plc", "modbus", b"r")
+        fabric.attach("scada", "client")
+        assert fabric.deliver("ems", "plc", "modbus", b"s") == b"ok:s"
+        with pytest.raises(Blocked):
+            fabric.deliver("scada", "plc", "modbus", b"s")
+
+    def test_a_replaced_handler_gets_the_next_delivery(self):
+        fabric = self.make()
+        assert fabric.deliver("ems", "plc", "modbus", b"r") == b"ok:r"
+        fabric.register_handler("plc", "modbus", lambda p: b"new:" + p)
+        assert fabric.deliver("ems", "plc", "modbus", b"r") == b"new:r"
+        # a handler of another service leaves the route as it is
+        fabric.register_handler("plc", "http", lambda p: "web")
+        assert fabric.deliver("ems", "plc", "modbus", b"s") == b"new:s"
+        assert fabric.delivered_count == 3
+
+    def test_a_denied_pair_counts_on_every_delivery(self, caplog):
+        caplog.set_level(logging.ERROR, logger="spmtwin.netfabric")
+        fabric = self.make()
+        fabric.deliver("ems", "plc", "modbus", b"r")
+        for n in range(1, 6):
+            with pytest.raises(Blocked):
+                fabric.deliver("laptop", "plc", "modbus", b"r")
+            assert fabric.blocked_by_segment == {("client", "field"): n}
+            assert fabric.blocked_count == n
+        assert fabric.delivered_count == 1
+
+    def test_a_missing_service_is_refused_every_time(self):
+        fabric = self.make()
+        for _ in range(2):
+            with pytest.raises(FabricError):
+                fabric.deliver("ems", "plc", "ssh", b"")
+        fabric.register_handler("plc", "ssh", lambda p: "shell")
+        assert fabric.deliver("ems", "plc", "ssh", b"") == "shell"
+        assert fabric.delivered_count == 1

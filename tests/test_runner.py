@@ -362,7 +362,7 @@ class TestInjectionAndServers:
         start = time.monotonic()
         with pytest.raises(CommandFailure, match="run has ended"):
             runner.inject("modbus:cab-a/coil/100", False)
-        reply = runner.serve_broker_request({"method": "GET"})
+        reply = runner.serve_broker_request(broker_mod.BrokerRequest("GET"))
         assert reply["status"] == 503
         assert "run has ended" in reply["body"]["error"]
         assert "thing list" in reply["body"]["error"]
@@ -727,9 +727,8 @@ class TestBrokerHttpThroughFabric:
         puts = [s[3] for s in sent if s[:3] == ("ops", "broker", "http")]
         assert len(puts) == 1
         # the edge parsed the path; the fabric carries the structured request
-        assert puts[0] == {"method": "PUT", "thing": "FDT:campus-turnout",
-                           "feature": "campus", "prop": "note",
-                           "body": "drill"}
+        assert puts[0] == broker_mod.BrokerRequest(
+            "PUT", "FDT:campus-turnout", "campus", "note", "drill")
         assert runner.fabric.delivered_count \
             == unpaced.fabric.delivered_count + 1
         assert runner.fabric.blocked_count == 0
@@ -868,6 +867,35 @@ class TestPacedWake:
             "drill"), delay=0.3)
         assert reply == (204, None)
         assert elapsed < 0.25
+
+    def test_each_boundary_serves_once(self, tmp_path, scenario_dir):
+        # no client: every wait runs out, and the event runs with no second
+        # serve after it
+        runner = paced(tmp_path, scenario_dir)
+        events = record_events(runner)
+        serves = []
+        start_servers, stop_servers = runner._start_servers, runner._stop_servers
+
+        def counting_start():
+            start_servers()
+            serve = runner._front_ends.serve
+
+            def counting(timeout):
+                serves.append(timeout)
+                return serve(timeout)
+
+            runner._front_ends.serve = counting
+
+        def counting_stop():
+            serves.append("stop")
+            stop_servers()
+
+        runner._start_servers, runner._stop_servers = counting_start, counting_stop
+        runner.run()
+        assert runner.artifacts.completed
+        boundaries = len({t for t, _ in events})
+        in_loop = serves[:serves.index("stop")]
+        assert 0 < len(in_loop) <= boundaries
 
     def test_waking_never_runs_an_event_early(self, tmp_path, scenario_dir):
         runner = paced(tmp_path, scenario_dir)
