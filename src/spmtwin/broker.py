@@ -2,8 +2,13 @@
 
 Holds the latest reported state of every thing (thing -> features ->
 properties), serves scalar property reads/writes, and calls back each
-matching subscriber with every change event, in revision order, under the
-broker's one re-entrant lock. A request is a :class:`BrokerRequest`
+matching subscriber with every change event, in revision order. The broker's
+one re-entrant lock orders the writes: a write and the delivery of its
+events hold it, so writers on several threads give each thing gap-free
+revisions and each subscriber its events in revision order. A read takes no
+lock. It is one chain of dict and attribute lookups, a write replaces each
+value whole, and each lookup is atomic in CPython, so a read sees a value
+some write made. A request is a :class:`BrokerRequest`
 ``(method, thing, feature, prop, body)``, and a reply ``{status, body}``; a
 ``GET`` with no ``thing`` lists the things. Only the HTTP
 routes of :func:`http_routes` read ``/api/2/things`` paths: they answer an
@@ -56,8 +61,7 @@ class BrokerRequest(NamedTuple):
     body: object = None
 
 
-@dataclass(frozen=True)
-class ChangeEvent:
+class ChangeEvent(NamedTuple):
     thing_id: str
     feature: str
     prop: str
@@ -97,9 +101,11 @@ class Subscription:
 
 
 class Broker:
-    """In-memory latest-state store. One re-entrant lock guards the things
+    """In-memory latest-state store. One re-entrant lock orders the writes
     and the delivery of their events, so a subscriber sees each thing's
-    revisions gap-free and in order, and its callback may read any thing."""
+    revisions gap-free and in order, and its callback may read or write any
+    thing. A read takes no lock: a value it returns is one that some write
+    stored, and the revisions a reader sees of a thing never go down."""
 
     def __init__(self, time_fn: Callable[[], float] = lambda: 0.0):
         self._lock = threading.RLock()
@@ -131,7 +137,8 @@ class Broker:
             return sorted(self._things)
 
     def _thing(self, thing_id: str) -> ThingState:
-        """The thing's state; the caller holds the lock."""
+        """The thing's state. Things are only added, so no lock is needed
+        to find one."""
         try:
             return self._things[thing_id]
         except KeyError:
@@ -141,7 +148,11 @@ class Broker:
 
     def put_property(self, thing_id: str, feature: str, prop: str, value: Scalar) -> int:
         _check_scalar(thing_id, feature, prop, value)
-        with self._lock:
+        # acquire/release, not `with`: a write is the broker's hot path, and
+        # `with` costs about twice as much per call on CPython 3.11
+        lock = self._lock
+        lock.acquire()
+        try:
             thing = self._thing(thing_id)
             props = thing.features.setdefault(feature, {})
             old = props.get(prop)
@@ -157,17 +168,17 @@ class Broker:
                                             thing.revision, thing.last_modified)
                     sub._offer(event)
             return thing.revision
+        finally:
+            lock.release()
 
     def get_property(self, thing_id: str, feature: str, prop: str) -> Scalar:
-        with self._lock:
-            try:
-                return self._thing(thing_id).features[feature][prop]
-            except KeyError:
-                raise NotFound(f"unknown path {thing_id}/{feature}/{prop}") from None
+        try:
+            return self._thing(thing_id).features[feature][prop]
+        except KeyError:
+            raise NotFound(f"unknown path {thing_id}/{feature}/{prop}") from None
 
     def revision(self, thing_id: str) -> int:
-        with self._lock:
-            return self._thing(thing_id).revision
+        return self._thing(thing_id).revision
 
     def subscribe(self, path_filter: str,
                   callback: Callable[[ChangeEvent], None]) -> Subscription:

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: ``validate`` checks a scenario file, ``run`` executes it on the
-accelerated clock and writes artifacts (``--no-pace`` runs it as fast as the
-host allows), ``inject`` posts an operator command to a live run's
-management API.
+Subcommands: ``validate`` checks a scenario file and the rows of the data
+files it names, ``run`` executes it on the accelerated clock and writes
+artifacts (``--no-pace`` runs it as fast as the host allows), ``inject``
+posts an operator command to a live run's management API.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 runtime abort,
 130 interrupted (Ctrl-C; a run finishes its artifacts first).
@@ -16,7 +16,7 @@ import json
 import logging
 import sys
 
-from .runner import RunAbort, Runner, StartupError
+from .runner import RunAbort, Runner, StartupError, read_data_files
 from .scenario import ScenarioError, load_scenario, validate_scenario
 from .simcore import ConfigurationError
 
@@ -82,6 +82,7 @@ def _load(path: str, args) -> "object":
 
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
+    read_data_files(scenario)     # a bad row fails here as it would fail a run
     print(f"{args.scenario}: OK ({scenario.name}, "
           f"{len(scenario.things)} things, {len(scenario.cabinets)} cabinets, "
           f"duration {scenario.duration_s:.0f}s)")

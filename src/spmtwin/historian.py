@@ -20,8 +20,8 @@ run without an output directory writes the rows to ``os.devnull``. A
 historian on its own keeps a list of ``(t, xid, value)``.
 
 :func:`http_routes` is its HTTP API as a table of routes: ``getAll`` and
-``latest`` are read directly, on the thread that serves HTTP, and a command
-goes to a hook.
+``latest`` are read directly, on the run loop's thread, which serves HTTP
+between two instants, and a command goes to a hook.
 """
 
 from __future__ import annotations

@@ -23,24 +23,31 @@ and so always ran contiguously, in registration order, at each
 
 Cabinet sampling and PLC scanning are change-driven. A cabinet's inputs are
 its building's client loads, which change only at a spawn, a retire or a trip
-change (each moves ``ClientPopulation.version``), and its master coil; a
-sample whose ``(version, master coil)`` equals that of the building's last
-sample would write the same consumption, so it is skipped. A sample that does
-run asks for a PLC scan only if it wrote a consumption other than the one the
-building's last scan read. Skipping is exact: a scan of unchanged inputs gives
-the trip coil it already holds (``coil or cons > maxcons`` twice is ``coil``
-once), ``on_trip``/``on_reset`` fire only on a change of that coil, and every
-other change of a cabinet's registers, a Modbus coil or register write, asks
-for its own scan. The loads are summed in the same order either way, so the
-artifacts are the same bytes as with a sample and a scan every period.
+change (each moves ``ClientPopulation.version``), and its master coil, which
+changes only by a Modbus write. Each of these marks the building, and every
+building starts marked. The cabinet phase has one member per sample period,
+which walks that period's buildings in registration order and checks only
+the marked ones, unmarking each. A sample whose ``(version, master coil)``
+equals that of the building's last sample would write the same consumption,
+so it is skipped; a building that is not marked has not moved either, so
+the samples that run are the ones a check of every building would run. A
+sample that does run asks for a PLC scan only if it wrote a consumption
+other than the one the building's last scan read. Skipping is exact: a scan
+of unchanged inputs gives the trip coil it already holds (``coil or cons >
+maxcons`` twice is ``coil`` once), ``on_trip``/``on_reset`` fire only on a
+change of that coil, and every other change of a cabinet's registers, a
+Modbus coil or register write, asks for its own scan. The loads are summed
+in the same order either way, so the artifacts are the same bytes as with a
+sample and a scan every period.
 
 One thread owns the plant: the thread that calls :meth:`Runner.run` is the
 only one that touches the fabric, the devices, the register files and the
-historian's registry, none of which takes a lock, and a run starts no other
-thread. It serves the HTTP servers, two ``JsonHttpServer``s over the
-broker's and the historian's route tables, between two instants, never
-between two phases of one instant. The routes that change the plant make
-fabric deliveries from the management node: :meth:`Runner.inject` for
+historian's registry, and a run starts no other thread. None of these takes
+a lock; only the broker's writes take one, for callers on other threads.
+The loop serves the HTTP servers, two ``JsonHttpServer``s over the broker's
+and the historian's route tables, between two instants, never between two
+phases of one instant. The routes that change the plant make fabric
+deliveries from the management node: :meth:`Runner.inject` for
 operator commands to the historian, :meth:`Runner.serve_broker_request` for
 requests to the broker. Each makes its delivery at once and returns the
 reply, so a request is made on the loop's thread while it is served, with
@@ -107,6 +114,7 @@ from .historian import (
     Historian,
     HistorianError,
     ModbusSource,
+    NoData,
     SampleSink,
     format_value,
     http_routes as historian_routes,
@@ -119,6 +127,7 @@ from .scenario import (
     Scenario,
 )
 from .simcore import (
+    InterpolationTable,
     SimClock,
     load_radiance_csv,
     year_seconds,
@@ -249,6 +258,17 @@ class RunArtifacts:
                          + "\n")
 
 
+def read_data_files(s: Scenario) -> tuple[dict[str, InterpolationTable],
+                                          list[tuple[float, float]]]:
+    """The rows a run of ``s`` reads from its data files: each interpolation
+    thing's radiance table by thing name, and the turnout schedule's
+    anchors. A bad row raises ``ConfigurationError`` naming ``path:line``."""
+    radiance = {
+        spec.name: load_radiance_csv(s.path(spec.source_csv), mode=spec.mode)
+        for spec in s.things if isinstance(spec, InterpolationThingSpec)}
+    return radiance, occupancy.load_schedule_csv(s.path(s.turnout.schedule_csv))
+
+
 class Runner:
     """Owns the clock, the fabric, and every service of one scenario run."""
 
@@ -305,9 +325,7 @@ class Runner:
         specs = {t.name: t for t in s.things}
         self._features = {name: spec.feature for name, spec in specs.items()}
         # read before any callback thing, wherever the file lists them
-        radiance_tables = {
-            spec.name: load_radiance_csv(s.path(spec.source_csv), mode=spec.mode)
-            for spec in s.things if isinstance(spec, InterpolationThingSpec)}
+        radiance_tables, schedule = read_data_files(s)
         self._charge_kw = self._discharge_kw = 0.0
         for spec in s.things:
             if isinstance(spec, InterpolationThingSpec):
@@ -343,8 +361,8 @@ class Runner:
             building = cab.building
             plc = TripPlc(
                 scan_period_s=cab.plc_scan_period_s,
-                on_trip=lambda b=building: self.population.set_building_tripped(b, True),
-                on_reset=lambda b=building: self.population.set_building_tripped(b, False),
+                on_trip=partial(self._set_tripped, building, True),
+                on_reset=partial(self._set_tripped, building, False),
             )
             self.cabinets[building] = cabinet
             self.plcs[building] = plc
@@ -372,8 +390,7 @@ class Runner:
                         self._dispatch_command(n, ev))
 
         # occupancy
-        model = s.turnout.model(
-            occupancy.load_schedule_csv(s.path(s.turnout.schedule_csv)))
+        model = s.turnout.model(schedule)
         self.population = occupancy.ClientPopulation(
             model, [c.building for c in s.cabinets] or ["campus"], self.rng)
 
@@ -394,6 +411,9 @@ class Runner:
         # scan instant -> its buildings, in the order their scans were asked
         # for (dict keys: a repeated request is a no-op)
         self._scans_due: dict[float, dict[str, None]] = {}
+        # the buildings whose sample inputs may have moved since their last
+        # check, at first all of them
+        self._marked: set[str] = set(self.cabinets)
         # building -> (population version, master coil) at its last sample
         self._sampled: dict[str, tuple[int, bool]] = {}
         # building -> the consumption its last PLC scan read
@@ -425,14 +445,24 @@ class Runner:
                 derive=lambda h, c=ctl: c.power_kw()))
         on_broker("DP_turnout", "Campus turnout (persons)", TURNOUT_THING,
                   "campus", "persons")
-        xids = tuple(f"DP_{cab.building}_consumption" for cab in s.cabinets)
-        for xid, cab in zip(xids, s.cabinets):
-            self.historian.register(Datapoint(
-                xid, f"Building {cab.building} consumption (W)", ModbusSource(
-                    cab.node, cab.unit_id, "input", CONSUMPTION_REGISTER)))
+        cabinet_points = [self.historian.register(Datapoint(
+            f"DP_{cab.building}_consumption",
+            f"Building {cab.building} consumption (W)", ModbusSource(
+                cab.node, cab.unit_id, "input", CONSUMPTION_REGISTER)))
+            for cab in s.cabinets]
+
+        def campus_kw(h: Historian) -> float:
+            # a left-to-right fold, not sum(): see simcore._dot
+            total = 0.0
+            for dp in cabinet_points:
+                if dp.latest is None:
+                    raise NoData(f"{dp.xid!r} has no samples yet")
+                total += dp.latest[1]
+            return total / 1000.0
+
         self.historian.register(Datapoint(
             "DP_campus_consumption", "Campus consumption (kW)", source=None,
-            derive=lambda h: sum(h.get_latest(x)[1] for x in xids) / 1000.0))
+            derive=campus_kw))
 
     # ── fabric-routed transport ───────────────────────────────────────
 
@@ -442,6 +472,7 @@ class Runner:
         # serve_frame_bytes decoded and validated the frame: byte 7 is its
         # function code
         if data[7] in (modbus.WRITE_COIL, modbus.WRITE_REGISTER):
+            self._marked.add(building)
             self._schedule_plc_scan(building, self.clock.now())
         return response
 
@@ -567,9 +598,27 @@ class Runner:
     def _task_occupancy(self, t: float) -> None:
         persons = occupancy.turnout_at(self.population.model,
                                        self._week_offset_h + t / 3600.0)
-        self.population.sync(persons)
+        diff = self.population.sync(persons)
+        # a spawn or a retire moves its building's loads
+        self._marked.update(c.cabinet for c in diff.spawned)
+        self._marked.update(c.cabinet for c in diff.retired)
         self.broker.put_property(TURNOUT_THING, "campus", "persons",
                                  float(persons))
+
+    def _set_tripped(self, building: str, tripped: bool) -> None:
+        """A PLC's trip or reset: the building's clients stop or resume
+        their load."""
+        self.population.set_building_tripped(building, tripped)
+        self._marked.add(building)
+
+    def _task_cabinets(self, buildings: tuple[str, ...], t: float) -> None:
+        """Check each of ``buildings`` marked since its last check, in the
+        order given."""
+        marked = self._marked
+        for building in buildings:
+            if building in marked:
+                marked.remove(building)
+                self._task_cabinet_sample(building, t)
 
     def _task_cabinet_sample(self, building: str, t: float) -> None:
         cabinet = self.cabinets[building]
@@ -791,9 +840,12 @@ class Runner:
             except OSError as exc:
                 raise StartupError(f"cannot write artifacts: {exc}") from exc
             tasks = [(s.turnout.period_s, PHASE_OCCUPANCY, self._task_occupancy)]
-            tasks += [(cab.sample_period_s, PHASE_CABINET,
-                       partial(self._task_cabinet_sample, cab.building))
-                      for cab in s.cabinets]
+            by_period: dict[float, list[str]] = {}
+            for cab in s.cabinets:
+                by_period.setdefault(cab.sample_period_s, []).append(cab.building)
+            tasks += [(period, PHASE_CABINET,
+                       partial(self._task_cabinets, tuple(buildings)))
+                      for period, buildings in by_period.items()]
             tasks += [(ctrl.publish_period_s, PHASE_CONTROLLER,
                        partial(self._task_controller, ctrl.thing, ctrl.node,
                                ctrl.publish_period_s))

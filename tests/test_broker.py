@@ -1,5 +1,6 @@
 import http.client
 import json
+import sys
 import threading
 import urllib.request
 
@@ -217,6 +218,60 @@ class TestConcurrency:
             assert [e.revision for e in mine] == list(range(1, 1001))
             assert [(e.old, e.new) for e in mine] \
                 == [(i - 1, i) for i in range(1000)]
+
+    def test_4_readers_see_only_written_values_and_rising_revisions(self):
+        broker = Broker()
+        broker.create_thing("FDT:hot", {"f": {"p": -1}})
+        written = {-1} | set(range(16000))
+        done = threading.Event()
+        # per reader: reads made, values never written, revisions that fell,
+        # and the revision of its last read
+        results = [{"reads": 0, "foreign": [], "fell": [], "last": None}
+                   for _ in range(4)]
+
+        def writer(worker: int):
+            for i in range(1000):
+                broker.put_property("FDT:hot", "f", "p", worker * 1000 + i)
+
+        def reader(out: dict):
+            previous = 0
+            while True:
+                last = done.is_set()
+                value = broker.get_property("FDT:hot", "f", "p")
+                revision = broker.revision("FDT:hot")
+                out["reads"] += 1
+                if value not in written:
+                    out["foreign"].append(value)
+                if revision < previous:
+                    out["fell"].append((previous, revision))
+                previous = revision
+                if last:
+                    out["last"] = revision
+                    return
+
+        readers = [threading.Thread(target=reader, args=(out,))
+                   for out in results]
+        writers = [threading.Thread(target=writer, args=(w,)) for w in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # so reads land between more writes
+        try:
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=30)
+            done.set()
+            for t in readers:
+                t.join(timeout=30)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+
+        assert not any(t.is_alive() for t in readers + writers)
+        assert broker.revision("FDT:hot") == 16000
+        for out in results:
+            assert out["reads"] > 1
+            assert out["foreign"] == [] and out["fell"] == []
+            assert out["last"] == 16000     # read after every write
 
 
 class TestRequestHandler:

@@ -1,4 +1,6 @@
+import collections
 import csv
+import functools
 import http.client
 import json
 import logging
@@ -22,6 +24,7 @@ from spmtwin.cli import (EXIT_INTERRUPTED, EXIT_INVALID, EXIT_OK,
 from spmtwin.devices import CONSUMPTION_REGISTER, TRIP_COIL
 from spmtwin.historian import BUFFER_ROWS, CommandFailure, NoData
 from spmtwin.runner import (
+    PHASE_CABINET,
     PHASE_EMS,
     PHASE_PLC,
     SUMMARY_HEADER,
@@ -1078,13 +1081,14 @@ class TestModbusPolls:
 
 class EverySampleRunner(Runner):
     """The sampling that change-driven sampling replaced, kept as the
-    oracle: every sample sums its building's loads and asks for a PLC
-    scan."""
+    oracle: every period samples each of its buildings, marked or not, and
+    every sample sums its building's loads and asks for a PLC scan."""
 
-    def _task_cabinet_sample(self, building, t):
-        self.cabinets[building].sample(
-            self.population.building_loads_w(building))
-        self._schedule_plc_scan(building, t)
+    def _task_cabinets(self, buildings, t):
+        for building in buildings:
+            self.cabinets[building].sample(
+                self.population.building_loads_w(building))
+            self._schedule_plc_scan(building, t)
 
 
 class PerTaskRunner(EverySampleRunner):
@@ -1094,7 +1098,12 @@ class PerTaskRunner(EverySampleRunner):
 
     def _schedule_periodic(self, tasks):
         for period, phase, fn in tasks:
-            self._schedule_task(period, phase, fn)
+            if phase == PHASE_CABINET:     # one task per cabinet
+                for building in fn.args[0]:
+                    self._schedule_task(period, phase, functools.partial(
+                        self._task_cabinets, (building,)))
+            else:
+                self._schedule_task(period, phase, fn)
 
     def _schedule_task(self, period, phase, fn):
         def wrapper(t):
@@ -1297,6 +1306,78 @@ class TestChangeDrivenSampling:
         assert [e[1:] for e in runner.callbacks if 1000 < e[0] < 1010] == [
             ("on_reset", "a"), ("on_trip", "a")]
         assert 10 * len(runner.calls) < len(oracle.calls)
+
+    # on sixty buildings nothing trips by load, so the PLC of b031 is
+    # tripped and reset by hand
+    CAMPUS_COMMANDS = [
+        (600.0, "modbus:cab-007/coil/101", False),  # master off ...
+        (900.0, "modbus:cab-007/coil/101", True),   # ... and on again
+        (1200.0, "modbus:cab-031/coil/100", True),  # a trip by hand ...
+        (1500.0, "modbus:cab-031/coil/100", False),  # ... and its reset
+        (1800.0, "modbus:cab-059/coil/101", True),  # a redundant master on
+    ]
+
+    def test_sixty_buildings_check_only_the_marked_ones(self, tmp_path,
+                                                        scenario_dir):
+        # all clients spawn at the first sync, and from 14:00 they retire
+        path = customized(tmp_path, scenario_dir, mutate=campus(60),
+                          duration_s=3600, start_time="2016-06-06T13:30:00")
+        runner = effects_run(MarkRecordingRunner, path, tmp_path / "marked",
+                             self.CAMPUS_COMMANDS)
+        oracle = effects_run(EverySampleRunner, path, tmp_path / "oracle",
+                             self.CAMPUS_COMMANDS)
+        assert_same_effects(runner, oracle)
+        assert runner.replies == [{"ok": True, "target": target}
+                                  for _, target, _ in self.CAMPUS_COMMANDS]
+        assert [e[1:] for e in runner.callbacks] == [("on_trip", "b031"),
+                                                     ("on_reset", "b031")]
+        polls = [(t, cons) for t, b, cons, _ in runner.polls if b == "b007"]
+        assert all(cons == 0 for t, cons in polls if 610 <= t <= 900)
+        # each building is checked only when marked since its last check,
+        # at most once an instant, and every mark is checked by the next
+        # sample period
+        pending = set()
+        for kind, t, building in runner.log:
+            if kind == "mark":
+                pending.add(building)
+            else:
+                assert building in pending
+                pending.remove(building)
+        assert all(t > 3600 - 10.0 for kind, t, b in runner.log
+                   if kind == "mark" and b in pending)
+        checks = [(t, b) for kind, t, b in runner.log if kind == "check"]
+        assert len(set(checks)) == len(checks)
+        # far fewer than 60 checks an instant: all 60 at the first only
+        per_instant = collections.Counter(t for t, _ in checks)
+        assert per_instant[10.0] == 60
+        assert 20 * len(checks) < 60 * 360
+        assert 10 * len(runner.calls) < len(oracle.calls)
+
+
+class MarkRecordingRunner(Runner):
+    """Keeps, in ``log``, each mark as ``("mark", t, building)`` and each
+    check of a marked building as ``("check", t, building)``, in the order
+    they were made."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        log = self.log = [("mark", 0.0, b) for b in self._marked]
+        now = self.clock.now
+
+        class Recording(set):
+            def add(self, building):
+                log.append(("mark", now(), building))
+                super().add(building)
+
+            def update(self, buildings):
+                for building in buildings:
+                    self.add(building)
+
+        self._marked = Recording(self._marked)
+
+    def _task_cabinet_sample(self, building, t):
+        self.log.append(("check", t, building))
+        super()._task_cabinet_sample(building, t)
 
 
 class TestStreamedArtifacts:
@@ -1625,16 +1706,16 @@ class TestCli:
         lines[100] = b"2016-01-05T03:00:00;0.0"        # line 101
         radiance.write_bytes(b"\r\n".join(lines))
         scenario = str(tmp_path / "scenarios" / "spm.json")
-        # the file exists, so the scenario validates: the run reads its rows
-        assert main(["validate", scenario]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["run", scenario, "--no-pace", "--duration", "3600",
-                     "--quiet"]) == EXIT_INVALID
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"scenario error: {radiance}:101: "
-                              f"'2016-01-05T03:00:00;0.0' ")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        # validate reads the rows the run reads, and refuses the same line
+        for verb in (["validate", scenario],
+                     ["run", scenario, "--no-pace", "--duration", "3600",
+                      "--quiet"]):
+            assert main(verb) == EXIT_INVALID
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"scenario error: {radiance}:101: "
+                                  f"'2016-01-05T03:00:00;0.0' ")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_a_radiance_byte_that_is_not_utf8_is_a_scenario_error(
             self, tmp_path, scenario_dir, capsys):
@@ -1659,15 +1740,15 @@ class TestCli:
         lines[4] = b"0;8;400.0"                         # line 5
         schedule.write_bytes(b"\r\n".join(lines))
         scenario = str(tmp_path / "scenarios" / "spm.json")
-        # the file exists, so the scenario validates: the run reads its rows
-        assert main(["validate", scenario]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["run", scenario, "--no-pace", "--duration", "3600",
-                     "--quiet"]) == EXIT_INVALID
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"scenario error: {schedule}:5: '0;8;400.0'")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        # validate reads the rows the run reads, and refuses the same line
+        for verb in (["validate", scenario],
+                     ["run", scenario, "--no-pace", "--duration", "3600",
+                      "--quiet"]):
+            assert main(verb) == EXIT_INVALID
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"scenario error: {schedule}:5: '0;8;400.0'")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_quiet_run_prints_nothing(self, scenario_path, capsys):
         assert main(["run", scenario_path, "--duration", "300", "--no-pace",
