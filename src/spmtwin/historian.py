@@ -2,14 +2,23 @@
 
 Polls Modbus registers and broker properties into one sample log, exposes
 the datapoint API the EMS consumes (getAll / latest), and issues operator or
-EMS commands back to the field. The read and write functions are injected;
-the runner binds them to the fabric, and :meth:`Historian.register` binds
-each point to its read once, so a poll makes no choice of source.
+EMS commands back to the field. The transport is injected: a broker read, a
+binder that prepares one Modbus point's read, and the two writes; the runner
+binds them to the fabric. :meth:`Historian.register` binds each point to its
+read once, so a poll makes no choice of source and builds no request.
 
-A command's target is prepared the same way: :meth:`Historian.issue_command`
-parses it into a writer, a call of the injected write function with the
-target's fields bound, and keeps that writer once a write through it has
-succeeded, for at most :data:`MAX_TARGETS` targets. A target repeated, as
+A poll instant is two passes, one per phase: :meth:`Historian.poll_sourced`
+polls every sourced point, host by host in the order the hosts were first
+registered and each host's points in registration order, and
+:meth:`Historian.poll_derived` then polls the derived points. Each pass, and
+:meth:`Historian.poll_host` for one host, calls :meth:`Historian.poll` once
+per point.
+
+A command's target is prepared like a point's read:
+:meth:`Historian.issue_command` parses it into a writer, a call of the
+injected write function with the target's fields bound, and keeps that
+writer once a write through it has succeeded, for at most
+:data:`MAX_TARGETS` targets. A target repeated, as
 the EMS's and an operator's are, is then one lookup and one write; a target
 that is malformed, or whose write failed, is parsed again the next time.
 
@@ -30,7 +39,8 @@ import json
 import logging
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable
 
 log = logging.getLogger(__name__)
 
@@ -82,32 +92,26 @@ class Datapoint:
     # the point's source read, bound by Historian.register
     read: Callable[[], object] | None = field(default=None, repr=False)
 
-    def append(self, t: float, value: float) -> None:
-        if self.latest is not None and t <= self.latest[0]:
-            raise HistorianError(
-                f"{self.xid}: non-increasing sample timestamp {t}"
-            )
-        self.latest = (t, value)
-
 
 class Historian:
     def __init__(
         self,
         read_broker: Callable[[str, str, str], object],
-        read_modbus: Callable[[str, int, str, int], int],
+        bind_modbus: Callable[[str, int, str, int], Callable[[], int]],
         write_broker: Callable[[str, str, str, object], None],
         write_modbus_coil: Callable[[str, int, int, bool], None],
     ):
         self._read_broker = read_broker
-        self._read_modbus = read_modbus
+        # (host, unit, table, address) -> the read of that one point
+        self._bind_modbus = bind_modbus
         self._write_broker = write_broker
         self._write_modbus_coil = write_modbus_coil
         self._points: dict[str, Datapoint] = {}
         # command target -> its writer, once a write through it succeeded
         self._writers: dict[str, Callable[[object], None]] = {}
         self._order: list[str] = []
-        # each poller's points in registration order, so a poll walks only
-        # its own: sourced points by host, derived points in one list
+        # the points of each pass in registration order: sourced points by
+        # host, hosts in first-registration order, derived points in one list
         self._by_host: dict[str, list[Datapoint]] = {}
         self._derived: list[Datapoint] = []
         # the one sample store, (t, xid, value) in poll order: a list, or,
@@ -118,9 +122,9 @@ class Historian:
 
     def register(self, dp: Datapoint) -> Datapoint:
         """Add a point and bind its read: its ``derive``, else a read of its
-        broker or Modbus source. A run registers every point while it
-        builds, before its HTTP server starts, so the registry is fixed
-        while it is read."""
+        broker source, or the read the Modbus binder prepares for its
+        source. A run registers every point while it builds, before its
+        HTTP server starts, so the registry is fixed while it is read."""
         if dp.xid in self._points:
             raise HistorianError(f"duplicate xid {dp.xid!r}")
         src = dp.source
@@ -130,8 +134,8 @@ class Historian:
             dp.read = partial(self._read_broker, src.thing, src.feature,
                               src.prop)
         elif isinstance(src, ModbusSource):
-            dp.read = partial(self._read_modbus, src.host, src.unit,
-                              src.table, src.address)
+            dp.read = self._bind_modbus(src.host, src.unit, src.table,
+                                        src.address)
         else:
             raise HistorianError(f"{dp.xid}: no source configured")
         self._points[dp.xid] = dp
@@ -166,7 +170,9 @@ class Historian:
 
     def poll(self, dp: Datapoint, now: float) -> tuple[float, float] | None:
         """Acquire one sample; a read failure records a gap, never a value.
-        A point's gap is logged once as it opens and once as it closes."""
+        A point's gap is logged once as it opens and once as it closes. A
+        sample no later than the point's latest raises
+        :class:`HistorianError`."""
         try:
             value = float(dp.read())
         except Exception as exc:  # gap, never an invented sample
@@ -179,26 +185,39 @@ class Historian:
             log.info("poll of %s back after %d failed polls", dp.xid,
                      dp.gap_polls)
             dp.gap_polls = 0
-        dp.append(now, value)
+        latest = dp.latest
+        if latest is not None and now <= latest[0]:
+            raise HistorianError(
+                f"{dp.xid}: non-increasing sample timestamp {now}")
+        dp.latest = sample = (now, value)
         self.log.append((now, dp.xid, value))
-        return (now, value)
+        return sample
+
+    def poll_sourced(self, now: float) -> int:
+        """Poll every sourced point, in one pass: the hosts in the order
+        their first point was registered, each host's points in
+        registration order. This is the poll phase of a run."""
+        return self._poll_each(chain.from_iterable(self._by_host.values()),
+                               now)
 
     def poll_host(self, host: str, now: float) -> int:
-        """Poll every point bound to ``host`` (one poller task per host), in
-        registration order. Walks only that host's points, filed by
-        :meth:`register`, never the whole point list."""
-        n = 0
-        for dp in self._by_host.get(host, ()):
-            if self.poll(dp, now) is not None:
-                n += 1
-        return n
+        """Poll every point bound to ``host``, in registration order: the
+        part of :meth:`poll_sourced` that is that host's. Walks only that
+        host's points, filed by :meth:`register`, never the whole point
+        list."""
+        return self._poll_each(self._by_host.get(host, ()), now)
 
     def poll_derived(self, now: float) -> int:
         """Poll every derived point, in registration order, from the derived
         list that :meth:`register` keeps."""
+        return self._poll_each(self._derived, now)
+
+    def _poll_each(self, points: Iterable[Datapoint], now: float) -> int:
+        """Poll each of ``points`` in turn; the number of samples taken."""
+        poll = self.poll
         n = 0
-        for dp in self._derived:
-            if self.poll(dp, now) is not None:
+        for dp in points:
+            if poll(dp, now) is not None:
                 n += 1
         return n
 

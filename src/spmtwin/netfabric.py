@@ -3,7 +3,9 @@
 Segments plus prioritized firewall rules decide who may talk to whom; every
 cross-module message goes through :meth:`Fabric.deliver`, which enforces the
 policy and counts blocked traffic per segment pair. Return traffic of an
-allowed connection is allowed statefully.
+allowed connection is allowed statefully. Every blocked delivery is counted,
+but a ``(src, dst)`` pair is logged once as its blocking starts and once as a
+delivery on it is next allowed, so the log is bounded by the plant's pairs.
 
 A delivery is routed once: the first allowed delivery on a
 ``(src, dst, service)`` keeps that route to the destination's handler, and
@@ -110,6 +112,8 @@ class Fabric:
         # blocked deliveries per (src segment, dst segment): bounded by the
         # segment pairs however long the run
         self.blocked_by_segment: Counter[tuple[str, str]] = Counter()
+        # (src, dst) -> deliveries blocked on it since its blocking started
+        self._blocked_pairs: dict[tuple[str, str], int] = {}
 
     # ── topology ──────────────────────────────────────────────────────
 
@@ -124,6 +128,8 @@ class Fabric:
         }
         self._routes = {route: fn for route, fn in self._routes.items()
                         if node_id not in route[:2]}
+        self._blocked_pairs = {pair: n for pair, n in self._blocked_pairs.items()
+                               if node_id not in pair}
         return node
 
     def node(self, node_id: str) -> Node:
@@ -151,6 +157,10 @@ class Fabric:
             self._note_blocked(src_id, dst_id)
             raise Blocked(src_id, dst_id)
         self._established.add((src_id, dst_id))
+        blocked = self._blocked_pairs.pop((src_id, dst_id), 0)
+        if blocked:
+            log.info("delivery %s -> %s allowed after %d blocked", src_id,
+                     dst_id, blocked)
 
     def deliver(self, src_id: str, dst_id: str, service: str, payload: Any) -> Any:
         """Route ``payload`` to the destination handler; returns its response.
@@ -178,5 +188,9 @@ class Fabric:
         src, dst = self.node(src_id), self.node(dst_id)
         self.blocked_count += 1
         self.blocked_by_segment[src.segment, dst.segment] += 1
-        log.warning("blocked delivery %s (%s) -> %s (%s)",
-                    src_id, src.segment, dst_id, dst.segment)
+        pair = (src_id, dst_id)
+        blocked = self._blocked_pairs.get(pair, 0)
+        if not blocked:
+            log.warning("blocked delivery %s (%s) -> %s (%s)",
+                        src_id, src.segment, dst_id, dst.segment)
+        self._blocked_pairs[pair] = blocked + 1

@@ -64,10 +64,11 @@ are added up tick by tick, so memory does not grow with the run's length.
 has :meth:`RunArtifacts.export` close the sinks and write ``summary.csv``,
 whether the run is done, aborted by a failed task or interrupted.
 
-Each Modbus read the historian polls is prepared once: its request bytes,
-and the 9-byte header a reply to it starts with when it carries the one
-register asked for. Every poll sends those bytes through the fabric, and a
-reply of 11 bytes that starts with that header is read with one unpack; any
+Each Modbus point the historian polls is bound to its read once, when it is
+registered (:meth:`Runner._bind_modbus`): its request bytes, and the 9-byte
+header a reply to it starts with when it carries the one register asked
+for. Every poll sends those bytes through the fabric, and a reply of 11
+bytes that starts with that header is read from its last two bytes; any
 other reply is decoded and parsed in full, exceptions included. A single-coil
 write is done when its reply echoes the request, as the specification says a
 successful one does; any other reply is decoded and checked. Its bytes are
@@ -147,6 +148,8 @@ PHASE_EMS = 6
 
 READ_FUNCTIONS = {"input": modbus.READ_INPUT, "holding": modbus.READ_HOLDING,
                   "coil": modbus.READ_COILS}
+# the function codes of a request that writes a cabinet's registers
+WRITE_FUNCTIONS = frozenset((modbus.WRITE_COIL, modbus.WRITE_REGISTER))
 
 # summary.csv's per-day sums, each of an EmsTickRecord field times the hours
 # one record covers
@@ -286,7 +289,8 @@ class Runner:
         self._servers: list = []
         self._front_ends: FrontEnds | None = None    # while the servers listen
         # (unit, table, address) -> (request bytes, the reply header of a
-        # register read; None for a coil)
+        # register read; None for a coil): one encoding for every point that
+        # reads that register, whatever its host
         self._read_requests: dict[tuple[int, str, int],
                                   tuple[bytes, bytes | None]] = {}
         # (unit, address, on) -> the bytes of a coil write a device has
@@ -397,7 +401,7 @@ class Runner:
         # historian
         self.historian = Historian(
             read_broker=self._read_broker,
-            read_modbus=self._read_modbus,
+            bind_modbus=self._bind_modbus,
             write_broker=self._write_broker,
             write_modbus_coil=self._write_modbus_coil,
         )
@@ -471,7 +475,7 @@ class Runner:
         response = modbus.serve_frame_bytes(cabinet.register_file, data)
         # serve_frame_bytes decoded and validated the frame: byte 7 is its
         # function code
-        if data[7] in (modbus.WRITE_COIL, modbus.WRITE_REGISTER):
+        if data[7] in WRITE_FUNCTIONS:
             self._marked.add(building)
             self._schedule_plc_scan(building, self.clock.now())
         return response
@@ -504,7 +508,11 @@ class Runner:
         if result["status"] not in (200, 204):
             raise CommandFailure(f"broker write failed: {result}")
 
-    def _read_modbus(self, host: str, unit: int, table: str, address: int) -> int:
+    def _bind_modbus(self, host: str, unit: int, table: str,
+                     address: int) -> Callable[[], int]:
+        """The read of one Modbus point, a :meth:`_read_modbus` with the
+        point's request bytes and reply header bound. Called once per point,
+        when the historian registers it."""
         key = (unit, table, address)
         prepared = self._read_requests.get(key)
         if prepared is None:
@@ -514,13 +522,19 @@ class Runner:
             header = (None if fc == modbus.READ_COILS
                       else modbus.read_reply_header(1, unit, fc))
             prepared = self._read_requests[key] = (request, header)
-        request, header = prepared
+        return partial(self._read_modbus, host, *prepared)
+
+    def _read_modbus(self, host: str, request: bytes,
+                     header: bytes | None) -> int:
+        """Send a read of one point to ``host`` and return its value.
+        ``header`` is what a reply carrying the one register starts with,
+        ``None`` for a coil."""
         raw = self.fabric.deliver(
             self.scenario.historian_node, host, "modbus", request)
         if len(raw) == 11 and raw[:9] == header:
-            return modbus.U16.unpack_from(raw, 9)[0]
+            return raw[9] << 8 | raw[10]      # the register, big-endian
         frame, _ = modbus.decode_frame(raw)
-        if table == "coil":
+        if header is None:
             return int(modbus.parse_read_coils_response(frame.pdu, 1)[0])
         return modbus.parse_read_registers_response(frame.pdu)[0]
 
@@ -850,10 +864,8 @@ class Runner:
                        partial(self._task_controller, ctrl.thing, ctrl.node,
                                ctrl.publish_period_s))
                       for ctrl in s.controllers]
-            tasks += [(s.poll_period_s, PHASE_POLL,
-                       partial(self.historian.poll_host, host))
-                      for host in self.historian.hosts]
-            tasks += [(s.poll_period_s, PHASE_DERIVED, self.historian.poll_derived),
+            tasks += [(s.poll_period_s, PHASE_POLL, self.historian.poll_sourced),
+                      (s.poll_period_s, PHASE_DERIVED, self.historian.poll_derived),
                       (s.ems.timer_period_s, PHASE_EMS, self._task_ems)]
             self._schedule_periodic(tasks)
             if on_listening is not None:

@@ -41,8 +41,8 @@ class FakePlant:
             raise ConnectionError("unreachable")
         return self.broker[(thing, feature, prop)]
 
-    def read_modbus(self, host, unit, table, address):
-        return self.registers[(host, unit, table, address)]
+    def bind_modbus(self, host, unit, table, address):
+        return lambda: self.registers[(host, unit, table, address)]
 
     def write_broker(self, thing, feature, prop, value):
         self.writes.append(("broker", thing, feature, prop, value))
@@ -56,7 +56,7 @@ class FakePlant:
 def make() -> tuple[Historian, FakePlant]:
     plant = FakePlant()
     hist = Historian(read_broker=plant.read_broker,
-                     read_modbus=plant.read_modbus,
+                     bind_modbus=plant.bind_modbus,
                      write_broker=plant.write_broker,
                      write_modbus_coil=plant.write_coil)
     hist.register(Datapoint(
@@ -156,10 +156,14 @@ class TestPolling:
 
     def test_timestamps_must_increase(self):
         hist, _ = make()
-        hist.poll(hist.point("DP_solar_power"), 10.0)
         dp = hist.point("DP_solar_power")
-        with pytest.raises(Exception):
-            dp.append(10.0, 1.0)
+        hist.poll(dp, 10.0)
+        for t in (10.0, 9.0):
+            with pytest.raises(HistorianError,
+                               match="non-increasing sample timestamp"):
+                hist.poll(dp, t)
+        assert dp.latest == (10.0, 500.0)
+        assert hist.log == [(10.0, "DP_solar_power", 500.0)]
 
     def test_poll_host_logs_its_points_in_registration_order(self):
         hist, plant = make()
@@ -191,6 +195,55 @@ class TestPolling:
         assert hist.log[-3:] == [(20.0, "DP_a_consumption", 1500.0),
                                  (20.0, "DP_late", 7.0),
                                  (20.0, "DP_late_kw", 7.0)]
+
+    @pytest.mark.parametrize("to_file", [False, True],
+                             ids=["list", "SampleSink"])
+    def test_one_pass_logs_what_a_poll_of_each_host_logs(self, tmp_path,
+                                                         to_file):
+        def polled(name, poll_instant):
+            plant = FakePlant()
+            hist = Historian(plant.read_broker, plant.bind_modbus,
+                             plant.write_broker, plant.write_coil)
+            # hosts interleaved: cab-a, cab-b, cab-a, broker, cab-b
+            for i, (host, addr) in enumerate([
+                    ("cab-a", 100), ("cab-b", 7), ("cab-a", 101),
+                    ("broker", None), ("cab-b", 3)]):
+                if host == "broker":
+                    source = BrokerSource("FDT:solar-panel-1", "panel",
+                                          "power", host=host)
+                else:
+                    plant.registers[(host, 1, "input", addr)] = 10 * i
+                    source = ModbusSource(host, 1, "input", addr)
+                hist.register(Datapoint(xid=f"DP_{i}", name="x",
+                                        source=source))
+            assert hist.hosts == ("cab-a", "cab-b", "broker")
+            if to_file:
+                hist.log = SampleSink(str(tmp_path / name))
+            polls = []
+            poll = hist.poll
+
+            def counted(dp, now):
+                polls.append(dp.xid)
+                return poll(dp, now)
+
+            hist.poll = counted
+            for t in (10.0, 20.0):
+                assert poll_instant(hist, t) == 5
+                plant.registers[("cab-b", 1, "input", 7)] += 1
+            # Historian.poll once per point per instant
+            assert sorted(polls) == sorted([f"DP_{i}" for i in range(5)] * 2)
+            if to_file:
+                hist.log.close()
+                return (tmp_path / name).read_bytes()
+            return hist.log
+
+        one_pass = polled("one-pass.csv", Historian.poll_sourced)
+        per_host = polled("per-host.csv", lambda hist, t: sum(
+            hist.poll_host(host, t) for host in hist.hosts))
+        assert one_pass == per_host
+        if not to_file:
+            assert [xid for _, xid, _ in one_pass[:5]] == [
+                "DP_0", "DP_2", "DP_1", "DP_4", "DP_3"]
 
 
 class TestCommands:
@@ -303,7 +356,7 @@ class TestPreparedTargets:
 
     @staticmethod
     def historian(plant: FakePlant) -> Historian:
-        return Historian(plant.read_broker, plant.read_modbus,
+        return Historian(plant.read_broker, plant.bind_modbus,
                          plant.write_broker, plant.write_coil)
 
     @given(st.lists(TARGETS, min_size=1, max_size=4, unique=True).flatmap(

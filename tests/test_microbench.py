@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the hot primitives: the per-sample poll path (a
-Modbus read on the general path and on a prepared request), model stepping,
+"""Micro-benchmarks of the hot primitives: the poll path (one host's poll,
+one full poll instant, a Modbus read on the general path and on a prepared
+request), model stepping,
 seeding the generator and drawing a cluster's load, broker writes and
 reads, the EMS decision, an operator's coil and broker commands through a
 built runner, and a twin's set-up: reading the radiance year and building a
@@ -36,10 +37,13 @@ ITERATIONS = 50
 HOSTS = 60
 
 
-def test_poll_host_on_60_hosts(benchmark):
+def campus_historian() -> Historian:
+    """A historian of 4 broker points and one Modbus point on each of 60
+    hosts, every read a constant."""
     registers = {f"cab-{i:03d}": 1000 + i for i in range(HOSTS)}
     hist = Historian(read_broker=lambda thing, feature, prop: 1.0,
-                     read_modbus=lambda host, unit, table, addr: registers[host],
+                     bind_modbus=lambda host, unit, table, addr:
+                         lambda: registers[host],
                      write_broker=lambda thing, feature, prop, value: None,
                      write_modbus_coil=lambda host, unit, addr, on: None)
     for i in range(4):
@@ -48,6 +52,11 @@ def test_poll_host_on_60_hosts(benchmark):
     for host in registers:
         hist.register(Datapoint(xid=f"DP_{host}", name="x",
                                 source=ModbusSource(host, 1, "input", 100)))
+    return hist
+
+
+def test_poll_host_on_60_hosts(benchmark):
+    hist = campus_historian()
     clock = itertools.count(1)
     last = [0.0]
 
@@ -58,6 +67,24 @@ def test_poll_host_on_60_hosts(benchmark):
     assert benchmark.pedantic(poll, rounds=ROUNDS, iterations=ITERATIONS) == 1
     assert len(hist.log) == last[0] >= ROUNDS * ITERATIONS
     assert hist.get_latest("DP_cab-030") == (last[0], 1030.0)
+
+
+def test_poll_instant_on_60_hosts(benchmark):
+    # the poll phase of one instant: every sourced point, in one pass
+    hist = campus_historian()
+    clock = itertools.count(1)
+    last = [0.0]
+
+    def poll():
+        last[0] = float(next(clock))
+        return hist.poll_sourced(last[0])
+
+    assert benchmark.pedantic(poll, rounds=ROUNDS,
+                              iterations=ITERATIONS) == HOSTS + 4
+    assert len(hist.log) == (HOSTS + 4) * last[0]
+    assert last[0] >= ROUNDS * ITERATIONS
+    assert hist.get_latest("DP_cab-059") == (last[0], 1059.0)
+    assert hist.log[-1] == (last[0], "DP_cab-059", 1059.0)
 
 
 def test_deliver_on_established_pair(benchmark):

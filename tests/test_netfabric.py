@@ -181,6 +181,36 @@ class TestEstablishedPairs:
         assert fabric.blocked_by_segment == {("client", "field"): 10_000}
         assert fabric.blocked_count == 10_000
 
+    def test_a_blocked_pair_logs_as_it_starts_and_as_it_clears(self, caplog):
+        caplog.set_level(logging.INFO, logger="spmtwin.netfabric")
+        # only control -> field is allowed; field -> control has no rule
+        fabric = self.make(parse_policy([
+            {"src": "control", "dst": "field", "verdict": "allow"}]))
+        fabric.attach("laptop", "client")
+        for _ in range(3):
+            for src in ("plc", "laptop"):
+                with pytest.raises(Blocked):
+                    fabric.deliver(src, "ems", "modbus", b"x")
+        # the reverse pair established admits plc -> ems from now on
+        fabric.deliver("ems", "plc", "modbus", b"r")
+        fabric.deliver("plc", "ems", "modbus", b"x")
+        fabric.deliver("plc", "ems", "modbus", b"y")
+        # a move forgets the laptop's blocking: blocked again, logged again
+        fabric.attach("laptop", "dmz")
+        with pytest.raises(Blocked):
+            fabric.deliver("laptop", "ems", "modbus", b"x")
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, "blocked delivery plc (field) -> ems (control)"),
+            (logging.WARNING,
+             "blocked delivery laptop (client) -> ems (control)"),
+            (logging.INFO, "delivery plc -> ems allowed after 3 blocked"),
+            (logging.WARNING, "blocked delivery laptop (dmz) -> ems (control)"),
+        ]
+        assert fabric.blocked_count == 7
+        assert fabric.blocked_by_segment == {
+            ("field", "control"): 3, ("client", "control"): 3,
+            ("dmz", "control"): 1}
+
     def test_denied_pair_is_checked_on_every_delivery(self):
         fabric = self.make()
         fabric.attach("laptop", "client")

@@ -27,6 +27,7 @@ from spmtwin.runner import (
     PHASE_CABINET,
     PHASE_EMS,
     PHASE_PLC,
+    PHASE_POLL,
     SUMMARY_HEADER,
     EmsTickRecord,
     RunAbort,
@@ -263,6 +264,33 @@ class TestShortRuns:
         polled = [t for t, xid, _ in samples(tmp_path / "out")
                   if xid == "DP_a_consumption"]
         assert polled == [10.0 * i for i in range(1, 61)]
+
+    def test_a_blocked_route_logs_once_per_cause(self, tmp_path,
+                                                 scenario_dir, caplog):
+        # a field -> control deny blocks every controller's publish until
+        # the EMS's first command to its device establishes the reverse pair
+        def deny(raw):
+            with open(raw["network"].pop("policy_file")) as fh:
+                raw["network"]["policy"] = json.load(fh) + [
+                    {"src": "field", "dst": "control", "verdict": "deny",
+                     "priority": 30}]
+
+        caplog.set_level(logging.INFO, logger="spmtwin.netfabric")
+        path = customized(tmp_path, scenario_dir, mutate=deny,
+                          duration_s=86400)
+        runner = Runner(load_scenario(path), pace=False)
+        assert runner.run().completed
+        assert runner.fabric.blocked_count == 8760
+        assert runner.fabric.blocked_by_segment == {
+            ("field", "control"): 8760}
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "spmtwin.netfabric"] == [
+            "blocked delivery fc-solar (field) -> broker (control)",
+            "blocked delivery fc-storage (field) -> broker (control)",
+            "blocked delivery fc-turbine (field) -> broker (control)",
+            "delivery fc-storage -> broker allowed after 12 blocked",
+            "delivery fc-turbine -> broker allowed after 108 blocked",
+        ]
 
     def test_thing_order_does_not_matter(self, tmp_path, scenario_dir):
         def panel_first(raw):     # the solar panel before the sun it reads
@@ -937,6 +965,7 @@ class TestPacedWake:
 
 class TestModbusPolls:
     def test_read_request_bytes_are_cached_and_exact(self, scenario_path):
+        # each point's request is bound once, and sent as it is every read
         runner = Runner(load_scenario(scenario_path), pace=False)
         cab = runner.scenario.cabinets[0]
         runner.cabinets[cab.building].register_file.set_holding(7, 42)
@@ -948,6 +977,7 @@ class TestModbusPolls:
             return deliver(src, dst, service, payload)
 
         runner.fabric.deliver = recording
+        reads = {}
         for table, fc, addr, value in [
                 ("input", modbus.READ_INPUT, CONSUMPTION_REGISTER,
                  int(cab.base_load_w)),
@@ -956,13 +986,15 @@ class TestModbusPolls:
             expected = modbus.encode_frame(modbus.MbapFrame(
                 1, cab.unit_id, modbus.read_request(fc, addr, 1)))
             sent.clear()
+            read = reads[table] = runner._bind_modbus(
+                cab.node, cab.unit_id, table, addr)
+            assert sent == []
             for _ in range(2):
-                assert runner._read_modbus(
-                    cab.node, cab.unit_id, table, addr) == value
+                assert read() == value
             assert sent == [expected, expected]
         # the cabinet still serves each request: a new value reads through
         runner.cabinets[cab.building].register_file.set_holding(7, 43)
-        assert runner._read_modbus(cab.node, cab.unit_id, "holding", 7) == 43
+        assert reads["holding"]() == 43
 
     @pytest.mark.parametrize("table", ["input", "holding", "coil"])
     def test_any_other_reply_reads_as_the_general_path(self, scenario_path,
@@ -1010,16 +1042,14 @@ class TestModbusPolls:
             except Exception as exc:
                 return type(exc), exc.args
 
+        read = runner._bind_modbus(cab.node, unit, table, 100)
         for raw in replies:
-            assert outcome(lambda: runner._read_modbus(
-                cab.node, unit, table, 100), raw) \
-                == outcome(lambda: general(raw), raw), raw.hex()
-        raised = outcome(lambda: runner._read_modbus(cab.node, unit, table,
-                                                     100), replies[7])
+            assert outcome(read, raw) == outcome(lambda: general(raw), raw), \
+                raw.hex()
+        raised = outcome(read, replies[7])
         assert raised[0] is modbus.ModbusExceptionResponse
         if table != "coil":
-            assert outcome(lambda: runner._read_modbus(
-                cab.node, unit, table, 100), replies[0]) == 0x1234
+            assert outcome(read, replies[0]) == 0x1234
 
     def test_coil_write_takes_the_echo_and_rejects_an_exception(
             self, scenario_path):
@@ -1093,8 +1123,8 @@ class EverySampleRunner(Runner):
 
 class PerTaskRunner(EverySampleRunner):
     """The scheduling that grouping replaced, kept as the oracle: one heap
-    event per periodic task, pushed in registration order, and one per PLC
-    scan."""
+    event per periodic task, pushed in registration order, a poll task per
+    host, and one event per PLC scan."""
 
     def _schedule_periodic(self, tasks):
         for period, phase, fn in tasks:
@@ -1102,6 +1132,10 @@ class PerTaskRunner(EverySampleRunner):
                 for building in fn.args[0]:
                     self._schedule_task(period, phase, functools.partial(
                         self._task_cabinets, (building,)))
+            elif phase == PHASE_POLL:      # one task per host
+                for host in self.historian.hosts:
+                    self._schedule_task(period, phase, functools.partial(
+                        self.historian.poll_host, host))
             else:
                 self._schedule_task(period, phase, fn)
 
@@ -1176,17 +1210,18 @@ def effects_run(runner_cls, path, out_dir, commands=()):
             setattr(plc, kind, recording(runner.callbacks, (kind, b),
                                          getattr(plc, kind)))
     buildings = {cab.node: cab.building for cab in runner.scenario.cabinets}
-    poll_host = runner.historian.poll_host
+    poll = runner.historian.poll
 
-    def polled(host, t):
+    def polled(dp, t):
+        host = dp.source.host if dp.source is not None else None
         if host in buildings:
             rf = runner.cabinets[buildings[host]].register_file
             runner.polls.append((t, buildings[host],
                                  rf.get_input(CONSUMPTION_REGISTER),
                                  rf.get_coil(TRIP_COIL)))
-        return poll_host(host, t)
+        return poll(dp, t)
 
-    runner.historian.poll_host = polled
+    runner.historian.poll = polled
 
     def command(target, value):
         runner.replies.append(runner.fabric.deliver(
@@ -1208,7 +1243,7 @@ def assert_same_effects(runner, oracle):
     assert runner.fabric.delivered_count == oracle.fabric.delivered_count
     assert runner.replies == oracle.replies
     assert runner.callbacks == oracle.callbacks
-    assert runner.polls == oracle.polls
+    assert runner.polls and runner.polls == oracle.polls
 
 
 def campus(buildings):
