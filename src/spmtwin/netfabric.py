@@ -2,19 +2,21 @@
 
 Segments plus prioritized firewall rules decide who may talk to whom; every
 cross-module message goes through :meth:`Fabric.deliver`, which enforces the
-policy and counts blocked traffic per segment pair. Return traffic of an
-allowed connection is allowed statefully. Every blocked delivery is counted,
-but a ``(src, dst)`` pair is logged once as its blocking starts and once as a
-delivery on it is next allowed, so the log is bounded by the plant's pairs.
+policy and counts blocked traffic per segment pair. A reply is the return
+value of a delivery, never a delivery of its own, so traffic the other way
+is a new connection, checked by policy like any other. Every blocked
+delivery is counted, but a ``(src, dst)`` pair is logged once, as its
+blocking starts, so the log is bounded by the plant's pairs.
 
 A delivery is routed once: the first allowed delivery on a
 ``(src, dst, service)`` keeps that route to the destination's handler, and
-each later one on it goes straight to the handler. A route is kept only for
-an established pair, so it stands exactly as long as the pair's verdict
-does: :meth:`Fabric.attach` drops every route from or to the node it moves,
-and :meth:`Fabric.register_handler` drops the route to the handler it
-replaces. A denied delivery keeps nothing, so it is checked and counted
-every time. The routes are bounded by the plant's established pairs.
+each later one on it goes straight to the handler. The policy is fixed once
+the fabric is built, so a pair's verdict changes only when
+:meth:`Fabric.attach` moves either end, and a kept route stands exactly as
+long as its verdict: :meth:`Fabric.attach` drops every route from or to the
+node it moves, and :meth:`Fabric.register_handler` drops the route to the
+handler it replaces. A denied delivery keeps nothing, so it is checked and
+counted every time. The routes are bounded by the plant's allowed pairs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Callable
+from typing import Any, Callable, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -61,20 +63,12 @@ class Node:
     segment: str
 
 
-def permits(
-    policy: list[FirewallRule],
-    src: Node,
-    dst: Node,
-    established: AbstractSet[tuple[str, str]] = frozenset(),
-) -> str:
-    """Verdict for a new connection src -> dst.
+def permits(policy: Sequence[FirewallRule], src: Node, dst: Node) -> str:
+    """Verdict for a connection src -> dst.
 
     Higher priority wins; ties resolve in rule-list order. Intra-segment
-    traffic and replies on established connections are allowed implicitly;
-    everything else defaults to deny.
+    traffic is allowed implicitly; everything else defaults to deny.
     """
-    if (dst.id, src.id) in established:
-        return ALLOW
     for rule in sorted(policy, key=lambda r: -r.priority):
         if rule.matches(src.segment, dst.segment):
             return rule.verdict
@@ -100,11 +94,10 @@ class Fabric:
     during a run only the simulation thread uses it.
     """
 
-    def __init__(self, policy: list[FirewallRule] | None = None):
-        self.policy = list(policy or [])
+    def __init__(self, policy: Sequence[FirewallRule] = ()):
+        self.policy = tuple(policy)
         self._nodes: dict[str, Node] = {}
         self._handlers: dict[str, dict[str, Callable[[Any], Any]]] = {}
-        self._established: set[tuple[str, str]] = set()
         # (src, dst, service) -> handler, for allowed deliveries only
         self._routes: dict[tuple[str, str, str], Callable[[Any], Any]] = {}
         self.delivered_count = 0
@@ -112,8 +105,8 @@ class Fabric:
         # blocked deliveries per (src segment, dst segment): bounded by the
         # segment pairs however long the run
         self.blocked_by_segment: Counter[tuple[str, str]] = Counter()
-        # (src, dst) -> deliveries blocked on it since its blocking started
-        self._blocked_pairs: dict[tuple[str, str], int] = {}
+        # the (src, dst) pairs whose blocking has been logged
+        self._blocked_pairs: set[tuple[str, str]] = set()
 
     # ── topology ──────────────────────────────────────────────────────
 
@@ -122,13 +115,11 @@ class Fabric:
             raise FabricError(f"unknown segment {segment!r}")
         node = Node(node_id, segment)
         self._nodes[node_id] = node
-        # moving a node invalidates its connection state and its routes
-        self._established = {
-            pair for pair in self._established if node_id not in pair
-        }
+        # moving a node changes the verdicts of its pairs: drop their routes
+        # and forget their logged blocking
         self._routes = {route: fn for route, fn in self._routes.items()
                         if node_id not in route[:2]}
-        self._blocked_pairs = {pair: n for pair, n in self._blocked_pairs.items()
+        self._blocked_pairs = {pair for pair in self._blocked_pairs
                                if node_id not in pair}
         return node
 
@@ -147,36 +138,24 @@ class Fabric:
     # ── enforcement ───────────────────────────────────────────────────
 
     def permits(self, src_id: str, dst_id: str) -> str:
-        src, dst = self.node(src_id), self.node(dst_id)
-        return permits(self.policy, src, dst, self._established)
-
-    def check_connect(self, src_id: str, dst_id: str) -> None:
-        """Connection-establishment checkpoint; raises :class:`Blocked`."""
-        verdict = self.permits(src_id, dst_id)
-        if verdict != ALLOW:
-            self._note_blocked(src_id, dst_id)
-            raise Blocked(src_id, dst_id)
-        self._established.add((src_id, dst_id))
-        blocked = self._blocked_pairs.pop((src_id, dst_id), 0)
-        if blocked:
-            log.info("delivery %s -> %s allowed after %d blocked", src_id,
-                     dst_id, blocked)
+        return permits(self.policy, self.node(src_id), self.node(dst_id))
 
     def deliver(self, src_id: str, dst_id: str, service: str, payload: Any) -> Any:
         """Route ``payload`` to the destination handler; returns its response.
 
-        A delivery on a kept route goes straight to its handler. Otherwise
-        first contact on a pair goes through :meth:`check_connect`. A pair
-        enters the established set only once a delivery on it was allowed,
-        and its verdict stands until :meth:`attach` moves either end, which
-        drops the pair; so an established pair is admitted without walking
-        the policy again. The route of an allowed delivery is then kept.
+        A delivery on a kept route goes straight to its handler. Any other
+        is checked by policy: a denied one is counted and raises
+        :class:`Blocked`, and an allowed one keeps its route. A pair's
+        verdict changes only when :meth:`attach` moves either end, which
+        drops the pair's routes, so a delivery on a kept route never walks
+        the policy.
         """
         route = (src_id, dst_id, service)
         handler = self._routes.get(route)
         if handler is None:
-            if (src_id, dst_id) not in self._established:
-                self.check_connect(src_id, dst_id)
+            if self.permits(src_id, dst_id) != ALLOW:
+                self._note_blocked(src_id, dst_id)
+                raise Blocked(src_id, dst_id)
             handler = self._handlers.get(dst_id, {}).get(service)
             if handler is None:
                 raise FabricError(f"node {dst_id!r} exposes no service {service!r}")
@@ -189,8 +168,7 @@ class Fabric:
         self.blocked_count += 1
         self.blocked_by_segment[src.segment, dst.segment] += 1
         pair = (src_id, dst_id)
-        blocked = self._blocked_pairs.get(pair, 0)
-        if not blocked:
+        if pair not in self._blocked_pairs:
+            self._blocked_pairs.add(pair)
             log.warning("blocked delivery %s (%s) -> %s (%s)",
                         src_id, src.segment, dst_id, dst.segment)
-        self._blocked_pairs[pair] = blocked + 1

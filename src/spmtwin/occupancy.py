@@ -100,10 +100,10 @@ class ClientPopulation:
     exactly. A tripped building's clients contribute no load until the trip
     is reset.
 
-    ``version[building]`` goes up on each spawn into ``building``, each retire
-    from it and each :meth:`set_building_tripped` call for it, so a reader
-    that keeps it knows that :meth:`building_loads_w` has not changed while
-    it stays the same.
+    :meth:`building_loads_w` of a building changes only at a spawn into it
+    or a retire from it, both listed in the :class:`SyncDiff` that
+    :meth:`sync` returns, and at a :meth:`set_building_tripped` call for it,
+    so a caller that watches these knows when to read it again.
     """
 
     def __init__(self, model: TurnoutModel, buildings: list[str],
@@ -119,7 +119,6 @@ class ClientPopulation:
         # each building's client loads in spawn order: a LIFO retire pops
         # the tail, so cabinet sums add in the same order as a full scan
         self._loads_w: dict[str, list[float]] = {b: [] for b in self.buildings}
-        self.version: dict[str, int] = dict.fromkeys(self.buildings, 0)
 
     def sync(self, persons: float) -> SyncDiff:
         """Match the client population to ceil(T/C) entities."""
@@ -136,17 +135,14 @@ class ClientPopulation:
             )
             self.clients.append(client)
             self._loads_w[building].append(client.load_w)
-            self.version[building] += 1
             diff.spawned.append(client)
         while len(self.clients) > target:
             client = self.clients.pop()
             self._loads_w[client.cabinet].pop()
-            self.version[client.cabinet] += 1
             diff.retired.append(client)
         return diff
 
     def set_building_tripped(self, building: str, tripped: bool) -> None:
-        self.version[building] += 1
         if tripped:
             self._tripped.add(building)
         else:

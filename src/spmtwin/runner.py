@@ -23,22 +23,19 @@ and so always ran contiguously, in registration order, at each
 
 Cabinet sampling and PLC scanning are change-driven. A cabinet's inputs are
 its building's client loads, which change only at a spawn, a retire or a trip
-change (each moves ``ClientPopulation.version``), and its master coil, which
-changes only by a Modbus write. Each of these marks the building, and every
-building starts marked. The cabinet phase has one member per sample period,
-which walks that period's buildings in registration order and checks only
-the marked ones, unmarking each. A sample whose ``(version, master coil)``
-equals that of the building's last sample would write the same consumption,
-so it is skipped; a building that is not marked has not moved either, so
-the samples that run are the ones a check of every building would run. A
-sample that does run asks for a PLC scan only if it wrote a consumption
-other than the one the building's last scan read. Skipping is exact: a scan
-of unchanged inputs gives the trip coil it already holds (``coil or cons >
-maxcons`` twice is ``coil`` once), ``on_trip``/``on_reset`` fire only on a
-change of that coil, and every other change of a cabinet's registers, a
-Modbus coil or register write, asks for its own scan. The loads are summed
-in the same order either way, so the artifacts are the same bytes as with a
-sample and a scan every period.
+change, and its master coil, which changes only by a Modbus write. Each of
+these marks the building, and every building starts marked. The cabinet
+phase has one member per sample period, which walks that period's buildings
+in registration order and samples only the marked ones, unmarking each; a
+building that is not marked has not moved, so its sample would write the
+consumption its register already holds. A sample asks for a PLC scan only if
+it wrote a consumption other than the one the building's last scan read.
+Skipping is exact: a scan of unchanged inputs gives the trip coil it already
+holds (``coil or cons > maxcons`` twice is ``coil`` once), ``on_trip``/
+``on_reset`` fire only on a change of that coil, and every other change of a
+cabinet's registers, a Modbus coil or register write, asks for its own scan.
+The loads are summed in the same order either way, so the artifacts are the
+same bytes as with a sample and a scan every period.
 
 One thread owns the plant: the thread that calls :meth:`Runner.run` is the
 only one that touches the fabric, the devices, the register files and the
@@ -99,7 +96,6 @@ from . import modbus, netfabric, occupancy, rng
 from .broker import Broker, BrokerRequest, ChangeEvent, http_routes as broker_routes
 from .devices import (
     CONSUMPTION_REGISTER,
-    MASTER_COIL,
     SmartCabinet,
     SolarController,
     StorageController,
@@ -418,8 +414,6 @@ class Runner:
         # the buildings whose sample inputs may have moved since their last
         # check, at first all of them
         self._marked: set[str] = set(self.cabinets)
-        # building -> (population version, master coil) at its last sample
-        self._sampled: dict[str, tuple[int, bool]] = {}
         # building -> the consumption its last PLC scan read
         self._scanned: dict[str, int] = {}
 
@@ -485,7 +479,7 @@ class Runner:
         try:
             self.fabric.deliver(self.scenario.broker_node, node, "command", event)
         except netfabric.Blocked:
-            log.warning("command event to %s blocked by policy", node)
+            pass        # the fabric counts it and logs the pair once
 
     def _broker_request(self, src: str, method: str, thing: str,
                         feature: str, prop: str, body=None) -> dict:
@@ -635,13 +629,8 @@ class Runner:
                 self._task_cabinet_sample(building, t)
 
     def _task_cabinet_sample(self, building: str, t: float) -> None:
-        cabinet = self.cabinets[building]
-        inputs = (self.population.version[building],
-                  cabinet.register_file.coils[MASTER_COIL])
-        if self._sampled.get(building) == inputs:
-            return
-        self._sampled[building] = inputs
-        consumption = cabinet.sample(self.population.building_loads_w(building))
+        consumption = self.cabinets[building].sample(
+            self.population.building_loads_w(building))
         if consumption != self._scanned.get(building):
             self._schedule_plc_scan(building, t)
 

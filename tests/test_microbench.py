@@ -87,7 +87,7 @@ def test_poll_instant_on_60_hosts(benchmark):
     assert hist.log[-1] == (last[0], "DP_cab-059", 1059.0)
 
 
-def test_deliver_on_established_pair(benchmark):
+def test_deliver_on_kept_route(benchmark):
     fabric = Fabric(parse_policy([
         {"src": "control", "dst": "field", "verdict": "allow", "priority": 10},
         {"src": "field", "dst": "internet", "verdict": "deny", "priority": 20},
@@ -96,7 +96,7 @@ def test_deliver_on_established_pair(benchmark):
     fabric.attach("scada", "control")
     fabric.attach("cab-a", "field")
     fabric.register_handler("cab-a", "modbus", lambda payload: payload)
-    fabric.deliver("scada", "cab-a", "modbus", b"")     # establish the pair
+    fabric.deliver("scada", "cab-a", "modbus", b"")     # keep the route
 
     calls = itertools.count(1)
     last = [0]

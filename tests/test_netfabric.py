@@ -58,12 +58,6 @@ class TestPolicyVerdicts:
         policy = parse_policy([{"src": "*", "dst": "*", "verdict": "allow"}])
         assert permits(policy, node("client"), node("field")) == ALLOW
 
-    def test_established_reverse_traffic_allowed(self):
-        src, dst = node("control", "ems"), node("field", "plc")
-        established = frozenset({("ems", "plc")})
-        # reply direction: plc -> ems, with no field->control rule
-        assert permits([], dst, src, established) == ALLOW
-
     def test_invalid_verdict_rejected(self):
         with pytest.raises(ValueError):
             FirewallRule("a", "b", "maybe")
@@ -109,30 +103,30 @@ class TestFabric:
 
     def test_reattach_moves_segment_and_drops_state(self):
         fabric = self.make()
-        fabric.check_connect("ems", "plc")
-        # reply allowed while the connection is established
-        assert fabric.permits("plc", "ems") == ALLOW
+        assert fabric.deliver("ems", "plc", "modbus", b"req") == b"ok:req"
         fabric.attach("plc", "internet")
         assert fabric.permits("ems", "plc") == DENY
+        with pytest.raises(Blocked):
+            fabric.deliver("ems", "plc", "modbus", b"req")
+        assert fabric.blocked_by_segment == {("control", "internet"): 1}
 
     def test_attach_rejects_unknown_segment(self):
         fabric = self.make()
         with pytest.raises(FabricError):
             fabric.attach("x", "wifi")
 
-    def test_stateful_reply_via_check_connect(self):
+    def test_the_policy_is_fixed_once_built(self):
         fabric = self.make()
-        fabric.register_handler("ems", "http", lambda p: "pong")
-        # no field->control... there is one in the plant policy; use client
-        fabric.attach("kiosk", "dmz")
-        fabric.register_handler("kiosk", "http", lambda p: "hi")
-        fabric.check_connect("laptop", "kiosk")
-        # reverse direction dmz -> client has no rule but is established
-        assert fabric.permits("kiosk", "laptop") == ALLOW
+        assert fabric.policy == tuple(PLANT_POLICY)
+        with pytest.raises(AttributeError):
+            fabric.policy.append(
+                FirewallRule("client", "field", "allow", priority=99))
+        assert fabric.permits("laptop", "plc") == DENY
 
 
 class TestEstablishedPairs:
-    """An allowed pair is admitted without the policy walk until attach."""
+    """Each direction of a pair is checked by policy on its own; an allowed
+    pair is admitted without the policy walk until attach."""
 
     def make(self, policy=PLANT_POLICY) -> Fabric:
         fabric = Fabric(policy)
@@ -159,17 +153,24 @@ class TestEstablishedPairs:
             assert fabric.delivered_count == n
         assert fabric.blocked_count == 0
 
-    def test_reply_through_established_reverse_pair(self):
+    def test_no_reply_through_the_reverse_pair(self, caplog):
+        caplog.set_level(logging.INFO, logger="spmtwin.netfabric")
         # only control -> field is allowed; field -> control has no rule
         fabric = self.make(parse_policy([
             {"src": "control", "dst": "field", "verdict": "allow"}]))
         with pytest.raises(Blocked):
             fabric.deliver("plc", "ems", "modbus", b"x")
-        fabric.deliver("ems", "plc", "modbus", b"r")
-        assert fabric.deliver("plc", "ems", "modbus", b"x") == b"ack:x"
-        assert fabric.deliver("plc", "ems", "modbus", b"y") == b"ack:y"
-        assert fabric.delivered_count == 3
-        assert fabric.blocked_count == 1
+        # a reply is the delivery's return value, not a delivery of its own
+        assert fabric.deliver("ems", "plc", "modbus", b"r") == b"ok:r"
+        for payload in (b"x", b"y"):
+            with pytest.raises(Blocked):
+                fabric.deliver("plc", "ems", "modbus", payload)
+        assert fabric.delivered_count == 1
+        assert fabric.blocked_count == 3
+        assert fabric.blocked_by_segment == {("field", "control"): 3}
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, "blocked delivery plc (field) -> ems (control)"),
+        ]
 
     def test_blocked_record_is_one_count_per_segment_pair(self, caplog):
         caplog.set_level(logging.ERROR, logger="spmtwin.netfabric")
@@ -181,7 +182,7 @@ class TestEstablishedPairs:
         assert fabric.blocked_by_segment == {("client", "field"): 10_000}
         assert fabric.blocked_count == 10_000
 
-    def test_a_blocked_pair_logs_as_it_starts_and_as_it_clears(self, caplog):
+    def test_a_blocked_pair_logs_once_until_a_move(self, caplog):
         caplog.set_level(logging.INFO, logger="spmtwin.netfabric")
         # only control -> field is allowed; field -> control has no rule
         fabric = self.make(parse_policy([
@@ -191,10 +192,6 @@ class TestEstablishedPairs:
             for src in ("plc", "laptop"):
                 with pytest.raises(Blocked):
                     fabric.deliver(src, "ems", "modbus", b"x")
-        # the reverse pair established admits plc -> ems from now on
-        fabric.deliver("ems", "plc", "modbus", b"r")
-        fabric.deliver("plc", "ems", "modbus", b"x")
-        fabric.deliver("plc", "ems", "modbus", b"y")
         # a move forgets the laptop's blocking: blocked again, logged again
         fabric.attach("laptop", "dmz")
         with pytest.raises(Blocked):
@@ -203,7 +200,6 @@ class TestEstablishedPairs:
             (logging.WARNING, "blocked delivery plc (field) -> ems (control)"),
             (logging.WARNING,
              "blocked delivery laptop (client) -> ems (control)"),
-            (logging.INFO, "delivery plc -> ems allowed after 3 blocked"),
             (logging.WARNING, "blocked delivery laptop (dmz) -> ems (control)"),
         ]
         assert fabric.blocked_count == 7

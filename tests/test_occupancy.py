@@ -138,30 +138,6 @@ class TestClientPopulation:
         pop.set_building_tripped("a", False)
         assert pop.building_loads_w("a")
 
-    def test_version_moves_whenever_a_buildings_loads_may_have(self):
-        pop = self.make()
-        seen = {b: (pop.version[b], []) for b in ("a", "b", "c")}
-        for step in (50, 20, 20, ("a", True), 90, ("a", False), ("b", False),
-                     0, 70, 71, 110):
-            if isinstance(step, tuple):
-                before = dict(pop.version)
-                pop.set_building_tripped(*step)
-                assert pop.version[step[0]] == before[step[0]] + 1
-            else:
-                pop.sync(step)
-            for b, (version, loads) in seen.items():
-                now = list(pop.building_loads_w(b))
-                if pop.version[b] == version:
-                    assert now == loads
-                seen[b] = (pop.version[b], now)
-        # one step per spawn into or retire from a building
-        for persons in (200, 40):
-            before = dict(pop.version)
-            diff = pop.sync(persons)
-            for b in ("a", "b", "c"):
-                assert pop.version[b] - before[b] == sum(
-                    c.cabinet == b for c in diff.spawned + diff.retired)
-
     def test_sync_to_zero_retires_everyone(self):
         pop = self.make()
         pop.sync(100)

@@ -267,8 +267,8 @@ class TestShortRuns:
 
     def test_a_blocked_route_logs_once_per_cause(self, tmp_path,
                                                  scenario_dir, caplog):
-        # a field -> control deny blocks every controller's publish until
-        # the EMS's first command to its device establishes the reverse pair
+        # a field -> control deny blocks every controller's publish all day:
+        # the EMS's commands to a device do not open the reverse direction
         def deny(raw):
             with open(raw["network"].pop("policy_file")) as fh:
                 raw["network"]["policy"] = json.load(fh) + [
@@ -279,17 +279,49 @@ class TestShortRuns:
         path = customized(tmp_path, scenario_dir, mutate=deny,
                           duration_s=86400)
         runner = Runner(load_scenario(path), pace=False)
-        assert runner.run().completed
-        assert runner.fabric.blocked_count == 8760
+        artifacts = runner.run()
+        assert artifacts.completed
+        assert runner.fabric.blocked_count == 51840
         assert runner.fabric.blocked_by_segment == {
-            ("field", "control"): 8760}
-        assert [r.getMessage() for r in caplog.records
+            ("field", "control"): 51840}
+        assert artifacts.publish_errors == 51840
+        assert [(r.levelno, r.getMessage()) for r in caplog.records
                 if r.name == "spmtwin.netfabric"] == [
-            "blocked delivery fc-solar (field) -> broker (control)",
-            "blocked delivery fc-storage (field) -> broker (control)",
-            "blocked delivery fc-turbine (field) -> broker (control)",
-            "delivery fc-storage -> broker allowed after 12 blocked",
-            "delivery fc-turbine -> broker allowed after 108 blocked",
+            (logging.WARNING,
+             "blocked delivery fc-solar (field) -> broker (control)"),
+            (logging.WARNING,
+             "blocked delivery fc-storage (field) -> broker (control)"),
+            (logging.WARNING,
+             "blocked delivery fc-turbine (field) -> broker (control)"),
+        ]
+
+    def test_a_blocked_command_event_logs_once(self, tmp_path, scenario_dir,
+                                               caplog):
+        # the storage controller publishes from the dmz but cannot be
+        # reached: each command event to it is blocked, logged once by the
+        # fabric and not by the runner
+        def storage_in_dmz(raw):
+            with open(raw["network"].pop("policy_file")) as fh:
+                raw["network"]["policy"] = json.load(fh) + [
+                    {"src": "dmz", "dst": "control", "verdict": "allow",
+                     "priority": 10}]
+            for n in raw["network"]["nodes"]:
+                if n["id"] == "fc-storage":
+                    n["segment"] = "dmz"
+
+        caplog.set_level(logging.INFO)
+        path = customized(tmp_path, scenario_dir, mutate=storage_in_dmz,
+                          duration_s=86400)
+        runner = Runner(load_scenario(path), pace=False)
+        artifacts = runner.run()
+        assert artifacts.completed
+        assert artifacts.publish_errors == 0
+        assert runner.fabric.blocked_count == 8645
+        assert runner.fabric.blocked_by_segment == {("control", "dmz"): 8645}
+        assert [(r.name, r.getMessage()) for r in caplog.records
+                if r.levelno >= logging.WARNING] == [
+            ("spmtwin.netfabric",
+             "blocked delivery broker (control) -> fc-storage (dmz)"),
         ]
 
     def test_thing_order_does_not_matter(self, tmp_path, scenario_dir):
