@@ -22,11 +22,13 @@ writer once a write through it has succeeded, for at most
 the EMS's and an operator's are, is then one lookup and one write; a target
 that is malformed, or whose write failed, is parsed again the next time.
 
-In a run, the sample log is a :class:`SampleSink` that writes each sample's
-``datapoints.csv`` row as it is polled, through a buffer of
-:data:`BUFFER_ROWS` rows, so memory does not grow with the run's length; a
-run without an output directory writes the rows to ``os.devnull``. A
-historian on its own keeps a list of ``(t, xid, value)``.
+Each pass collects the ``(t, xid, value)`` rows of the samples it took and
+hands them to the sample log in one ``extend``. In a run, that log is a
+:class:`SampleSink`, which formats a pass's ``datapoints.csv`` rows in one
+loop into a buffer it writes out once it holds :data:`BUFFER_ROWS` rows, so
+memory does not grow with the run's length; a run without an output
+directory writes the rows to ``os.devnull``. A historian on its own keeps a
+list of ``(t, xid, value)``.
 
 :func:`http_routes` is its HTTP API as a table of routes: ``getAll`` and
 ``latest`` are read directly, on the run loop's thread, which serves HTTP
@@ -169,10 +171,11 @@ class Historian:
     # ── polling ───────────────────────────────────────────────────────
 
     def poll(self, dp: Datapoint, now: float) -> tuple[float, float] | None:
-        """Acquire one sample; a read failure records a gap, never a value.
-        A point's gap is logged once as it opens and once as it closes. A
-        sample no later than the point's latest raises
-        :class:`HistorianError`."""
+        """Acquire one sample as the point's latest and return it; a read
+        failure records a gap, never a value. A point's gap is logged once
+        as it opens and once as it closes. A sample no later than the
+        point's latest raises :class:`HistorianError`. The pass that calls
+        this logs the sample."""
         try:
             value = float(dp.read())
         except Exception as exc:  # gap, never an invented sample
@@ -190,7 +193,6 @@ class Historian:
             raise HistorianError(
                 f"{dp.xid}: non-increasing sample timestamp {now}")
         dp.latest = sample = (now, value)
-        self.log.append((now, dp.xid, value))
         return sample
 
     def poll_sourced(self, now: float) -> int:
@@ -213,13 +215,19 @@ class Historian:
         return self._poll_each(self._derived, now)
 
     def _poll_each(self, points: Iterable[Datapoint], now: float) -> int:
-        """Poll each of ``points`` in turn; the number of samples taken."""
+        """Poll each of ``points`` in turn and write the samples taken to the
+        log at once, those taken before a poll that raised too; the number
+        of samples taken."""
         poll = self.poll
-        n = 0
-        for dp in points:
-            if poll(dp, now) is not None:
-                n += 1
-        return n
+        rows = []
+        try:
+            for dp in points:
+                sample = poll(dp, now)
+                if sample is not None:
+                    rows.append((now, dp.xid, sample[1]))
+        finally:
+            self.log.extend(rows)
+        return len(rows)
 
     # ── commands ──────────────────────────────────────────────────────
 
@@ -338,12 +346,13 @@ class CsvSink:
 
 
 class SampleSink(CsvSink):
-    """``datapoints.csv`` written as samples are polled. The points of one
-    poll instant come together, so each instant's timestamp is formatted
-    once, and most samples repeat their point's last value, so each point
-    keeps the text after the timestamp of its last value. It builds each
-    line in :meth:`append` itself: one call less per sample on the poll
-    path."""
+    """``datapoints.csv`` written as samples are polled. A poll pass hands
+    its rows over in one :meth:`extend`, which builds their lines in one
+    loop. The points of one poll instant come together, so each instant's
+    timestamp is formatted once, and most samples repeat their point's last
+    value, so each point keeps the text after the timestamp of its last
+    value. The buffer is written out when it holds :data:`BUFFER_ROWS` rows
+    after an extend, so it never holds more than that plus one pass."""
 
     header = DATAPOINTS_HEADER
     _t: float | None = None
@@ -355,14 +364,20 @@ class SampleSink(CsvSink):
         self._tails: dict[str, tuple[float, str]] = {}
 
     def append(self, sample: tuple[float, str, float]) -> None:
-        t, xid, value = sample
-        if t != self._t:
-            self._t, self._stamp = t, format_value(t)
-        tail = self._tails.get(xid)
-        if tail is None or tail[0] != value:
-            tail = self._tails[xid] = (value, f",{xid},{format_value(value)}\n")
+        self.extend((sample,))
+
+    def extend(self, samples: Iterable[tuple[float, str, float]]) -> None:
+        tails = self._tails
         buf = self._buf
-        buf.append(self._stamp + tail[1])
+        last, stamp = self._t, self._stamp
+        for t, xid, value in samples:
+            if t != last:
+                last, stamp = t, format_value(t)
+            tail = tails.get(xid)
+            if tail is None or tail[0] != value:
+                tail = tails[xid] = (value, f",{xid},{format_value(value)}\n")
+            buf.append(stamp + tail[1])
+        self._t, self._stamp = last, stamp
         if len(buf) >= BUFFER_ROWS:
             self.flush()
 

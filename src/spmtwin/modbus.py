@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 READ_COILS = 0x01
 READ_HOLDING = 0x03
@@ -169,11 +169,19 @@ def parse_read_coils_response(pdu: Pdu, count: int) -> list[bool]:
 class RegisterFile:
     """Mapped addresses of one device; unmapped reads are illegal, never 0.
 
+    ``on_write``, if set, is called after a served Write Single Coil or
+    Write Single Register changes a stored value, on the general path and
+    the prepared one alike; a read, an exception reply and a write of the
+    value already held never call it, and neither do the ``set_*`` methods
+    the device itself uses.
+
     Not thread-safe: during a run only the simulation thread uses it."""
 
     input_registers: dict[int, int] = field(default_factory=dict)
     holding_registers: dict[int, int] = field(default_factory=dict)
     coils: dict[int, bool] = field(default_factory=dict)
+    on_write: Callable[[], None] | None = field(default=None, repr=False,
+                                                compare=False)
 
     def set_input(self, address: int, value: int) -> None:
         self.input_registers[address] = max(0, min(0xFFFF, int(value)))
@@ -231,23 +239,32 @@ def execute(rf: RegisterFile, pdu: Pdu) -> Pdu:
     if fc == WRITE_COIL:
         if value not in (COIL_ON, COIL_OFF):
             return _exception(fc, EXC_ILLEGAL_VALUE)
-        if address not in rf.coils:
-            return _exception(fc, EXC_ILLEGAL_ADDRESS)
-        rf.coils[address] = value == COIL_ON
+        table, value = rf.coils, value == COIL_ON
     else:  # WRITE_REGISTER
-        if address not in rf.holding_registers:
-            return _exception(fc, EXC_ILLEGAL_ADDRESS)
-        rf.holding_registers[address] = value
+        table = rf.holding_registers
+    if address not in table:
+        return _exception(fc, EXC_ILLEGAL_ADDRESS)
+    _store(rf, table, address, value)
     return Pdu(fc, pdu.payload)  # echo per spec
+
+
+def _store(rf: RegisterFile, table: dict, address: int, value) -> None:
+    """Write a served value to ``table[address]``, a mapped address of
+    ``rf``, and call ``rf.on_write`` if that changed it."""
+    if table[address] != value:
+        table[address] = value
+        if rf.on_write is not None:
+            rf.on_write()
 
 
 def serve_frame_bytes(rf: RegisterFile, data: bytes) -> bytes:
     """Decode a request frame, execute it, and encode the response.
 
-    Every cabinet's fabric endpoint serves requests through this, so the
-    in-process path exercises the real wire format. A request already
+    Every cabinet's fabric endpoint is this with its register file bound,
+    so the in-process path exercises the real wire format. A request already
     prepared (see the module docstring) is answered from what was kept of
-    it and the register file: the same bytes as the general path.
+    it and the register file: the same bytes as the general path, and the
+    same call of ``rf.on_write`` when a coil write changes the coil.
     """
     if data.__class__ is bytes:
         prepared = _prepared.get(data)
@@ -255,7 +272,7 @@ def serve_frame_bytes(rf: RegisterFile, data: bytes) -> bytes:
             fc, address, kept = prepared
             if fc == WRITE_COIL:
                 if address in rf.coils:
-                    rf.coils[address] = kept
+                    _store(rf, rf.coils, address, kept)
                     return data
             else:
                 value = (rf.input_registers if fc == READ_INPUT

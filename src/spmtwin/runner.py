@@ -37,6 +37,12 @@ cabinet's registers, a Modbus coil or register write, asks for its own scan.
 The loads are summed in the same order either way, so the artifacts are the
 same bytes as with a sample and a scan every period.
 
+A cabinet's fabric endpoint is :func:`spmtwin.modbus.serve_frame_bytes`
+with its register file bound, and the register file's ``on_write`` hook
+marks the building and asks for a scan. The hook fires only when a served
+write changes a stored value: a write of the value already held leaves the
+cabinet as it was, already sampled and scanned or with both due.
+
 One thread owns the plant: the thread that calls :meth:`Runner.run` is the
 only one that touches the fabric, the devices, the register files and the
 historian's registry, and a run starts no other thread. None of these takes
@@ -144,8 +150,6 @@ PHASE_EMS = 6
 
 READ_FUNCTIONS = {"input": modbus.READ_INPUT, "holding": modbus.READ_HOLDING,
                   "coil": modbus.READ_COILS}
-# the function codes of a request that writes a cabinet's registers
-WRITE_FUNCTIONS = frozenset((modbus.WRITE_COIL, modbus.WRITE_REGISTER))
 
 # summary.csv's per-day sums, each of an EmsTickRecord field times the hours
 # one record covers
@@ -366,9 +370,10 @@ class Runner:
             )
             self.cabinets[building] = cabinet
             self.plcs[building] = plc
+            rf = cabinet.register_file
+            rf.on_write = partial(self._cabinet_written, building)
             self.fabric.register_handler(
-                cab.node, "modbus",
-                partial(self._serve_modbus, cabinet, building))
+                cab.node, "modbus", partial(modbus.serve_frame_bytes, rf))
 
         # controllers bound to broker command properties
         for ctrl in s.controllers:
@@ -463,16 +468,6 @@ class Runner:
             derive=campus_kw))
 
     # ── fabric-routed transport ───────────────────────────────────────
-
-    def _serve_modbus(self, cabinet: SmartCabinet, building: str,
-                      data: bytes) -> bytes:
-        response = modbus.serve_frame_bytes(cabinet.register_file, data)
-        # serve_frame_bytes decoded and validated the frame: byte 7 is its
-        # function code
-        if data[7] in WRITE_FUNCTIONS:
-            self._marked.add(building)
-            self._schedule_plc_scan(building, self.clock.now())
-        return response
 
     def _dispatch_command(self, node: str, event: ChangeEvent) -> None:
         """Forward a broker change event to its subscriber through the fabric."""
@@ -612,6 +607,12 @@ class Runner:
         self._marked.update(c.cabinet for c in diff.retired)
         self.broker.put_property(TURNOUT_THING, "campus", "persons",
                                  float(persons))
+
+    def _cabinet_written(self, building: str) -> None:
+        """A served Modbus write changed one of the cabinet's registers: its
+        master coil may have moved, and its PLC scans the change."""
+        self._marked.add(building)
+        self._schedule_plc_scan(building, self.clock.now())
 
     def _set_tripped(self, building: str, tripped: bool) -> None:
         """A PLC's trip or reset: the building's clients stop or resume

@@ -105,11 +105,11 @@ class TestPolling:
 
     def test_failed_poll_records_gap_not_value(self):
         hist, plant = make()
-        hist.poll(hist.point("DP_solar_power"), 10.0)
+        hist.poll_host("broker", 10.0)
         plant.fail_broker = True
-        assert hist.poll(hist.point("DP_solar_power"), 20.0) is None
+        assert hist.poll_host("broker", 20.0) == 0
         plant.fail_broker = False
-        hist.poll(hist.point("DP_solar_power"), 30.0)
+        hist.poll_host("broker", 30.0)
         assert [t for t, xid, _ in hist.log
                 if xid == "DP_solar_power"] == [10.0, 30.0]
         assert hist.get_latest("DP_solar_power") == (30.0, 500.0)
@@ -157,11 +157,11 @@ class TestPolling:
     def test_timestamps_must_increase(self):
         hist, _ = make()
         dp = hist.point("DP_solar_power")
-        hist.poll(dp, 10.0)
+        hist.poll_host("broker", 10.0)
         for t in (10.0, 9.0):
             with pytest.raises(HistorianError,
                                match="non-increasing sample timestamp"):
-                hist.poll(dp, t)
+                hist.poll_host("broker", t)
         assert dp.latest == (10.0, 500.0)
         assert hist.log == [(10.0, "DP_solar_power", 500.0)]
 
@@ -195,6 +195,16 @@ class TestPolling:
         assert hist.log[-3:] == [(20.0, "DP_a_consumption", 1500.0),
                                  (20.0, "DP_late", 7.0),
                                  (20.0, "DP_late_kw", 7.0)]
+
+    def test_a_pass_logs_the_samples_taken_before_a_poll_raised(self):
+        hist, _ = make()
+        hist.poll_host("cab-a", 20.0)
+        # the broker's point polls at 20 s, then cab-a's raises
+        with pytest.raises(HistorianError,
+                           match="non-increasing sample timestamp"):
+            hist.poll_sourced(20.0)
+        assert hist.log == [(20.0, "DP_a_consumption", 1500.0),
+                            (20.0, "DP_solar_power", 500.0)]
 
     @pytest.mark.parametrize("to_file", [False, True],
                              ids=["list", "SampleSink"])
@@ -493,6 +503,67 @@ class TestExport:
         assert lines[0] == "timestamp,xid,value"
         assert lines[1:] == [f"{format_value(t)},{xid},{format_value(v)}"
                              for t, xid, v in samples]
+
+
+def sample_rows(n: int, points: int = 7) -> list[tuple[float, str, float]]:
+    """``n`` rows of ``points`` points an instant, each point's value held
+    for three instants at a time, cycling through 0.0, -0.0, NaN and others."""
+    values = [1.5, 0.0, -0.0, float("nan"), 2.25, 1e15, -0.5, 62.667]
+    return [(10.0 * (i // points), f"DP_{i % points}",
+             values[(i // points // 3 + i % points) % len(values)])
+            for i in range(n)]
+
+
+class TestSinkExtend:
+    @pytest.mark.parametrize("split", ["instants", "rows", "all-at-once"])
+    def test_extend_writes_what_appending_each_row_writes(self, tmp_path,
+                                                          split):
+        # past BUFFER_ROWS, so the buffer is written out mid-way
+        rows = sample_rows(BUFFER_ROWS + 100)
+        if split == "instants":          # one extend per instant, as a pass
+            chunks = [[r for r in rows if r[0] == t]
+                      for t in sorted({r[0] for r in rows})]
+        elif split == "rows":            # chunks across instant changes
+            chunks = [rows[i:i + 66] for i in range(0, len(rows), 66)]
+        else:
+            chunks = [rows]
+        extended = SampleSink(str(tmp_path / "extended.csv"))
+        for chunk in chunks:
+            extended.extend(iter(chunk))
+        appended = SampleSink(str(tmp_path / "appended.csv"))
+        for row in rows:
+            appended.append(row)
+        assert len(extended) == len(appended) == len(rows)
+        extended.close()
+        appended.close()
+        written = (tmp_path / "extended.csv").read_bytes()
+        assert written == (tmp_path / "appended.csv").read_bytes()
+        # the old append's line, row by row
+        assert written.decode() == "timestamp,xid,value\n" + "".join(
+            f"{format_value(t)},{xid},{format_value(v)}\n"
+            for t, xid, v in rows)
+
+    def test_buffer_holds_at_most_buffer_rows_plus_one_pass(self, tmp_path):
+        path = tmp_path / "datapoints.csv"
+        sink = SampleSink(str(path))
+        flushed = []
+        flush = sink.flush
+
+        def recording():
+            flushed.append(len(sink._buf))
+            flush()
+
+        sink.flush = recording
+        rows = sample_rows(66 * 200, points=66)     # 200 passes of 66 points
+        for i in range(0, len(rows), 66):
+            sink.extend(rows[i:i + 66])
+            assert len(sink._buf) < BUFFER_ROWS
+            assert len(sink) == i + 66
+        assert len(flushed) == len(rows) // BUFFER_ROWS == 3
+        assert all(BUFFER_ROWS <= n < BUFFER_ROWS + 66 for n in flushed)
+        assert path.read_text().count("\n") == 1 + sum(flushed)
+        sink.close()
+        assert path.read_text().count("\n") == 1 + len(rows)
 
 
 class TestHttpApi:

@@ -1,5 +1,5 @@
 """Micro-benchmarks of the hot primitives: the poll path (one host's poll,
-one full poll instant, a Modbus read on the general path and on a prepared
+one full poll instant into a list and into a sample sink, a Modbus read on the general path and on a prepared
 request), model stepping,
 seeding the generator and drawing a cluster's load, broker writes and
 reads, the EMS decision, an operator's coil and broker commands through a
@@ -24,7 +24,8 @@ from spmtwin import modbus
 from spmtwin.broker import Broker, BrokerRequest
 from spmtwin.devices import MASTER_COIL
 from spmtwin.ems import IDLE, START, ActionSet, EmsConfig, Measurements, ems_tick
-from spmtwin.historian import BrokerSource, Datapoint, Historian, ModbusSource
+from spmtwin.historian import (BrokerSource, Datapoint, Historian,
+                               ModbusSource, SampleSink)
 from spmtwin.netfabric import Fabric
 from spmtwin.occupancy import TurnoutModel
 from spmtwin.rng import Generator
@@ -85,6 +86,26 @@ def test_poll_instant_on_60_hosts(benchmark):
     assert last[0] >= ROUNDS * ITERATIONS
     assert hist.get_latest("DP_cab-059") == (last[0], 1059.0)
     assert hist.log[-1] == (last[0], "DP_cab-059", 1059.0)
+
+
+def test_poll_instant_into_a_sample_sink(benchmark):
+    # as in a run: the pass hands its rows to a SampleSink in one extend
+    hist = campus_historian()
+    hist.log = SampleSink(os.devnull)
+    clock = itertools.count(1)
+    last = [0.0]
+
+    def poll():
+        last[0] = float(next(clock))
+        return hist.poll_sourced(last[0])
+
+    try:
+        assert benchmark.pedantic(poll, rounds=ROUNDS,
+                                  iterations=ITERATIONS) == HOSTS + 4
+        assert len(hist.log) == (HOSTS + 4) * last[0]
+        assert last[0] >= ROUNDS * ITERATIONS
+    finally:
+        hist.log.close()
 
 
 def test_deliver_on_kept_route(benchmark):

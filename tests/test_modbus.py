@@ -396,6 +396,104 @@ class TestPreparedCoilWrites:
         assert modbus._prepared == {}
 
 
+def hooked_rf() -> tuple[RegisterFile, list]:
+    """A cabinet's register file with holding register 5, whose
+    ``on_write`` records the coils and holding registers it sees."""
+    rf = cabinet_rf()
+    rf.set_holding(5, 0)
+    calls = []
+    rf.on_write = lambda: calls.append(
+        (dict(rf.coils), dict(rf.holding_registers)))
+    return rf, calls
+
+
+def register_frame(address: int, value: int) -> bytes:
+    return encode_frame(MbapFrame(1, 1, write_register_request(address,
+                                                                value)))
+
+
+class TestWriteHook:
+    """``RegisterFile.on_write`` is called once after each served write that
+    changes a value, on the general path and the prepared one, and for
+    nothing else."""
+
+    @pytest.mark.parametrize("path", ["general", "prepared"])
+    def test_each_changing_coil_write_calls_it_once(self, path):
+        modbus._prepared.clear()
+        on, off = write_frame(1, 1, 100, COIL_ON), write_frame(1, 1, 100,
+                                                               COIL_OFF)
+        if path == "prepared":
+            for request in (on, off):        # prepared on another device
+                serve_frame_bytes(cabinet_rf(), request)
+            assert on in modbus._prepared and off in modbus._prepared
+        rf, calls = hooked_rf()
+        holding = dict(rf.holding_registers)
+        for request, changes in [(on, True), (on, False), (off, True),
+                                 (off, False), (on, True)]:
+            before = len(calls)
+            # a bytearray is never prepared: it takes the general path
+            data = request if path == "prepared" else bytearray(request)
+            assert serve_frame_bytes(rf, data) == request
+            assert len(calls) == before + changes
+            assert calls[-1] == ({100: request == on, 101: True}, holding)
+        assert len(calls) == 3
+        assert modbus._prepared.keys() == (
+            {on, off} if path == "prepared" else set())
+
+    def test_each_changing_register_write_calls_it_once(self):
+        rf, calls = hooked_rf()
+        coils = dict(rf.coils)
+        for value, changes in [(1234, True), (1234, False), (0, True),
+                               (0, False)]:
+            before = len(calls)
+            request = register_frame(5, value)
+            assert serve_frame_bytes(rf, request) == request
+            assert len(calls) == before + changes
+            assert calls[-1] == (coils, {5: value})
+        assert execute(rf, write_register_request(5, 7)) \
+            == write_register_request(5, 7)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("request_bytes", [
+        encode_frame(MbapFrame(1, 1, read_request(READ_INPUT, 100, 1))),
+        encode_frame(MbapFrame(1, 1, read_request(READ_HOLDING, 5, 1))),
+        encode_frame(MbapFrame(1, 1, read_request(READ_COILS, 100, 2))),
+        write_frame(1, 1, 77, COIL_ON),                   # unmapped coil
+        write_frame(1, 1, 100, 0x1234),                   # bad coil value
+        register_frame(6, 1),                             # unmapped register
+        register_frame(101, 1),       # an input register, not a holding one
+        encode_frame(MbapFrame(1, 1, Pdu(0x10, b"\x00\x05\x00\x01"))),
+    ], ids=["read-input", "read-holding", "read-coils", "unmapped-coil",
+            "bad-coil-value", "unmapped-register", "input-register",
+            "unknown-function"])
+    def test_reads_and_exception_replies_never_call_it(self, request_bytes):
+        modbus._prepared.clear()
+        rf, calls = hooked_rf()
+        untouched, _ = hooked_rf()
+        for _ in range(2):                        # cold, then prepared
+            serve_frame_bytes(rf, request_bytes)
+        assert calls == []
+        assert rf == untouched
+
+    def test_a_register_file_without_it_serves_the_same(self):
+        modbus._prepared.clear()
+        plain, (hooked, calls) = cabinet_rf(), hooked_rf()
+        plain.set_holding(5, 0)
+        assert plain == hooked and repr(plain) == repr(hooked)
+        assert plain.on_write is None
+        requests = [write_frame(1, 1, 100, COIL_ON), write_frame(1, 1, 100,
+                                                                 COIL_ON),
+                    write_frame(1, 1, 101, COIL_OFF), register_frame(5, 9),
+                    write_frame(1, 1, 77, COIL_ON), register_frame(6, 1),
+                    encode_frame(MbapFrame(1, 1, read_request(READ_HOLDING,
+                                                              5, 1)))]
+        for request in requests + requests:       # cold, then prepared
+            assert serve_frame_bytes(plain, request) \
+                == serve_frame_bytes(hooked, request)
+            assert plain == hooked
+        assert len(calls) == 3
+
+
 class TestFrameValues:
     def test_compare_by_value_and_hash(self):
         a = MbapFrame(7, 1, Pdu(READ_INPUT, b"\x00\x64\x00\x01"))

@@ -21,7 +21,7 @@ from spmtwin import ems, modbus, netfabric
 from spmtwin import runner as runner_mod
 from spmtwin.cli import (EXIT_INTERRUPTED, EXIT_INVALID, EXIT_OK,
                          EXIT_RUNTIME, main)
-from spmtwin.devices import CONSUMPTION_REGISTER, TRIP_COIL
+from spmtwin.devices import CONSUMPTION_REGISTER, MASTER_COIL, TRIP_COIL
 from spmtwin.historian import BUFFER_ROWS, CommandFailure, NoData
 from spmtwin.runner import (
     PHASE_CABINET,
@@ -913,8 +913,9 @@ class TestPacedWake:
                                                              scenario_dir):
         runner = long_gap(tmp_path, scenario_dir)
         events = record_events(runner)
+        # master off: a write that changes the coil
         during_run(runner, lambda: post_command(
-            runner, "modbus:cab-a/coil/101", True), delay=0.3)
+            runner, "modbus:cab-a/coil/101", False), delay=0.3)
         assert runner.artifacts.completed
         times = [t for t, _ in events]
         # the coil write asks for a scan at 0.1 s, before the event at 10 s
@@ -1373,6 +1374,30 @@ class TestChangeDrivenSampling:
         assert [e[1:] for e in runner.callbacks if 1000 < e[0] < 1010] == [
             ("on_reset", "a"), ("on_trip", "a")]
         assert 10 * len(runner.calls) < len(oracle.calls)
+
+    @pytest.mark.parametrize("path", ["general", "prepared"])
+    def test_a_redundant_coil_write_marks_nothing(self, scenario_path, path):
+        runner = Runner(load_scenario(scenario_path), pace=False)
+        cab = runner.scenario.cabinets[0]
+        rf = runner.cabinets[cab.building].register_file
+        request = modbus.encode_frame(modbus.MbapFrame(
+            1, cab.unit_id, modbus.write_coil_request(MASTER_COIL, True)))
+        write = functools.partial(runner._write_modbus_coil, cab.node,
+                                  cab.unit_id, MASTER_COIL)
+        modbus._prepared.clear()
+        if path == "prepared":
+            write(True)
+        runner._marked.clear()
+        assert (request in modbus._prepared) is (path == "prepared")
+        write(True)                     # master on, as it already is
+        assert rf.get_coil(MASTER_COIL) is True
+        assert request in modbus._prepared
+        assert runner._marked == set()
+        assert runner._scans_due == {} and runner._heap == []
+        write(False)                    # a write that changes the coil
+        assert runner._marked == {cab.building}
+        assert list(runner._scans_due.values()) == [{cab.building: None}]
+        assert len(runner._heap) == 1
 
     # on sixty buildings nothing trips by load, so the PLC of b031 is
     # tripped and reset by hand
