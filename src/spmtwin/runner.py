@@ -19,7 +19,11 @@ members in registration order, and PLC scans as one event per scan instant,
 which scans buildings in the order their scans were asked for. That is the
 order one event per task gave, because tasks of one period re-arm together
 and so always ran contiguously, in registration order, at each
-``(t, phase)`` they shared.
+``(t, phase)`` they shared. A group re-arms itself with one heap push; its
+sequence number comes from the one counter :meth:`Runner._schedule` draws
+from, so the ``(t, phase, seq)`` order is that of a push through
+``_schedule``. Each popped event calls ``advance_to`` on the runner's clock
+object, so a wrapper set on that instance before the run sees every event.
 
 Cabinet sampling and PLC scanning are change-driven. A cabinet's inputs are
 its building's client loads, which change only at a spawn, a retire or a trip
@@ -89,6 +93,7 @@ unpacks once.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import os
 import time
@@ -282,7 +287,9 @@ class Runner:
         self.rng = rng.Generator(scenario.seed)
         self.fabric = netfabric.Fabric(scenario.policy)
         self._heap: list = []
-        self._seq = 0
+        # the third key of every event: its order among events of one
+        # (t, phase)
+        self._seqs = itertools.count(1)
         self._closed = False          # set once the run ends
         # monotonic time the loop started at, and of the next unpaced serve
         self._wall_start = self._next_serve = 0.0
@@ -476,24 +483,21 @@ class Runner:
         except netfabric.Blocked:
             pass        # the fabric counts it and logs the pair once
 
-    def _broker_request(self, src: str, method: str, thing: str,
-                        feature: str, prop: str, body=None) -> dict:
-        """Deliver a ``method`` request on one property, src -> broker."""
-        # tuple.__new__ skips BrokerRequest's Python-level __new__
-        return self.fabric.deliver(
-            src, self.scenario.broker_node, "http",
-            tuple.__new__(BrokerRequest, (method, thing, feature, prop, body)))
-
     def _read_broker(self, thing: str, feature: str, prop: str):
-        result = self._broker_request(self.scenario.historian_node, "GET",
-                                      thing, feature, prop)
+        s = self.scenario
+        # tuple.__new__ skips BrokerRequest's Python-level __new__
+        result = self.fabric.deliver(
+            s.historian_node, s.broker_node, "http", tuple.__new__(
+                BrokerRequest, ("GET", thing, feature, prop, None)))
         if result["status"] != 200:
             raise CommandFailure(f"broker read failed: {result}")
         return result["body"]
 
     def _write_broker(self, thing: str, feature: str, prop: str, value) -> None:
-        result = self._broker_request(self.scenario.historian_node, "PUT",
-                                      thing, feature, prop, value)
+        s = self.scenario
+        result = self.fabric.deliver(
+            s.historian_node, s.broker_node, "http", tuple.__new__(
+                BrokerRequest, ("PUT", thing, feature, prop, value)))
         if result["status"] not in (200, 204):
             raise CommandFailure(f"broker write failed: {result}")
 
@@ -559,8 +563,7 @@ class Runner:
     # ── scheduler ─────────────────────────────────────────────────────
 
     def _schedule(self, t: float, phase: int, fn: Callable[[float], None]) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t, phase, self._seq, fn))
+        heapq.heappush(self._heap, (t, phase, next(self._seqs), fn))
 
     def _schedule_periodic(
             self, tasks: list[tuple[float, int, Callable[[float], None]]]) -> None:
@@ -575,10 +578,12 @@ class Runner:
 
     def _schedule_group(self, period: float, phase: int,
                         members: list[Callable[[float], None]]) -> None:
+        heap, push, seq = self._heap, heapq.heappush, self._seqs
+
         def group(t: float) -> None:
             for fn in members:
                 fn(t)
-            self._schedule(t + period, phase, group)
+            push(heap, (t + period, phase, next(seq), group))
         self._schedule(period, phase, group)
 
     def _schedule_plc_scan(self, building: str, now: float) -> None:
@@ -648,10 +653,11 @@ class Runner:
         else:     # an interpolation thing publishes nothing
             values = self.solar[thing].telemetry(t) if thing in self.solar else {}
         feature = self._features[thing]
+        deliver, broker_node = self.fabric.deliver, self.scenario.broker_node
         for prop, value in values.items():
             try:
-                result = self._broker_request(node, "PUT", thing, feature,
-                                              prop, value)
+                result = deliver(node, broker_node, "http", tuple.__new__(
+                    BrokerRequest, ("PUT", thing, feature, prop, value)))
                 if result["status"] not in (200, 204):
                     self.artifacts.publish_errors += 1
             except netfabric.Blocked:
@@ -862,13 +868,16 @@ class Runner:
                 on_listening()
 
             self._wall_start = self._next_serve = time.monotonic()
+            heap, pop, clock, end = (self._heap, heapq.heappop, self.clock,
+                                     s.duration_s)
             t = None
-            while self._heap and self._heap[0][0] <= s.duration_s:
+            while heap and heap[0][0] <= end:
                 # an instant boundary: serve HTTP first
-                if self._heap[0][0] != t and self._drain_injections():
+                if heap[0][0] != t and self._drain_injections():
                     continue
-                t, phase, _seq, fn = heapq.heappop(self._heap)
-                self.clock.advance_to(t)
+                t, phase, _seq, fn = pop(heap)
+                # looked up per event: a caller may wrap it on the instance
+                clock.advance_to(t)
                 try:
                     fn(t)
                 except Exception as exc:

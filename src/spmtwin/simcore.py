@@ -130,6 +130,16 @@ class LinearStateSpace:
     applied as one affine propagator that composes them; it is built on the
     first step of each horizon and cached, so ``A``, ``B`` and ``dt`` are
     fixed once the system has stepped.
+
+    A system at rest is not stepped again. A step that leaves ``x`` equal to
+    what it was keeps its horizon, its input and a copy of the state; the
+    next step with an equal horizon, input and state returns that copy. This
+    is exact. Each row's sum folds from ``+0.0``, so it never yields
+    ``-0.0``, and a step's result depends only on the values of ``x`` and
+    ``u``, not on the signs of their zeros. So an equal state steps to the
+    kept copy, bit for bit. A NaN never compares equal, so a NaN state is
+    always stepped. ``x`` may be written in place between steps (a storage
+    clamps its level so): the copy is compared, not the list.
     """
 
     A: Sequence[Sequence[float]]
@@ -155,6 +165,8 @@ class LinearStateSpace:
         self.x = list(map(float, self.x))
         self._n, self._m = n, m
         self._propagators: dict[float, list[list[float]]] = {}
+        # (dt, u, x) of the last step that left x as it was, else None
+        self._rest: tuple[float, tuple[float, ...], list[float]] | None = None
 
     @property
     def n(self) -> int:
@@ -207,11 +219,18 @@ class LinearStateSpace:
             )
         if dt <= 0:
             raise ConfigurationError("step dt must be > 0")
-        xu = [*self.x, *u]
+        x, rest = self.x, self._rest
+        if rest is not None and rest[0] == dt and rest[2] == x \
+                and rest[1] == tuple(u):
+            # at rest: the kept copy, not x, whose zeros may be -0.0
+            self.x = list(rest[2])
+            return list(rest[2])
+        xu = [*x, *u]
         # _dot, inlined: a call per row would cost ~0.4 us
-        self.x = [reduce(add, map(mul, row, xu), 0.0)
-                  for row in self._propagator(dt)]
-        return list(self.x)
+        self.x = new = [reduce(add, map(mul, row, xu), 0.0)
+                        for row in self._propagator(dt)]
+        self._rest = (dt, tuple(u), list(new)) if new == x else None
+        return list(new)
 
     def steady_state(self, u: Sequence[float]) -> list[float]:
         """Solve A x* + B u = 0 by Gaussian elimination with partial

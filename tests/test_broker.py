@@ -1,3 +1,4 @@
+import enum
 import http.client
 import json
 import sys
@@ -62,6 +63,82 @@ class TestThings:
         reply = broker.handle_request(BrokerRequest("PUT", *PANEL_POWER,
                                                     value))
         assert reply["status"] == 400
+
+
+class Level(enum.IntEnum):
+    FULL = 100
+
+
+class Reading(float):
+    pass
+
+
+class TestWriteValidation:
+    """A write's exact float, int, bool and str pass inline; every other
+    value is checked as it always was, with the same messages."""
+
+    @pytest.mark.parametrize("value", [Reading("inf"), Reading("-inf"),
+                                       Reading("nan")])
+    def test_a_float_subclass_must_be_finite_too(self, value):
+        broker = make_broker()
+        with pytest.raises(ValidationError, match=(
+                "^FDT:solar-panel-1/panel/power: numbers must be finite, "
+                f"got {value}$")):
+            broker.put_property(*PANEL_POWER, value)
+        assert broker.revision("FDT:solar-panel-1") == 0
+        broker.put_property(*PANEL_POWER, Reading(2.5))
+        assert broker.get_property(*PANEL_POWER) == 2.5
+
+    @pytest.mark.parametrize("value, kind", [(None, "NoneType"),
+                                             ([1, 2], "list")])
+    def test_a_value_that_is_not_a_scalar_keeps_its_message(self, value,
+                                                            kind):
+        broker = make_broker()
+        message = ("FDT:solar-panel-1/panel/power: values must be scalars, "
+                   f"got {kind}")
+        with pytest.raises(ValidationError) as exc:
+            broker.put_property(*PANEL_POWER, value)
+        assert str(exc.value) == message
+        # refused before the thing is looked up
+        assert broker.handle_request(BrokerRequest(
+            "PUT", "FDT:nope", "panel", "power", value)) == {
+                "status": 400, "body": {"error": message.replace(
+                    "solar-panel-1", "nope")}}
+
+    @pytest.mark.parametrize("value", [Level.FULL, True, False, 0, -7, "idle",
+                                       0.0, -0.0, 1e308])
+    def test_scalars_are_stored_as_given(self, value):
+        broker = make_broker()
+        assert broker.put_property(*PANEL_POWER, value) == 1
+        stored = broker.get_property(*PANEL_POWER)
+        assert stored is value or (type(stored) is type(value)
+                                   and repr(stored) == repr(value))
+
+    def test_a_write_to_an_unknown_thing_is_404(self):
+        broker = make_broker()
+        with pytest.raises(NotFound, match="^unknown thing 'FDT:nope'$"):
+            broker.put_property("FDT:nope", "panel", "power", 1.0)
+        assert broker.handle_request(BrokerRequest(
+            "PUT", "FDT:nope", "panel", "power", 1.0)) == {
+                "status": 404, "body": {"error": "unknown thing 'FDT:nope'"}}
+
+    def test_a_write_to_a_new_feature_creates_it(self):
+        broker = make_broker()
+        broker.put_property("FDT:solar-panel-1", "sky", "radiance", 3.0)
+        assert broker.get_property("FDT:solar-panel-1", "sky", "radiance") \
+            == 3.0
+        assert broker.get_property(*PANEL_POWER) == 0.0
+
+    @pytest.mark.parametrize("request_", [
+        BrokerRequest("DELETE", *PANEL_POWER),
+        BrokerRequest("POST", *PANEL_POWER, 1.0),
+        BrokerRequest("DELETE")], ids=["property", "with-body", "no-thing"])
+    def test_an_unsupported_method_is_400(self, request_):
+        broker = make_broker()
+        assert broker.handle_request(request_) == {
+            "status": 400,
+            "body": {"error": f"unsupported method {request_.method}"}}
+        assert broker.revision("FDT:solar-panel-1") == 0
 
 
 class TestProperties:

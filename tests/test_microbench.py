@@ -1,6 +1,6 @@
 """Micro-benchmarks of the hot primitives: the poll path (one host's poll,
 one full poll instant into a list and into a sample sink, a Modbus read on the general path and on a prepared
-request), model stepping,
+request), model stepping at rest and computed, one scheduler event,
 seeding the generator and drawing a cluster's load, broker writes and
 reads, the EMS decision, an operator's coil and broker commands through a
 built runner, and a twin's set-up: reading the radiance year and building a
@@ -15,6 +15,7 @@ the primitive's result. Compare two revisions with::
     pytest tests/test_microbench.py --benchmark-only --benchmark-compare
 """
 
+import heapq
 import itertools
 import os
 
@@ -29,7 +30,7 @@ from spmtwin.historian import (BrokerSource, Datapoint, Historian,
 from spmtwin.netfabric import Fabric
 from spmtwin.occupancy import TurnoutModel
 from spmtwin.rng import Generator
-from spmtwin.runner import Runner
+from spmtwin.runner import PHASE_CONTROLLER, Runner
 from spmtwin.scenario import load_scenario, parse_policy
 from spmtwin.simcore import LinearStateSpace, interpolate, load_radiance_csv
 
@@ -192,16 +193,68 @@ def test_decode_frame(benchmark):
     assert frame == modbus.MbapFrame(1, 1, pdu)
 
 
+def turbine() -> LinearStateSpace:
+    """The plant's turbine, stopped and cold."""
+    return LinearStateSpace(A=[[-0.3076, 0.0], [0.0008, -0.2]],
+                            B=[[4750.0, 29993.0, -0.1], [1.0, 45.0, 0.2]],
+                            x=[0.0, 15.0], dt=1.0)
+
+
 def test_turbine_step(benchmark):
-    # the plant's turbine, valves open, one 10 s controller publish per step
-    system = LinearStateSpace(A=[[-0.3076, 0.0], [0.0008, -0.2]],
-                              B=[[4750.0, 29993.0, -0.1], [1.0, 45.0, 0.2]],
-                              x=[0.0, 15.0], dt=1.0)
+    # the plant's turbine, valves open, one 10 s controller publish per step;
+    # it settles to an exact fixed point within tens of steps, so after
+    # settling this times the rest path, and test_turbine_step_computed the
+    # propagator's
+    system = turbine()
     u = (1.0, 1.0, 15.0)
     x = benchmark.pedantic(system.step, args=(u, 10.0), rounds=ROUNDS,
                            iterations=ITERATIONS)
     # 1,000 steps are 10,000 s: far past the 30 s settling time
     assert x == pytest.approx(system.steady_state(u), rel=1e-9)
+
+
+def test_turbine_step_at_rest(benchmark):
+    # the turbine as it is all day on the reference plant: stopped, at rest
+    system = turbine()
+    stop = (0.0, 0.0, 15.0)
+    for _ in range(100):
+        system.step(stop, 10.0)
+    rest = list(system.x)
+    system._propagator = None       # a computed step would fail
+    x = benchmark.pedantic(system.step, args=(stop, 10.0), rounds=ROUNDS,
+                           iterations=ITERATIONS)
+    assert x == system.x == rest and x is not system.x
+
+
+def test_turbine_step_computed(benchmark):
+    # starting and stopping every step: never at rest, each step computed
+    system = turbine()
+    inputs = itertools.cycle([(1.0, 1.0, 15.0), (0.0, 0.0, 15.0)])
+
+    def step():
+        return system.step(next(inputs), 10.0)
+
+    x = benchmark.pedantic(step, rounds=ROUNDS, iterations=ITERATIONS)
+    assert system._rest is None and x == system.x
+    assert 0.0 < x[0] < system.steady_state((1.0, 1.0, 15.0))[0]
+
+
+def test_scheduler_event_of_no_op_members(benchmark, scenario_path):
+    # one event of a periodic group as the run loop makes it: pop it,
+    # advance the clock, run the members (three no-ops) and re-arm the group
+    runner = Runner(load_scenario(scenario_path), pace=False)
+    runner._schedule_periodic([(10.0, PHASE_CONTROLLER, lambda t: None)] * 3)
+    heap, clock = runner._heap, runner.clock
+
+    def event():
+        t, _, _, fn = heapq.heappop(heap)
+        clock.advance_to(t)
+        fn(t)
+        return t
+
+    t = benchmark.pedantic(event, rounds=ROUNDS, iterations=ITERATIONS)
+    assert t == clock.now() >= 10.0 * ROUNDS * ITERATIONS
+    assert [e[0] for e in heap] == [t + 10.0]
 
 
 def test_generator_seed(benchmark):

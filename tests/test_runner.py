@@ -1347,6 +1347,46 @@ class TestGroupedScheduling:
         assert 0 < events[0] <= 8 * polls
 
 
+class TestEventLoop:
+    def test_every_popped_event_advances_the_clock(self, tmp_path,
+                                                   scenario_dir, monkeypatch):
+        # the clock is wrapped on the instance after the runner is built and
+        # before it runs, as the benchmark's calibration does
+        path = customized(tmp_path, scenario_dir, duration_s=7200)
+        runner = Runner(load_scenario(path), pace=False)
+        advanced, popped = [], []
+        advance_to = runner.clock.advance_to
+
+        def recording(t):
+            advanced.append(t)
+            return advance_to(t)
+
+        runner.clock.advance_to = recording
+        heappop = runner_mod.heapq.heappop
+
+        def counted_pop(heap):
+            event = heappop(heap)
+            popped.append(event[0])
+            return event
+
+        monkeypatch.setattr(runner_mod.heapq, "heappop", counted_pop)
+        cab = runner.scenario.cabinets[0]
+        replies = []
+        for t, on in ((1800.0, False), (3600.0, True)):
+            # a master coil write after the EMS phase: it schedules a scan
+            # from inside an event
+            runner._schedule(t, PHASE_EMS + 1, lambda _t, on=on: replies.append(
+                runner.inject(f"modbus:{cab.node}/coil/{MASTER_COIL}", on)))
+        assert runner.run(out_dir=str(tmp_path / "out")).completed
+        assert replies and all(r["ok"] for r in replies)
+        assert advanced == popped
+        assert advanced == sorted(advanced) and advanced[-1] == 7200.0
+        # the groups re-armed to the end, and the writes' scans ran
+        assert advanced.count(7200.0) >= 5
+        for t in (1800.0, 3600.0):
+            assert any(t < e < t + 1 for e in advanced)
+
+
 class TestChangeDrivenSampling:
     # on the mixed-periods variant a trips at 60 s and stays tripped, and
     # c never trips

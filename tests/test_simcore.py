@@ -278,6 +278,130 @@ class TestLinearStateSpace:
         assert sys.x[0] == pytest.approx(want, abs=1e-6 + 1e-4 * abs(want))
 
 
+def bits(xs):
+    return [float.hex(v) for v in xs]
+
+
+def step_as_fresh(sys, script):
+    """Step ``sys`` through ``script``, ``(u, dt, write)`` each, where
+    ``write`` is ``(i, v)`` to set ``x[i] = v`` in place before the step, or
+    None. Each step must return, and leave in ``x``, the bits a system built
+    at the state before it returns, with no history. Returns the horizons of
+    the steps that were computed, not skipped at rest."""
+    computed = []
+    propagator = sys._propagator
+
+    def counted(dt):
+        computed.append(dt)
+        return propagator(dt)
+
+    sys._propagator = counted
+    for u, dt, write in script:
+        if write is not None:
+            sys.x[write[0]] = write[1]
+        fresh = LinearStateSpace(A=sys.A, B=sys.B, x=list(sys.x), dt=sys.dt)
+        want = fresh.step(u, dt)
+        got = sys.step(u, dt)
+        assert bits(got) == bits(want) == bits(sys.x), (u, dt, write)
+        assert got is not sys.x
+    return computed
+
+
+IDLE, CHARGE = (0.0, 0.0), (1.0, 0.0)
+
+
+class TestRest:
+    """A step from a state at rest returns the kept copy; each is compared
+    bit for bit with a system that has no history."""
+
+    def test_an_idle_storage_is_stepped_once(self):
+        sys = LinearStateSpace(A=STORAGE_A, B=STORAGE_B, x=[50.0])
+        assert step_as_fresh(sys, [(IDLE, 10.0, None)] * 5) == [10.0]
+
+    def test_a_write_in_place_between_steps_is_stepped(self):
+        # the storage clamp writes x[0] after a step that overshot
+        sys = LinearStateSpace(A=STORAGE_A, B=STORAGE_B, x=[99.0])
+        script = [(IDLE, 10.0, None), (IDLE, 10.0, None),
+                  (IDLE, 10.0, (0, 100.0)), (IDLE, 10.0, None),
+                  (IDLE, 10.0, (0, 100.0)),     # the value it holds
+                  (CHARGE, 10.0, None), (IDLE, 10.0, (0, 100.0)),
+                  (IDLE, 10.0, None)]
+        assert len(step_as_fresh(sys, script)) == 4
+
+    def test_a_change_of_input_is_stepped(self):
+        sys = LinearStateSpace(A=STORAGE_A, B=STORAGE_B, x=[50.0])
+        script = [(IDLE, 10.0, None), (IDLE, 10.0, None),
+                  ((0.0, 1.0), 10.0, None), (IDLE, 10.0, None),
+                  ([0.0, 0.0], 10.0, None)]      # a list equal to IDLE
+        assert len(step_as_fresh(sys, script)) == 3
+
+    def test_a_change_of_horizon_is_stepped(self):
+        sys = LinearStateSpace(A=STORAGE_A, B=STORAGE_B, x=[50.0])
+        script = [(IDLE, 10.0, None), (IDLE, 10.0, None), (IDLE, 5.0, None),
+                  (IDLE, 5.0, None), (IDLE, 10.0, None)]
+        assert step_as_fresh(sys, script) == [10.0, 5.0, 10.0]
+
+    def test_a_negative_zero_steps_to_positive_zero(self):
+        # the fold yields +0.0, so -0.0 in x0, or written in place, is at
+        # rest with the +0.0 kept, and the kept copy is what is returned
+        sys = LinearStateSpace(A=[[0.0, 0.0], [0.0, -0.5]],
+                               B=[[1.0], [1.0]], x=[-0.0, 0.0])
+        script = [((0.0,), 10.0, None), ((-0.0,), 10.0, None),
+                  ((0.0,), 10.0, (1, -0.0)), ((0.0,), 10.0, (0, -0.0))]
+        assert step_as_fresh(sys, script) == [10.0]
+        assert bits(sys.x) == bits([0.0, 0.0])
+
+    @pytest.mark.parametrize("x0, write", [
+        ([math.nan], None), ([50.0], (0, math.nan))], ids=["x0", "written"])
+    def test_a_nan_state_is_always_stepped(self, x0, write):
+        sys = LinearStateSpace(A=STORAGE_A, B=STORAGE_B, x=x0)
+        script = [(IDLE, 10.0, write)] + [(IDLE, 10.0, None)] * 4
+        assert len(step_as_fresh(sys, script)) == 5
+        assert math.isnan(sys.x[0])
+
+    def test_the_turbine_at_rest(self):
+        # stopped, the rpm decays to an exact fixed point; started, it
+        # settles to another; an rpm written at rest moves it again
+        stop, start = (0.0, 0.0, 15.0), (1.0, 1.0, 15.0)
+        sys = LinearStateSpace(A=TURBINE_A, B=TURBINE_B, x=[0.0, 15.0])
+        script = ([(stop, 10.0, None)] * 40 + [(start, 10.0, None)] * 80
+                  + [(start, 10.0, (0, 1000.0))] + [(start, 10.0, None)] * 80)
+        assert len(step_as_fresh(sys, script)) < 200
+        assert sys._rest is not None        # at rest again
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_systems_match_a_fresh_system(self, seed):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        # half of them integrators, as the storage is; the rest stable
+        integrator = seed % 2 == 0
+        A = [[0.0 if integrator else
+              (rng.uniform(-2.0, -0.5) if i == j else rng.uniform(-0.1, 0.1))
+              for j in range(n)] for i in range(n)]
+        B = [[rng.choice([0.0, rng.uniform(-1.0, 1.0)]) for _ in range(m)]
+             for _ in range(n)]
+        x0 = [rng.choice([0.0, -0.0, rng.uniform(-50.0, 50.0)])
+              for _ in range(n)]
+        inputs = [(0.0,) * m] + [
+            tuple(rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0)])
+                  for _ in range(m)) for _ in range(2)]
+        script = []
+        while len(script) < 400:
+            u, dt = rng.choice(inputs), rng.choice([2.0, 5.0])
+            for _ in range(rng.randint(1, 60)):
+                write = None
+                if rng.random() < 0.05:
+                    write = (rng.randrange(n),
+                             rng.choice([0.0, -0.0, rng.uniform(-50, 50)]))
+                script.append((u, dt, write))
+        sys = LinearStateSpace(A=A, B=B, x=x0, dt=rng.choice([0.5, 1.0]))
+        computed = step_as_fresh(sys, script)
+        # an integrator under the zero input is at rest from its next step;
+        # a stable system may not reach an exact fixed point in 400 steps
+        if integrator:
+            assert len(computed) < len(script)
+
+
 # ── callbacks ────────────────────────────────────────────────────────
 
 
