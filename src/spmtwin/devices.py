@@ -8,6 +8,8 @@ physical models to the twin broker and react to command property changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable
 
 from .modbus import RegisterFile
@@ -54,7 +56,9 @@ class SmartCabinet:
         if not self.register_file.get_coil(MASTER_COIL):
             consumption = 0
         else:
-            consumption = int(round(self.base_load_w + sum(client_loads_w)))
+            # a left-to-right fold, not sum(): see simcore._dot
+            loads = reduce(add, client_loads_w, 0.0)
+            consumption = int(round(self.base_load_w + loads))
             consumption = min(consumption, 0xFFFF)
         self.register_file.set_input(CONSUMPTION_REGISTER, consumption)
         return consumption

@@ -32,14 +32,13 @@ these marks the building, and every building starts marked. The cabinet
 phase has one member per sample period, which walks that period's buildings
 in registration order and samples only the marked ones, unmarking each; a
 building that is not marked has not moved, so its sample would write the
-consumption its register already holds. A sample asks for a PLC scan only if
-it wrote a consumption other than the one the building's last scan read.
-Skipping is exact: a scan of unchanged inputs gives the trip coil it already
-holds (``coil or cons > maxcons`` twice is ``coil`` once), ``on_trip``/
-``on_reset`` fire only on a change of that coil, and every other change of a
-cabinet's registers, a Modbus coil or register write, asks for its own scan.
-The loads are summed in the same order either way, so the artifacts are the
-same bytes as with a sample and a scan every period.
+consumption its register already holds. Each sample asks for a PLC scan, and
+every other change of a cabinet's registers, a Modbus coil or register write,
+asks for its own. Skipping an unmarked building is exact: a scan of unchanged
+inputs gives the trip coil it already holds (``coil or cons > maxcons`` twice
+is ``coil`` once), and ``on_trip``/``on_reset`` fire only on a change of that
+coil. The loads are summed in the same order either way, so the artifacts are
+the same bytes as with a sample and a scan every period.
 
 A cabinet's fabric endpoint is :func:`spmtwin.modbus.serve_frame_bytes`
 with its register file bound, and the register file's ``on_write`` hook
@@ -417,7 +416,7 @@ class Runner:
             s.historian_node, "api", self._serve_historian_api)
         self._register_datapoints(specs)
 
-        self.ems_cfg = s.ems.config()
+        self.ems_cfg = s.ems
         self._last_commands: dict[str, object] = {}
         self._ems_skip_reason: str | None = None   # of the last tick, if skipped
         # scan instant -> its buildings, in the order their scans were asked
@@ -426,8 +425,6 @@ class Runner:
         # the buildings whose sample inputs may have moved since their last
         # check, at first all of them
         self._marked: set[str] = set(self.cabinets)
-        # building -> the consumption its last PLC scan read
-        self._scanned: dict[str, int] = {}
 
         self.artifacts = RunArtifacts(
             historian=self.historian, tick_hours=s.ems.timer_period_s / 3600.0)
@@ -597,9 +594,7 @@ class Runner:
 
     def _run_scans(self, t: float) -> None:
         for building in self._scans_due.pop(t):
-            rf = self.cabinets[building].register_file
-            self._scanned[building] = rf.input_registers[CONSUMPTION_REGISTER]
-            self.plcs[building].scan(rf)
+            self.plcs[building].scan(self.cabinets[building].register_file)
 
     # ── periodic tasks ────────────────────────────────────────────────
 
@@ -635,10 +630,9 @@ class Runner:
                 self._task_cabinet_sample(building, t)
 
     def _task_cabinet_sample(self, building: str, t: float) -> None:
-        consumption = self.cabinets[building].sample(
+        self.cabinets[building].sample(
             self.population.building_loads_w(building))
-        if consumption != self._scanned.get(building):
-            self._schedule_plc_scan(building, t)
+        self._schedule_plc_scan(building, t)
 
     def _task_controller(self, thing: str, node: str, period: float,
                          t: float) -> None:

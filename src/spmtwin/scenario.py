@@ -3,9 +3,21 @@
 A scenario JSON file declares the things (simulator type + parameters), the
 devices binding them to the broker and Modbus, the network topology and
 policy, the EMS configuration, the turnout model, and the run parameters
-(duration, clock, seed). Loading reads every key with its declared type,
-builds each model and field controller once to run its own parameter checks,
-and rejects dangling references by name, so a file that loads can run.
+(duration, clock, seed). Each record of the file, a thing, a controller, a
+cabinet, a node, a firewall rule, the EMS or the turnout, is declared once,
+by the dataclass it loads to: its keys are that class's fields, each with
+the field's type and default. The keys that are not field names are mapped
+in ``_KEYS``: a thing's ``property``, ``callbackName`` and ``source``
+(``prop``, ``callback_name``, ``source_thing``) and a rule's ``src`` and
+``dst`` (``src_segment``, ``dst_segment``). A callback thing's
+``surface_m2`` and ``efficiency`` sit in its ``args`` object, and a system
+thing's ``A`` and ``B`` in its ``system`` object; each is accepted there
+only. The run parameters and the ``clock``, ``broker`` and ``historian``
+objects are read key by key in :func:`load_scenario`.
+
+Loading reads every key with its declared type, builds each model and field
+controller once to run its own parameter checks, and rejects dangling
+references by name, so a file that loads can run.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime
 
 from . import netfabric
@@ -47,8 +59,8 @@ class InterpolationThingSpec:
     name: str
     feature: str
     prop: str
-    mode: str
     source_csv: str
+    mode: str = NEAREST
 
 
 @dataclass
@@ -69,7 +81,7 @@ class SystemThingSpec:
     A: list[list[float]]
     B: list[list[float]]
     x0: list[float]
-    inputs: list[str]
+    inputs: list[str] = field(default_factory=list)
     time_unit_scale: float = 1.0
     capacity_kwh: float | None = None
     rated_kw: float | None = None
@@ -122,23 +134,9 @@ class CabinetSpec:
     sample_period_s: float = 10.0
 
 
-@dataclass
-class NodeSpec:
-    id: str
-    segment: str
-
-
-@dataclass
-class EmsSpec:
+@dataclass(frozen=True)
+class EmsSpec(EmsConfig):
     node: str = "ems"
-    charge_ceiling: float = 90.0
-    discharge_floor: float = 10.0
-    turbine_threshold_kw: float = 65.0
-    timer_period_s: float = 60.0
-
-    def config(self) -> EmsConfig:
-        return EmsConfig(self.charge_ceiling, self.discharge_floor,
-                         self.turbine_threshold_kw, self.timer_period_s)
 
 
 @dataclass
@@ -162,7 +160,7 @@ class Scenario:
     duration_s: float
     seed: int
     clock_scale: float
-    nodes: list[NodeSpec]
+    nodes: list[netfabric.Node]
     policy: list[netfabric.FirewallRule]
     broker_node: str
     broker_http_port: int
@@ -186,8 +184,7 @@ class Scenario:
         raise ScenarioError(f"unknown thing {name!r}")
 
 
-# the default of a key that must be present; a dataclass field without a
-# default has this one
+# the default of a key that must be present
 _REQUIRED = MISSING
 
 
@@ -236,7 +233,7 @@ def _typed(value, kind: str, where: str):
     raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
 
 
-def _get(obj: dict, key: str, kind: str, where: str, default=None):
+def _get(obj: dict, key: str, kind: str, where: str, default=_REQUIRED):
     """The ``kind``-typed value of ``obj[key]``, or ``default`` if absent; a
     key whose default is ``_REQUIRED`` must be present."""
     if key in obj:
@@ -246,18 +243,45 @@ def _get(obj: dict, key: str, kind: str, where: str, default=None):
     return default
 
 
+# the scenario key of each field whose key is not its name, whichever record
+# declares the field; "obj.key" is the key of the nested object obj, and is
+# accepted only there
+_KEYS = {
+    "prop": "property",
+    "callback_name": "callbackName",
+    "source_thing": "source",
+    "surface_m2": "args.surface_m2",
+    "efficiency": "args.efficiency",
+    "A": "system.A",
+    "B": "system.B",
+    "src_segment": "src",
+    "dst_segment": "dst",
+}
+
+
 def _section(cls, raw, where: str, ignored: tuple[str, ...] = ()):
-    """Build the dataclass ``cls`` from the JSON object ``raw``, naming any
-    key it does not declare, misses or holds with the wrong type; keys in
-    ``ignored`` are accepted and dropped."""
-    decl = {f.name: f for f in fields(cls)}
-    raw = _object(raw, where, decl, ignored)
+    """Build the dataclass ``cls`` from the JSON object ``raw``, each field
+    from its key (``_KEYS``), naming any key it does not declare, misses or
+    holds with the wrong type; an absent key takes the field's default. Keys
+    in ``ignored`` are accepted and dropped."""
+    layout: dict[str, dict] = {"": {}}     # object ("" is raw) -> key -> field
+    for f in fields(cls):
+        obj, _, key = _KEYS.get(f.name, f.name).rpartition(".")
+        layout.setdefault(obj, {})[key] = f
+    raw = _object(raw, where, [*layout[""], *(obj for obj in layout if obj)],
+                  ignored)
     args = {}
-    for name, f in decl.items():
-        # annotations are strings here; optional fields read "str | None"
-        kind, _, optional = f.type.partition(" | ")
-        args[name] = (None if optional and raw.get(name) is None
-                      else _get(raw, name, kind, where, f.default))
+    for obj, decl in layout.items():
+        at = f"{where}.{obj}" if obj else where
+        src = _object(raw.get(obj, {}), at, decl) if obj else raw
+        for key, f in decl.items():
+            if key not in src and (f.default is not MISSING
+                                   or f.default_factory is not MISSING):
+                continue
+            # annotations are strings here; optional fields read "str | None"
+            kind, _, optional = f.type.partition(" | ")
+            args[f.name] = (None if optional and src.get(key) is None
+                            else _get(src, key, kind, at))
     return cls(**args)
 
 
@@ -269,65 +293,26 @@ def parse_policy(raw, where: str = "network.policy") -> list[netfabric.FirewallR
     rules = []
     for i, entry in enumerate(raw):
         at = f"{where}[{i}]"
-        entry = _object(entry, at, ("src", "dst", "verdict", "priority"))
-        src, dst, verdict = (_get(entry, key, "str", at, _REQUIRED)
-                             for key in ("src", "dst", "verdict"))
-        priority = _get(entry, "priority", "int", at, 0)
-        rules.append(_check(at, lambda: netfabric.FirewallRule(
-            src, dst, verdict, priority)))
+        rules.append(_check(at, lambda: _section(
+            netfabric.FirewallRule, entry, at)))
     return rules
 
 
-_THING_KEYS = {
-    "interpolation": ("property", "mode", "source_csv"),
-    "callback": ("property", "callbackName", "source", "args"),
-    "systemSimulator": ("system", "x0", "inputs", "time_unit_scale",
-                        "capacity_kwh", "rated_kw", "air_temp_c"),
+_THING_TYPES = {
+    "interpolation": InterpolationThingSpec,
+    "callback": CallbackThingSpec,
+    "systemSimulator": SystemThingSpec,
 }
 
 
 def _parse_thing(raw) -> ThingSpec:
     if not isinstance(raw, dict):
         raise ScenarioError(f"thing: expected an object, got {raw!r}")
-    name = _get(raw, "name", "str", "thing", _REQUIRED)
-    where = f"thing {name!r}"
-    kind = _get(raw, "type", "str", where, _REQUIRED)
-    if kind not in _THING_KEYS:
+    where = f"thing {_get(raw, 'name', 'str', 'thing')!r}"
+    kind = _get(raw, "type", "str", where)
+    if kind not in _THING_TYPES:
         raise ScenarioError(f"{where}: unknown thing type {kind!r}")
-    _object(raw, where, ("name", "type", "feature") + _THING_KEYS[kind])
-    feature = _get(raw, "feature", "str", where, _REQUIRED)
-    if kind == "interpolation":
-        return InterpolationThingSpec(
-            name=name, feature=feature,
-            prop=_get(raw, "property", "str", where, _REQUIRED),
-            mode=_get(raw, "mode", "str", where, NEAREST),
-            source_csv=_get(raw, "source_csv", "str", where, _REQUIRED),
-        )
-    if kind == "callback":
-        args = _object(raw.get("args", {}), f"{where}.args",
-                       ("surface_m2", "efficiency"))
-        return CallbackThingSpec(
-            name=name, feature=feature,
-            prop=_get(raw, "property", "str", where, _REQUIRED),
-            callback_name=_get(raw, "callbackName", "str", where, _REQUIRED),
-            surface_m2=_get(args, "surface_m2", "float", f"{where}.args",
-                            _REQUIRED),
-            efficiency=_get(args, "efficiency", "float", f"{where}.args",
-                            _REQUIRED),
-            source_thing=_get(raw, "source", "str", where, _REQUIRED),
-        )
-    system = _object(raw.get("system"), f"{where}.system", ("A", "B"))
-    return SystemThingSpec(
-        name=name, feature=feature,
-        A=_get(system, "A", "list[list[float]]", f"{where}.system", _REQUIRED),
-        B=_get(system, "B", "list[list[float]]", f"{where}.system", _REQUIRED),
-        x0=_get(raw, "x0", "list[float]", where, _REQUIRED),
-        inputs=_get(raw, "inputs", "list[str]", where, []),
-        time_unit_scale=_get(raw, "time_unit_scale", "float", where, 1.0),
-        capacity_kwh=_get(raw, "capacity_kwh", "float", where),
-        rated_kw=_get(raw, "rated_kw", "float", where),
-        air_temp_c=_get(raw, "air_temp_c", "float", where),
-    )
+    return _section(_THING_TYPES[kind], raw, where, ignored=("type",))
 
 
 _TOP_LEVEL_KEYS = ("name", "start_time", "duration_s", "seed", "transport",
@@ -372,7 +357,8 @@ def load_scenario(path: str) -> Scenario:
         duration_s=_get(raw, "duration_s", "float", "scenario", 604800.0),
         seed=_get(raw, "seed", "int", "scenario", 0),
         clock_scale=_get(clock, "scale", "float", "clock", 1000.0),
-        nodes=[_section(NodeSpec, n, "node") for n in network.get("nodes", [])],
+        nodes=[_section(netfabric.Node, n, "node")
+               for n in network.get("nodes", [])],
         policy=policy,
         broker_node=_get(broker, "node", "str", "broker", "broker"),
         broker_http_port=_get(broker, "http_port", "int", "broker", 0),
@@ -389,7 +375,8 @@ def load_scenario(path: str) -> Scenario:
                   for c in devices.get("cabinets", [])],
         # setpoint_kw is an EMS key of older scenario files; no dispatch
         # rule reads it
-        ems=_section(EmsSpec, raw.get("ems", {}), "ems", ignored=("setpoint_kw",)),
+        ems=_check("ems", lambda: _section(
+            EmsSpec, raw.get("ems", {}), "ems", ignored=("setpoint_kw",))),
         turnout=_section(TurnoutSpec, raw.get("turnout", {}), "turnout"),
         base_dir=base_dir,
     )
@@ -423,7 +410,6 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError(
             f"clock.scale must be a finite number, got {s.clock_scale!r}")
     _check("clock.scale", lambda: SimClock(scale=s.clock_scale))
-    _check("ems", s.ems.config)
     _check("turnout", lambda: s.turnout.model([]))
     # a period of 0 reschedules its task at the same instant forever
     periods = [("ems.timer_period_s", s.ems.timer_period_s),

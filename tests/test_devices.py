@@ -44,6 +44,17 @@ class TestSmartCabinet:
         assert cab.sample([250.0, 250.0, 300.0]) == 2300
         assert cab.register_file.get_input(CONSUMPTION_REGISTER) == 2300
 
+    def test_sample_adds_loads_left_to_right(self):
+        # a compensated sum, as sum() of floats is from Python 3.12 on,
+        # gives 5198 here: the sample must not depend on the interpreter
+        cab = SmartCabinet("a", 1500.1060993773144, 10000)
+        assert cab.sample([
+            297.44701861078903, 233.87684785165362, 338.54972256119584,
+            277.7211410986529, 304.8823031384013, 286.8610477116769,
+            279.3163166725016, 231.3187436940116, 294.6324322328312,
+            276.7553608026137, 253.71018285153406, 313.1697929281453,
+            310.15299046867864]) == 5199
+
     def test_master_off_reads_zero(self):
         cab = SmartCabinet("a", 1500, 10000)
         cab.register_file.set_coil(MASTER_COIL, False)

@@ -1828,6 +1828,7 @@ class TestCli:
         finally:
             run.send_signal(signal.SIGINT)
             run.wait(timeout=60)
+            run.stdout.close()
         assert run.returncode == EXIT_INTERRUPTED
 
     def test_a_malformed_radiance_row_is_a_scenario_error(

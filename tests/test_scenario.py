@@ -6,12 +6,18 @@ import signal
 import pytest
 
 from spmtwin.cli import EXIT_INVALID, main
+from spmtwin.netfabric import FirewallRule, Node
 from spmtwin.scenario import (
+    CallbackThingSpec,
+    EmsSpec,
+    InterpolationThingSpec,
     ScenarioError,
     SystemThingSpec,
     load_scenario,
+    parse_policy,
     validate_scenario,
 )
+from spmtwin.simcore import LINEAR, NEAREST
 
 
 # a storage: 1 state x 2 inputs
@@ -160,6 +166,7 @@ class TestValidation:
         ({"broker": {"port": 8080}}, "port"),
         ({"ems": {"timer_period_s": 0}}, "timer_period_s"),
         ({"ems": {"charge_ceiling": 150}}, "charge_ceiling"),
+        ({"ems": {"discharge_floor": 95.0}}, "ems: need 0 <= discharge_floor"),
         ({"things": [{"name": "FDT:sun", "type": "interpolation",
                       "feature": "sky", "property": "radiance",
                       "mode": "cubic", "source_csv": "r.csv"}]}, "mode"),
@@ -225,7 +232,8 @@ class TestValidation:
     ], ids=["ems-key", "turnout-key", "ems-not-object", "tcp-transport",
             "ems-value-type", "turnout-value-type", "historian-key",
             "top-level-key", "clock-key", "broker-key", "ems-zero-timer",
-            "ems-ceiling-range", "interpolation-mode", "turnout-period",
+            "ems-ceiling-range", "ems-floor-range",
+            "interpolation-mode", "turnout-period",
             "turnout-cluster-size", "clock-scale", "poll-period",
             "plc-scan-period", "cabinet-sample-period",
             "controller-publish-period", "negative-seed", "missing-source-csv",
@@ -268,8 +276,17 @@ class TestValidation:
          "x0[0]"),
         (lambda r: r["things"].append(dict(SYSTEM, time_unit_scale="60")),
          "time_unit_scale"),
+        # a nested key is accepted only in its object
+        (lambda r: r["things"].append(dict(PANEL, surface_m2=1)),
+         "thing 'FDT:panel': unknown keys ['surface_m2']"),
+        (lambda r: r["things"].append(dict(SYSTEM, A=[[0.0]])),
+         "thing 'FDT:sys': unknown keys ['A']"),
+        (lambda r: r["things"].append(dict(SYSTEM, system=dict(
+            SYSTEM["system"], x0=[0.0]))),
+         "thing 'FDT:sys'.system: unknown keys ['x0']"),
     ], ids=["network-key", "controller-key", "cabinet-key", "A-entry",
-            "B-entry", "x0-entry", "x0-nan", "time-unit-scale"])
+            "B-entry", "x0-entry", "x0-nan", "time-unit-scale",
+            "surface-beside-args", "A-beside-system", "x0-in-system"])
     def test_nested_input_error_exits_2(self, tmp_path, capsys, mutate, key):
         path = minimal(tmp_path, mutate)
         with pytest.raises(ScenarioError, match=re.escape(key)):
@@ -371,6 +388,53 @@ class TestValidation:
     def test_negative_duration(self, tmp_path):
         with pytest.raises(ScenarioError, match="duration"):
             load_scenario(minimal(tmp_path, lambda r: r.update(duration_s=-1)))
+
+
+class TestDeclaredSchema:
+    """Each record reads its keys from the dataclass it loads to."""
+
+    def test_every_optional_key_of_each_thing_kind(self, tmp_path):
+        sun = dict(SUN, mode=LINEAR)
+        panel = dict(PANEL, source="FDT:sun",
+                     args={"surface_m2": 504, "efficiency": 0.16})
+        store = dict(SYSTEM, inputs=["charge", "discharge"],
+                     time_unit_scale=60, capacity_kwh=6)
+        turbine = dict(TURBINE, inputs=["a", "b", "c"], time_unit_scale=2,
+                       rated_kw=80, air_temp_c=20)
+        scenario = load_scenario(minimal(tmp_path, lambda r: r.update(
+            things=[sun, panel, store, turbine])))
+        assert scenario.things == [
+            InterpolationThingSpec(
+                name="FDT:sun", feature="sky", prop="radiance",
+                source_csv="schedule.csv", mode=LINEAR),
+            CallbackThingSpec(
+                name="FDT:panel", feature="panel", prop="power",
+                callback_name="getSolarSurfaceInterpolant",
+                surface_m2=504.0, efficiency=0.16, source_thing="FDT:sun"),
+            SystemThingSpec(
+                name="FDT:sys", feature="f", A=[[0.0]], B=[[1.0, -1.0]],
+                x0=[0.0], inputs=["charge", "discharge"],
+                time_unit_scale=60.0, capacity_kwh=6.0),
+            SystemThingSpec(
+                name="FDT:turbine", feature="engine", A=TURBINE["system"]["A"],
+                B=TURBINE["system"]["B"], x0=[0.0, 15.0],
+                inputs=["a", "b", "c"], time_unit_scale=2.0, rated_kw=80.0,
+                air_temp_c=20.0),
+        ]
+        assert scenario.nodes == [Node(**n) for n in NODES]
+
+    def test_defaults_come_from_the_dataclass(self, tmp_path):
+        scenario = load_scenario(minimal(tmp_path, lambda r: r.update(
+            things=[SUN, SYSTEM])))
+        sun, system = scenario.things
+        assert sun.mode == NEAREST
+        assert system.inputs == []
+        assert system.time_unit_scale == 1.0
+        assert system.capacity_kwh is None
+        assert scenario.ems == EmsSpec()
+        assert parse_policy([{"src": "control", "dst": "field",
+                              "verdict": "allow"}]) == [
+            FirewallRule("control", "field", "allow", priority=0)]
 
 
 class TestSystemSpec:
